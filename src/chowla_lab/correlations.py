@@ -8,12 +8,18 @@ twisted exponential sums over a rational frequency grid.
 
 Every sum reports a curve of partial values at ten evenly spaced checkpoint
 lengths, so decay is visible, not just the final value.
+
+Lag products are evaluated on packed bitplanes of the prefix, support
+(z != 0) and sign (z < 0), one pair per shift: the product is nonzero on
+the AND of the shifted supports, and negative where the XOR of the
+exponent-1 factors' signs is set, so every sum is an exact integer count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -97,27 +103,75 @@ def _curve_from_terms(terms: np.ndarray, N: int) -> CorrelationCurve:
     return CorrelationCurve(checkpoints=tuple(points))
 
 
-def _product_terms(z: SignSeq, spec: CorrelationSpec, N: int) -> np.ndarray:
-    needed = N + spec.max_lag
+def _bitplanes(z: SignSeq, shifts, N: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Support (z != 0) and sign (z < 0) bitplanes of z shifted by each a in
+    ``shifts``: bit n-1 of plane a is term n + a, n = 1..N, packed
+    little-endian into uint64 words whose bits past N are zero."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    needed = N + max(shifts)
     if needed > len(z):
         raise ValueError(
             f"prefix of length {len(z)} too short: need N + max lag = {needed}"
         )
-    values = z.values
-    out = values[:N].astype(np.int8, copy=True)
-    if spec.exponents[0] == 2:
-        out *= out
-    for a, i in zip(spec.lags, spec.exponents[1:]):
-        factor = values[a : a + N]
-        out *= factor
-        if i == 2:
-            out *= factor
-    return out
+    values = z.values[:needed]
+    support = values != 0
+    sign = values < 0
+    nbytes = -(-N // 64) * 8
+
+    def pack(bits: np.ndarray) -> np.ndarray:
+        words = np.zeros(nbytes, dtype=np.uint8)
+        packed = np.packbits(bits, bitorder="little")
+        words[: packed.size] = packed
+        return words.view(np.uint64)
+
+    return {a: (pack(support[a : a + N]), pack(sign[a : a + N])) for a in shifts}
+
+
+def _popcount(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum(dtype=np.int64))
+
+
+def _joint_support(planes: dict, shifts: tuple[int, ...]) -> np.ndarray:
+    """S: the bits where every factor z(n + a), a in ``shifts``, is nonzero."""
+    support = planes[shifts[0]][0].copy()
+    for a in shifts[1:]:
+        support &= planes[a][0]
+    return support
+
+
+def _product_planes(z: SignSeq, spec: CorrelationSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Planes (S, P) of prod_s z^{i_s}(n + a_s): the product is nonzero on S,
+    and -1 on P, the bits of S where the exponent-1 factors' signs XOR to 1."""
+    shifts = (0,) + spec.lags
+    planes = _bitplanes(z, shifts, N)
+    support = _joint_support(planes, shifts)
+    sign = np.zeros_like(support)
+    for a, i in zip(shifts, spec.exponents):
+        if i == 1:
+            sign ^= planes[a][1]
+    return support, sign & support
 
 
 def chowla_sum(z: SignSeq, spec: CorrelationSpec, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of prod_s z^{i_s}(n + a_s), a_0 = 0."""
-    return _curve_from_terms(_product_terms(z, spec, N), N)
+    support, negative = _product_planes(z, spec, N)
+    # per-word sums of the product's terms, then exact prefix sums at each
+    # bound, adding the bits of the partial word below the bound
+    cumulative = np.cumsum(
+        np.bitwise_count(support).astype(np.int64)
+        - 2 * np.bitwise_count(negative).astype(np.int64)
+    )
+    points = []
+    for b in _checkpoint_bounds(N):
+        full, rem = divmod(b, 64)
+        total = int(cumulative[full - 1]) if full else 0
+        if rem:
+            mask = (1 << rem) - 1
+            total += (int(support[full]) & mask).bit_count()
+            total -= 2 * (int(negative[full]) & mask).bit_count()
+        points.append((b, total / b))
+    return CorrelationCurve(checkpoints=tuple(points))
 
 
 class OrbitSampler:
@@ -188,7 +242,11 @@ def strong_sarnak_sum(
     sampler: OrbitSampler, z: SignSeq, spec: CorrelationSpec, N: int
 ) -> CorrelationCurve:
     """Sarnak-type sum weighted by the full lag/exponent product of z."""
-    terms = sampler.values(N) * _product_terms(z, spec, N)
+    support, negative = (
+        np.unpackbits(plane.view(np.uint8), count=N, bitorder="little").view(np.int8)
+        for plane in _product_planes(z, spec, N)
+    )
+    terms = sampler.values(N) * (support - 2 * negative)
     return _curve_from_terms(terms, N)
 
 
@@ -246,16 +304,32 @@ def ch_battery(z: SignSeq, max_lag: int, max_r: int, N: int, tol: float) -> Batt
     the final values against tol.  Deterministic enumeration order."""
     if max_lag < 1 or max_r < 0:
         raise ValueError(f"need max_lag >= 1 and max_r >= 0, got {max_lag}, {max_r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     count = sum(
         math.comb(max_lag, r) * (2 ** (r + 1) - 1) for r in range(0, max_r + 1)
     )
     if count > BATTERY_BUDGET:
         raise ValueError(f"battery of {count} specs exceeds budget {BATTERY_BUDGET}")
-    entries = tuple(
-        BatteryEntry(spec=spec, value=chowla_sum(z, spec, N).final)
-        for spec in enumerate_chowla_specs(max_lag, max_r)
-    )
-    return BatteryReport(n=N, tol=tol, entries=entries)
+    planes = _bitplanes(z, range((max_lag if max_r else 0) + 1), N)
+    entries = []
+    for lags, group in groupby(enumerate_chowla_specs(max_lag, max_r), key=lambda s: s.lags):
+        # every exponent pattern on this lag set shares the support S; the
+        # sign planes restricted to S are XORed in Gray-code order, so each
+        # pattern costs one XOR and one popcount
+        shifts = (0,) + lags
+        support = _joint_support(planes, shifts)
+        nonzero = _popcount(support)
+        signs = [planes[a][1] & support for a in shifts]
+        negative = np.zeros_like(support)
+        sums = {}  # bit k of the key set: factor k has exponent 1
+        for step in range(1, 2 ** len(shifts)):
+            negative ^= signs[(step & -step).bit_length() - 1]
+            sums[step ^ (step >> 1)] = nonzero - 2 * _popcount(negative)
+        for spec in group:
+            ones = sum(1 << k for k, i in enumerate(spec.exponents) if i == 1)
+            entries.append(BatteryEntry(spec=spec, value=sums[ones] / N))
+    return BatteryReport(n=N, tol=tol, entries=tuple(entries))
 
 
 @dataclass(frozen=True)

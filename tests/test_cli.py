@@ -207,3 +207,14 @@ class TestUsageErrors:
 
     def test_bad_parameter_value(self, mobius_file):
         assert run(["davenport", "--in", mobius_file, "--grid", 10]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", 0], ["--n", -3], ["--tol", "nan"], ["--tol", "inf"], ["--tol", 0],
+        ["--tol", -0.5],
+    ])
+    def test_bad_battery_input_is_one_error_line(self, mobius_file, capsys, flags):
+        assert run(["chowla", "--in", mobius_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -27,6 +27,41 @@ def random_seq(seed, n):
     return SignSeq(np.random.default_rng(seed).integers(-1, 2, size=n))
 
 
+def brute_prefix_sums(values, spec, N, weight=lambda m: 1):
+    """sums[n] = sum over m <= n of weight(m) prod_s z^{i_s}(m + a_s), by a
+    per-m loop."""
+    shifts = (0,) + spec.lags
+    sums = [0]
+    for m in range(1, N + 1):
+        term = weight(m)
+        for a, i in zip(shifts, spec.exponents):
+            term *= values[m + a - 1] ** i
+        sums.append(sums[-1] + term)
+    return sums
+
+
+# lengths around the 64-bit word boundaries of the bitplanes, and any other
+lengths = st.one_of(st.sampled_from([1, 63, 64, 65, 127, 128, 129]), st.integers(1, 300))
+
+
+@st.composite
+def prefixes(draw, min_extra=0):
+    """(values, N): a {-1,0,1} prefix with 0..12 terms beyond N (at least min_extra)."""
+    N = draw(lengths)
+    size = N + draw(st.integers(min_extra, 12))
+    values = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=size, max_size=size))
+    return values, N
+
+
+@st.composite
+def specs_within(draw, room):
+    """A spec whose lags reach at most ``room`` terms past N."""
+    lags = sorted(draw(st.sets(st.integers(1, room), max_size=min(3, room)))) if room else []
+    exponents = draw(st.lists(st.sampled_from([1, 2]), min_size=len(lags) + 1,
+                              max_size=len(lags) + 1))
+    return CorrelationSpec(tuple(lags), tuple(exponents))
+
+
 class TestCorrelationSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -52,6 +87,17 @@ class TestChowlaSum:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="need N \\+ max lag"):
             chowla_sum(SignSeq([1] * 10), CorrelationSpec((5,), (1, 1)), 6)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_n_rejected(self, n):
+        z = random_seq(0, 100)
+        spec = CorrelationSpec((1,), (1, 1))
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            chowla_sum(z, spec, n)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            strong_sarnak_sum(PeriodicSampler((1.0,)), z, spec, n)
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            ch_battery(z, 3, 1, n, 0.1)
 
     def test_checkpoints_increasing_to_n(self):
         curve = chowla_sum(random_seq(0, 2000), CorrelationSpec((1,), (1, 1)), 1000)
@@ -87,6 +133,54 @@ class TestChowlaSum:
         value = chowla_sum(z, CorrelationSpec((lag,), (1, 1)), n).final
         density = np.count_nonzero(z.values[:n]) / n
         assert abs(value) <= density + 1e-12
+
+
+class TestBruteForceOracle:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_chowla_sum_every_checkpoint(self, data):
+        values, N = data.draw(prefixes())
+        spec = data.draw(specs_within(len(values) - N))
+        sums = brute_prefix_sums(values, spec, N)
+        curve = chowla_sum(SignSeq(values), spec, N)
+        assert curve.final_n == N
+        for n, value in curve.checkpoints:
+            assert value == sums[n] / n
+
+    @given(prefixes(min_extra=4))
+    @settings(max_examples=60, deadline=None)
+    def test_battery_every_entry(self, prefix):
+        values, N = prefix
+        report = ch_battery(SignSeq(values), 4, 2, N, 0.1)
+        assert [e.spec for e in report.entries] == enumerate_chowla_specs(4, 2)
+        for e in report.entries:
+            assert e.value == brute_prefix_sums(values, e.spec, N)[N] / N
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_strong_sarnak_periodic(self, data):
+        values, N = data.draw(prefixes())
+        spec = data.draw(specs_within(len(values) - N))
+        # dyadic weights keep every partial sum exact in float64
+        pattern = data.draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 1.0, 1.5]),
+                                     min_size=1, max_size=7))
+        sums = brute_prefix_sums(values, spec, N, lambda m: pattern[m % len(pattern)])
+        curve = strong_sarnak_sum(PeriodicSampler(tuple(pattern)), SignSeq(values), spec, N)
+        assert curve.final_n == N
+        for n, value in curve.checkpoints:
+            assert value == sums[n] / n
+
+
+class TestPublishedValues:
+    def test_mertens_on_sign_plane(self):
+        # M(10^6) = 212 (OEIS A084237)
+        m = mobius_prefix(10**6)
+        assert chowla_sum(m, CorrelationSpec((), (1,)), 10**6).final == 212 / 10**6
+
+    def test_squarefree_count_on_support_plane(self):
+        # Q(10^6) = 607926 squarefree integers up to 10^6 (OEIS A013928)
+        m = mobius_prefix(10**6)
+        assert chowla_sum(m, CorrelationSpec((), (2,)), 10**6).final == 607926 / 10**6
 
 
 class TestSamplers:
@@ -188,6 +282,11 @@ class TestBattery:
         z = random_seq(5, 100)
         with pytest.raises(ValueError, match="budget"):
             ch_battery(z, 30, 6, 50, 0.1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.5])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            ch_battery(random_seq(5, 100), 3, 1, 50, tol)
 
     def test_entries_cover_enumeration(self):
         z = random_seq(6, 2000)
