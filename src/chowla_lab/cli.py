@@ -3,10 +3,8 @@ pipeline, bound audits, and report emission.
 
 Exit codes: 0 on success/pass, 1 when a battery or audit fails, 2 on usage
 errors.  Reports are JSON (schema 1) or CSV, written atomically, and embed
-the parameters, seed, tool version, and thread budget, so identical
-invocations produce byte-identical reports.  The CHOWLA_LAB_THREADS
-environment variable caps the thread budget; all computations here are
-single-threaded vectorized passes, which trivially honor any budget >= 1.
+the parameters, seed, and tool version, so identical invocations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .correlations import (
 from .empirics import complexity_profile, entropy_estimate, sign_extension_test
 from .entbounds import EntropyPair, audit_entropy_pair
 from .numbergen import BSet, liouville_prefix, mobius_prefix, mu_b_prefix
-from .seqcore import SignSeq, read_sqz, write_sqz
+from .seqcore import SignSeq, _atomic_write, read_sqz, write_sqz
 from .symbolicgen import (
     BernoulliParams,
     DeterminizeParams,
@@ -51,26 +49,6 @@ from .toeplitz import (
     toeplitz_correlation,
     toeplitz_entropy_lower_bound,
 )
-
-THREADS_ENV = "CHOWLA_LAB_THREADS"
-
-
-def thread_budget() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    budget = int(raw)
-    if budget < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {budget}")
-    return budget
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
 
 def _curve_rows(name: str, curve: CorrelationCurve | tuple) -> list[tuple[str, int, float]]:
     points = curve.checkpoints if isinstance(curve, CorrelationCurve) else curve
@@ -91,7 +69,6 @@ def emit_report(args, command: str, params: dict, results: dict, verdict: bool |
             "version": __version__,
             "command": command,
             "params": params,
-            "threads": thread_budget(),
             "results": results,
         }
         if verdict is not None:
@@ -99,7 +76,7 @@ def emit_report(args, command: str, params: dict, results: dict, verdict: bool |
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out = getattr(args, "out_report", None)
     if out:
-        _atomic_write_text(out, text)
+        _atomic_write(out, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -324,6 +301,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_determinize(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     u = _load(args.input)
     current = u
     steps = []

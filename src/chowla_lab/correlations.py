@@ -192,6 +192,8 @@ class RotationSampler(OrbitSampler):
     def __post_init__(self):
         if self.observable not in ("cos", "sin"):
             raise ValueError(f"observable must be cos or sin, got {self.observable}")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.x0)):
+            raise ValueError(f"alpha and x0 must be finite, got {self.alpha}, {self.x0}")
 
     def values(self, N: int) -> np.ndarray:
         n = np.arange(1, N + 1, dtype=np.float64)
@@ -210,6 +212,8 @@ class PeriodicSampler(OrbitSampler):
         if len(self.pattern) == 0:
             raise ValueError("pattern must be nonempty")
         object.__setattr__(self, "pattern", tuple(float(v) for v in self.pattern))
+        if not all(math.isfinite(v) for v in self.pattern):
+            raise ValueError(f"pattern values must be finite: {self.pattern}")
 
     def values(self, N: int) -> np.ndarray:
         pat = np.asarray(self.pattern, dtype=np.float64)
@@ -232,6 +236,8 @@ class SubshiftSampler(OrbitSampler):
 
 def sarnak_sum(sampler: OrbitSampler, z: SignSeq, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of f(T^n x) z(n)."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if N > len(z):
         raise ValueError(f"N = {N} exceeds prefix length {len(z)}")
     terms = sampler.values(N) * z.values[:N]
@@ -353,6 +359,8 @@ def davenport_scan(z: SignSeq, N: int, grid: int) -> DavenportResult:
     """
     if grid < 100:
         raise ValueError(f"grid must be >= 100, got {grid}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if N > len(z):
         raise ValueError(f"N = {N} exceeds prefix length {len(z)}")
     values = z.values

@@ -8,12 +8,15 @@ block set.
 
 Window counting conventions: a length-ell block in a prefix of length N has
 denominator N - ell + 1; blocks are packed as base-3 codes (letter + 1 per
-position), which is exact for lengths up to 39.
+position), which is exact for lengths up to 39.  ``_window_codes`` is the
+one place that packs the windows of a prefix; the heavy-block recoding in
+``symbolicgen`` uses it too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,7 @@ from .seqcore import Block, SignSeq, square_map
 
 MAX_FREQUENCY_ORDER = 24
 _BINCOUNT_CODE_LIMIT = 1 << 23  # dense counting below this code range
+_CODE_LENGTH_LIMIT = 39  # 3**39 - 1 < 2**63 <= 3**40 - 1
 
 
 def block_code(letters) -> int:
@@ -42,8 +46,26 @@ def code_to_block(code: int, length: int) -> Block:
     return Block(tuple(letters))
 
 
-def _digits(values: np.ndarray) -> np.ndarray:
-    return (values.astype(np.int64)) + 1
+def _window_codes(values: np.ndarray, k: int):
+    """Yield the base-3 codes of every length-ell window for ell = 1..k.
+
+    The array yielded for ell has N - ell + 1 entries; entry i is the code
+    of values[i : i + ell].  It is a view of one buffer that is updated in
+    place for ell + 1, so use or copy it before advancing the generator.
+    """
+    if k > _CODE_LENGTH_LIMIT:
+        raise ValueError(f"window length {k} overflows 64-bit base-3 packing")
+    if not 1 <= k <= values.size:
+        raise ValueError(f"window length {k} outside 1..{values.size}")
+    digits = values.astype(np.int64) + 1
+    codes = digits.copy()
+    yield codes
+    scale = 1
+    for ell in range(2, k + 1):
+        size = digits.size - ell + 1
+        scale *= 3
+        codes[:size] += digits[ell - 1 :] * scale
+        yield codes[:size]
 
 
 class EmpiricalMeasure:
@@ -99,18 +121,11 @@ def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
         raise ValueError(f"k must be in 1..{MAX_FREQUENCY_ORDER}, got {k}")
     if len(w) < 10 * k:
         raise ValueError(f"prefix length {len(w)} < 10*k = {10 * k}")
-    digits = _digits(w.values)
-    N = digits.size
-    codes = digits.copy()
-    scale = 1
-    tables = {}
-    for ell in range(1, k + 1):
-        size = N - ell + 1
-        if ell > 1:
-            scale *= 3
-            codes[:size] += digits[ell - 1 : ell - 1 + size] * scale
-        tables[ell] = _tally(codes[:size], scale * 3)
-    return EmpiricalMeasure(max_order=k, window_count=N, tables=tables)
+    tables = {
+        ell: _tally(codes, 3**ell)
+        for ell, codes in enumerate(_window_codes(w.values, k), start=1)
+    }
+    return EmpiricalMeasure(max_order=k, window_count=len(w), tables=tables)
 
 
 def _tally(codes: np.ndarray, code_range: int):
@@ -236,8 +251,8 @@ def sign_extension_test(
     """
     if not 1 <= k <= MAX_SIGN_TEST_ORDER:
         raise ValueError(f"k must be in 1..{MAX_SIGN_TEST_ORDER}, got {k}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     measure_z = block_frequencies(z, k)
     measure_z2 = block_frequencies(square_map(z), k)
 
@@ -281,13 +296,7 @@ def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> set[Block
         raise ValueError(f"n must be in 1..{MAX_FREQUENCY_ORDER}, got {n}")
     if len(w) < n:
         raise ValueError(f"prefix length {len(w)} < n = {n}")
-    digits = _digits(w.values)
-    size = digits.size - n + 1
-    codes = np.zeros(size, dtype=np.int64)
-    scale = 1
-    for j in range(n):
-        codes += digits[j : j + size] * scale
-        scale *= 3
+    *_, codes = _window_codes(w.values, n)
     uniq, counts = np.unique(codes, return_counts=True)
-    keep = counts / size > threshold
+    keep = counts / codes.size > threshold
     return {code_to_block(int(c), n) for c in uniq[keep]}

@@ -156,16 +156,26 @@ def shift(w: SignSeq, s: int) -> SignSeq:
     return SignSeq._wrap(w.values[s:].copy())
 
 
+def _atomic_write(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` in order to ``path`` through a temp
+    file and a rename; the temp file is removed if either step fails."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+
+
 def write_sqz(path, seq: SignSeq) -> None:
     """Write the binary prefix format: b"SQZ1", u64-le length, one int8 per symbol.
 
     The write is atomic (temp file + rename).
     """
-    data = SQZ_HEADER.pack(SQZ_MAGIC, len(seq)) + seq.values.tobytes()
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    _atomic_write(path, SQZ_HEADER.pack(SQZ_MAGIC, len(seq)), seq.values)
 
 
 def read_sqz(path) -> SignSeq:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .empirics import _window_codes
 from .seqcore import SignSeq
 
 RNG_NAME = "numpy.random.PCG64"
@@ -78,7 +79,7 @@ class BernoulliParams:
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probabilities)
         object.__setattr__(self, "probabilities", probs)
-        if any(p < 0.0 or p > 1.0 for p in probs):
+        if not all(0.0 <= p <= 1.0 for p in probs):
             raise ValueError(f"probabilities must lie in [0,1]: {probs}")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1 within 1e-12: {probs}")
@@ -256,7 +257,7 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
     values = u.values
     nblocks = len(u) // big_n
 
-    codes = _pack_windows(values, n)
+    *_, codes = _window_codes(values, n)
     uniq, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
     freq = counts / codes.size
     heavy_code = freq > params.heavy_threshold
@@ -295,20 +296,6 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
         unacceptable_fraction=unacceptable / nblocks if nblocks else 0.0,
         heavy_block_count=int(np.count_nonzero(heavy_code)),
     )
-
-
-def _pack_windows(values: np.ndarray, n: int) -> np.ndarray:
-    """Base-3 codes of all length-n windows (letters shifted to digits 0..2)."""
-    if n > 39:
-        raise ValueError(f"window length {n} overflows 64-bit base-3 packing")
-    digits = (values + 1).astype(np.int64)
-    size = values.size - n + 1
-    codes = np.zeros(size, dtype=np.int64)
-    scale = 1
-    for j in range(n):
-        codes += digits[j : j + size] * scale
-        scale *= 3
-    return codes
 
 
 @dataclass(frozen=True)

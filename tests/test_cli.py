@@ -17,6 +17,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.fixture(scope="module")
 def mobius_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("seq") / "m.sqz"
@@ -184,18 +191,6 @@ class TestDeterminize:
         assert len(read_sqz(out)) == 50_000
 
 
-class TestThreadBudget:
-    def test_env_var_recorded_in_report(self, mobius_file, capsys, monkeypatch):
-        monkeypatch.setenv("CHOWLA_LAB_THREADS", "3")
-        assert run(["davenport", "--in", mobius_file, "--grid", 100]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["threads"] == 3
-
-    def test_invalid_budget_rejected(self, mobius_file, monkeypatch):
-        monkeypatch.setenv("CHOWLA_LAB_THREADS", "0")
-        assert run(["davenport", "--in", mobius_file, "--grid", 100]) == 2
-
-
 class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as err:
@@ -214,7 +209,46 @@ class TestUsageErrors:
     ])
     def test_bad_battery_input_is_one_error_line(self, mobius_file, capsys, flags):
         assert run(["chowla", "--in", mobius_file, *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["hat-test", "--in", "{m}", "--tol", "nan"],
+        ["hat-test", "--in", "{m}", "--tol", "inf"],
+        ["generate", "--kind", "bernoulli", "--probs", "nan,0.5", "--n", 100,
+         "--out", "{tmp}/b.sqz"],
+        ["generate", "--kind", "bernoulli", "--probs", "0.5,nan,0.5", "--n", 100,
+         "--out", "{tmp}/b.sqz"],
+        ["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 4, "--big-n", 8,
+         "--steps", 0, "--out", "{tmp}/d.sqz"],
+        ["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 40, "--big-n", 80,
+         "--out", "{tmp}/d.sqz"],
+        ["sarnak", "--in", "{m}", "--system", "periodic", "--pattern", "1", "--n", 0],
+        ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", 0.5, "--n", -3],
+        ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", "nan"],
+        ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", 0.5, "--x0", "inf"],
+        ["sarnak", "--in", "{m}", "--system", "periodic", "--pattern", "1,nan"],
+        ["davenport", "--in", "{m}", "--n", 0],
+        ["davenport", "--in", "{m}", "--n", -3],
+    ], ids=["hat-tol-nan", "hat-tol-inf", "probs-nan", "probs-nan-3", "steps-0",
+            "n-block-40", "sarnak-n-0", "sarnak-n-neg", "sarnak-alpha-nan",
+            "sarnak-x0-inf", "sarnak-pattern-nan", "davenport-n-0",
+            "davenport-n-neg"])
+    def test_bad_input_is_one_error_line(self, mobius_file, tmp_path, capsys, argv):
+        argv = [str(a).format(m=mobius_file, tmp=tmp_path) for a in argv]
+        assert run(argv) == 2
+        assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--kind", "mobius", "--n", 1000, "--out", "{dir}"],
+        ["davenport", "--in", "{m}", "--grid", 100, "--out-report", "{dir}"],
+        ["davenport", "--in", "{m}", "--grid", 100, "--report", "csv",
+         "--out-report", "{dir}"],
+    ], ids=["sqz", "json-report", "csv-report"])
+    def test_failed_write_leaves_no_temp_file(self, mobius_file, tmp_path, capsys, argv):
+        target = tmp_path / "existing-dir"
+        target.mkdir()
+        assert run([str(a).format(m=mobius_file, dir=target) for a in argv]) == 2
+        assert_one_error_line(capsys)
+        assert list(tmp_path.glob("*.tmp*")) == []
+        assert list(target.iterdir()) == []

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from chowla_lab.empirics import (
     Block,
+    _window_codes,
+    block_code,
     block_frequencies,
     complexity_profile,
     entropy_estimate,
@@ -18,8 +20,10 @@ from chowla_lab.empirics import (
 from chowla_lab.seqcore import SignSeq, pointwise_product, square_map
 from chowla_lab.symbolicgen import (
     BernoulliParams,
+    DeterminizeParams,
     SturmianParams,
     bernoulli_prefix,
+    determinize_step,
     pair_code_prefix,
     sturmian_prefix,
 )
@@ -27,14 +31,69 @@ from chowla_lab.symbolicgen import (
 LOG2_3 = math.log2(3)
 
 
+def window_counts(values, ell):
+    """Counter over the overlapping length-ell windows of a list."""
+    return Counter(tuple(values[i : i + ell]) for i in range(len(values) - ell + 1))
+
+
 def brute_frequencies(values, k):
     """Window-count oracle: dict {(tuple block): count} for lengths <= k."""
     out = {}
-    n = len(values)
     for ell in range(1, k + 1):
-        counts = Counter(tuple(values[i : i + ell]) for i in range(n - ell + 1))
-        out.update({block: c for block, c in counts.items()})
+        out.update(window_counts(values, ell))
     return out
+
+
+letter_lists = st.lists(st.integers(-1, 1), min_size=1, max_size=200)
+
+
+class TestWindowCodes:
+    @given(letter_lists)
+    @settings(max_examples=50, deadline=None)
+    def test_every_window_matches_block_code(self, values):
+        longest = min(len(values), 39)
+        want = [
+            [block_code(values[i : i + ell]) for i in range(len(values) - ell + 1)]
+            for ell in range(1, longest + 1)
+        ]
+        arr = np.array(values, dtype=np.int8)
+        for k in range(1, longest + 1):
+            assert [codes.tolist() for codes in _window_codes(arr, k)] == want[:k]
+
+    def test_longest_code_does_not_overflow(self):
+        ones = np.ones(50, dtype=np.int8)
+        *_, codes = _window_codes(ones, 39)
+        assert codes.tolist() == [3**39 - 1] * 12
+        with pytest.raises(ValueError, match="overflows 64-bit base-3 packing"):
+            next(_window_codes(ones, 40))
+
+    def test_length_outside_prefix_rejected(self):
+        with pytest.raises(ValueError, match="window length"):
+            next(_window_codes(np.ones(5, dtype=np.int8), 6))
+        with pytest.raises(ValueError, match="window length"):
+            next(_window_codes(np.ones(5, dtype=np.int8), 0))
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_heavy_block_count_matches_counter(self, data):
+        values = data.draw(st.lists(st.integers(-1, 1), min_size=8, max_size=300))
+        n_block = data.draw(st.integers(1, 8))
+        big_n = n_block * data.draw(st.integers(1, len(values) // n_block))
+        params = DeterminizeParams(data.draw(st.floats(0.01, 0.99)), n_block, big_n)
+        counts = window_counts(values, n_block)
+        total = len(values) - n_block + 1
+        heavy = sum(1 for c in counts.values() if c / total > params.heavy_threshold)
+        assert determinize_step(SignSeq(values), params).heavy_block_count == heavy
+
+    @given(letter_lists, st.integers(1, 6), st.floats(0.0, 0.5))
+    @settings(max_examples=50, deadline=None)
+    def test_positive_frequency_blocks_match_counter(self, values, n, threshold):
+        n = min(n, len(values))
+        counts = window_counts(values, n)
+        total = len(values) - n + 1
+        want = {b for b, c in counts.items() if c / total > threshold}
+        got = positive_frequency_blocks(SignSeq(values), n, threshold)
+        assert {b.letters for b in got} == want
 
 
 class TestBlockFrequencies:
