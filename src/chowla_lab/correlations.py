@@ -52,10 +52,6 @@ class CorrelationSpec:
             raise ValueError(f"exponents must be in {{1,2}}: {exps}")
 
     @property
-    def r(self) -> int:
-        return len(self.lags)
-
-    @property
     def max_lag(self) -> int:
         return self.lags[-1] if self.lags else 0
 
@@ -84,8 +80,11 @@ class CorrelationCurve:
         return self.checkpoints[-1][0]
 
 
-def _checkpoint_bounds(N: int, parts: int = 10) -> list[int]:
-    bounds = sorted({max(1, (j * N) // parts) for j in range(1, parts + 1)})
+_CHECKPOINTS = 10
+
+
+def _checkpoint_bounds(N: int) -> list[int]:
+    bounds = sorted({max(1, (j * N) // _CHECKPOINTS) for j in range(1, _CHECKPOINTS + 1)})
     if bounds[-1] != N:
         bounds.append(N)
     return bounds
@@ -140,38 +139,28 @@ def _joint_support(planes: dict, shifts: tuple[int, ...]) -> np.ndarray:
     return support
 
 
-def _product_planes(z: SignSeq, spec: CorrelationSpec, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Planes (S, P) of prod_s z^{i_s}(n + a_s): the product is nonzero on S,
-    and -1 on P, the bits of S where the exponent-1 factors' signs XOR to 1."""
+def _product_terms(z: SignSeq, spec: CorrelationSpec, N: int) -> np.ndarray:
+    """prod_s z^{i_s}(n + a_s) for n = 1..N as int8: nonzero on the joint
+    support S, and -1 on the bits of S where the exponent-1 factors' signs
+    XOR to 1."""
     shifts = (0,) + spec.lags
     planes = _bitplanes(z, shifts, N)
     support = _joint_support(planes, shifts)
-    sign = np.zeros_like(support)
+    negative = np.zeros_like(support)
     for a, i in zip(shifts, spec.exponents):
         if i == 1:
-            sign ^= planes[a][1]
-    return support, sign & support
+            negative ^= planes[a][1]
+    negative &= support
+    support, negative = (
+        np.unpackbits(plane.view(np.uint8), count=N, bitorder="little").view(np.int8)
+        for plane in (support, negative)
+    )
+    return support - 2 * negative
 
 
 def chowla_sum(z: SignSeq, spec: CorrelationSpec, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of prod_s z^{i_s}(n + a_s), a_0 = 0."""
-    support, negative = _product_planes(z, spec, N)
-    # per-word sums of the product's terms, then exact prefix sums at each
-    # bound, adding the bits of the partial word below the bound
-    cumulative = np.cumsum(
-        np.bitwise_count(support).astype(np.int64)
-        - 2 * np.bitwise_count(negative).astype(np.int64)
-    )
-    points = []
-    for b in _checkpoint_bounds(N):
-        full, rem = divmod(b, 64)
-        total = int(cumulative[full - 1]) if full else 0
-        if rem:
-            mask = (1 << rem) - 1
-            total += (int(support[full]) & mask).bit_count()
-            total -= 2 * (int(negative[full]) & mask).bit_count()
-        points.append((b, total / b))
-    return CorrelationCurve(checkpoints=tuple(points))
+    return _curve_from_terms(_product_terms(z, spec, N), N)
 
 
 class OrbitSampler:
@@ -248,12 +237,7 @@ def strong_sarnak_sum(
     sampler: OrbitSampler, z: SignSeq, spec: CorrelationSpec, N: int
 ) -> CorrelationCurve:
     """Sarnak-type sum weighted by the full lag/exponent product of z."""
-    support, negative = (
-        np.unpackbits(plane.view(np.uint8), count=N, bitorder="little").view(np.int8)
-        for plane in _product_planes(z, spec, N)
-    )
-    terms = sampler.values(N) * (support - 2 * negative)
-    return _curve_from_terms(terms, N)
+    return _curve_from_terms(sampler.values(N) * _product_terms(z, spec, N), N)
 
 
 def enumerate_chowla_specs(max_lag: int, max_r: int) -> list[CorrelationSpec]:

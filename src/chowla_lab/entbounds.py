@@ -45,21 +45,13 @@ def entropy_inverse(y: float, branch: str) -> float:
         return 0.0 if branch == "lower" else 1.0
     if y == 1.0:
         return 0.5
-    if branch == "lower":
-        lo, hi = 0.0, 0.5  # H increasing here
-        for _ in range(_BISECTION_STEPS):
-            mid = (lo + hi) / 2.0
-            if binary_entropy(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < _BISECTION_TOL:
-                break
-        return (lo + hi) / 2.0
-    lo, hi = 0.5, 1.0  # H decreasing here
+    # H increases on [0, 1/2] and decreases on [1/2, 1]
+    lower = branch == "lower"
+    lo, hi = (0.0, 0.5) if lower else (0.5, 1.0)
     for _ in range(_BISECTION_STEPS):
         mid = (lo + hi) / 2.0
-        if binary_entropy(mid) > y:
+        h = binary_entropy(mid)
+        if (h < y) if lower else (h > y):
             lo = mid
         else:
             hi = mid

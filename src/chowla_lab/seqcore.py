@@ -190,5 +190,5 @@ def read_sqz(path) -> SignSeq:
         payload = fh.read()
     if len(payload) != length:
         raise ValueError(f"{path}: expected {length} symbols, found {len(payload)} bytes")
-    arr = np.frombuffer(payload, dtype=np.int8).copy()
-    return SignSeq(arr)
+    # SignSeq copies the read-only buffer view
+    return SignSeq(np.frombuffer(payload, dtype=np.int8))

@@ -21,8 +21,6 @@ import numpy as np
 from .empirics import _window_codes
 from .seqcore import SignSeq
 
-RNG_NAME = "numpy.random.PCG64"
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))

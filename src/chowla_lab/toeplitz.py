@@ -8,9 +8,10 @@ elsewhere; t provably correlates with z whenever the support of z has
 positive density, and the diversity of its blocks at the tails of the
 intervals ((k)q^m, (k+1)q^m] yields entropy lower bounds.
 
-classify_initials is a forward sieve: only j with q^j <= N can own any other
-position <= N, so marking stops after floor(log_q N) progressions and every
-still-unowned position is initial.
+Only j with q^j <= N can own any position <= N other than j itself, so
+every function here works from the at most floor(log_q N) such initial
+progressions: build_toeplitz copies z(j) along each of them onto a copy of
+the reference, and classify_initials writes its owner table the same way.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class InitialTable:
         """Boolean array over 1..N (index 0 corresponds to n = 1)."""
         return self.owner[1:] == np.arange(1, self.N + 1, dtype=self.owner.dtype)
 
-    def non_initial_count(self) -> int:
-        return int(self.N - np.count_nonzero(self.is_initial()))
-
     def non_initial_density_ok(self) -> bool:
         """Exact check of density <= 1/(q-1) at every prefix length."""
         non_initial = ~self.is_initial()
@@ -63,34 +61,48 @@ class InitialTable:
         return bool(np.all(running * (self.q - 1) <= n))
 
 
-def classify_initials(q: int, N: int) -> InitialTable:
+def _progressions(q: int, N: int) -> list[tuple[int, int]]:
+    """(j, q^j) for every initial j with q^j <= N, in increasing j: j is
+    initial when it lies in no progression of an earlier initial i."""
     if q < 2 or N < 1:
         raise ValueError(f"need q >= 2 and N >= 1, got q={q}, N={N}")
     if N > CLASSIFY_LIMIT:
         raise ValueError(f"N = {N} exceeds classification bound {CLASSIFY_LIMIT}")
-    owner = np.zeros(N + 1, dtype=np.int64)
+    found = []
     j = 1
     step = q
     while step <= N:
-        if owner[j] == 0:
-            owner[j + step :: step] = j
+        if all((j - i) % q_i for i, q_i in found):
+            found.append((j, step))
         j += 1
         step *= q
-    unowned = np.flatnonzero(owner[1:] == 0) + 1
-    owner[unowned] = unowned
+    return found
+
+
+def classify_initials(q: int, N: int) -> InitialTable:
+    progressions = _progressions(q, N)
+    owner = np.arange(N + 1, dtype=np.int64)
+    for j, step in progressions:
+        owner[j + step :: step] = j
     owner.setflags(write=False)
     return InitialTable(q=q, N=N, owner=owner)
 
 
-def build_toeplitz(spec: ToeplitzSpec, N: int, table: InitialTable | None = None) -> SignSeq:
-    """t(n) = z(n) for initial n, else z(j) for the owning initial j."""
+def _toeplitz_values(spec: ToeplitzSpec, N: int) -> np.ndarray:
+    """t(1..N) as a writable int8 array; build_toeplitz wraps it."""
     if len(spec.z_ref) < N:
         raise ValueError(f"reference length {len(spec.z_ref)} < N = {N}")
-    if table is None:
-        table = classify_initials(spec.q, N)
-    elif table.q != spec.q or table.N < N:
-        raise ValueError("initial table does not match q or is too short")
-    return SignSeq._wrap(spec.z_ref.values[table.owner[1 : N + 1] - 1].copy())
+    progressions = _progressions(spec.q, N)
+    t = spec.z_ref.values[:N].copy()
+    for j, step in progressions:
+        # j is initial, so no progression writes t[j - 1]
+        t[j - 1 + step :: step] = t[j - 1]
+    return t
+
+
+def build_toeplitz(spec: ToeplitzSpec, N: int) -> SignSeq:
+    """t(n) = z(n) for initial n, else z(j) for the owning initial j."""
+    return SignSeq._wrap(_toeplitz_values(spec, N))
 
 
 @dataclass(frozen=True)
@@ -109,11 +121,12 @@ class CorrelationBound:
         return self.value >= self.lower_bound
 
 
-def toeplitz_correlation(spec: ToeplitzSpec, N: int, table: InitialTable | None = None) -> CorrelationBound:
-    t = build_toeplitz(spec, N, table)
+def toeplitz_correlation(spec: ToeplitzSpec, N: int) -> CorrelationBound:
+    t = _toeplitz_values(spec, N)
     z = spec.z_ref.values[:N]
-    value = float(np.sum(t.values * z, dtype=np.float64)) / N
-    square_mean = float(np.sum(z.astype(np.int64) * z, dtype=np.float64)) / N
+    t *= z
+    value = float(np.sum(t, dtype=np.float64)) / N
+    square_mean = int(np.count_nonzero(z)) / N
     return CorrelationBound(
         value=value,
         lower_bound=square_mean - 2.0 / (spec.q - 1),
@@ -152,31 +165,31 @@ class IntervalReport:
         return self.type1_count_observed / self.L
 
 
-def _tail_window_indices(qm: int, L: int, K: int) -> np.ndarray:
-    starts = (np.arange(1, K + 1, dtype=np.int64)) * qm - L + 1
-    return starts[:, None] + np.arange(L, dtype=np.int64)[None, :]
-
-
-def _good_and_type1(table: InitialTable, m: int, L: int, K: int, qm: int):
-    idx = _tail_window_indices(qm, L, K)
-    owners = table.owner[idx]
+def _tail_owners(q: int, m: int, ell: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owners of the last L = q^ell positions of each interval ((k)q^m,
+    (k+1)q^m], k = 0..K-1, as a K x L array, which of those positions are
+    non-initial, and which k are good (no type-2 position in the tail)."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    L = q**ell
+    qm = q**m
+    # classify first: it bounds K*q^m before any int64 arithmetic on it
+    owner = classify_initials(q, K * qm).owner
+    idx = np.arange(1, K + 1, dtype=np.int64)[:, None] * qm + np.arange(1 - L, 1, dtype=np.int64)
+    owners = owner[idx]
+    del owner  # free the table before the tail comparisons
     non_initial = owners != idx
-    type2 = non_initial & (owners > m)
-    good = ~type2.any(axis=1)
-    return good, non_initial
+    good = ~(non_initial & (owners > m)).any(axis=1)
+    return owners, non_initial, good
 
 
 def interval_analytics(spec: ToeplitzSpec, m: int, ell: int, K: int) -> IntervalReport:
     q = spec.q
     if not 1 <= ell < m:
         raise ValueError(f"need 1 <= ell < m, got ell={ell}, m={m}")
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _, non_initial, good = _tail_owners(q, m, ell, K)
     L = q**ell
     qm = q**m
-    needed = K * qm
-    table = classify_initials(q, needed)
-    good, non_initial = _good_and_type1(table, m, L, K, qm)
 
     good_count = int(np.count_nonzero(good))
     type1_masks = non_initial[good]
@@ -235,15 +248,12 @@ def toeplitz_entropy_lower_bound(spec: ToeplitzSpec, m: int, ell: int, K: int) -
     L = q**ell
     if L > MAX_ENTROPY_BLOCK:
         raise ValueError(f"L = q^ell = {L} exceeds block bound {MAX_ENTROPY_BLOCK}")
-    qm = q**m
-    needed = K * qm
+    needed = K * q**m
     if len(spec.z_ref) < needed:
         raise ValueError(f"reference length {len(spec.z_ref)} < K*q^m = {needed}")
-    table = classify_initials(q, needed)
-    t = build_toeplitz(spec, needed, table)
-    good, _ = _good_and_type1(table, m, L, K, qm)
-    idx = _tail_window_indices(qm, L, K)[good]
-    blocks = t.values[idx - 1]
+    owners, _, good = _tail_owners(q, m, ell, K)
+    # t(n) = z(owner(n)), so the tail blocks of t are read straight from z
+    blocks = spec.z_ref.values[owners[good] - 1]
     distinct = int(np.unique(blocks, axis=0).shape[0]) if blocks.size else 0
     estimate = math.log2(distinct) / L if distinct else 0.0
     return EntropyLowerBound(

@@ -229,10 +229,17 @@ class TestUsageErrors:
         ["sarnak", "--in", "{m}", "--system", "periodic", "--pattern", "1,nan"],
         ["davenport", "--in", "{m}", "--n", 0],
         ["davenport", "--in", "{m}", "--n", -3],
+        ["toeplitz", "analyze", "--q", 2, "--m", 70, "--ell", 1, "--k", 1],
+        ["toeplitz", "analyze", "--q", 2, "--m", 70, "--ell", 1, "--k", 1, "--ref", "{m}"],
+        ["toeplitz", "analyze", "--q", 10, "--m", 19, "--ell", 1, "--k", 1],
+        ["toeplitz", "analyze", "--q", 10, "--m", 19, "--ell", 1, "--k", 1, "--ref", "{m}"],
+        ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", 0, "--out", "{tmp}/t.sqz"],
+        ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", -3, "--out", "{tmp}/t.sqz"],
     ], ids=["hat-tol-nan", "hat-tol-inf", "probs-nan", "probs-nan-3", "steps-0",
             "n-block-40", "sarnak-n-0", "sarnak-n-neg", "sarnak-alpha-nan",
             "sarnak-x0-inf", "sarnak-pattern-nan", "davenport-n-0",
-            "davenport-n-neg"])
+            "davenport-n-neg", "toeplitz-2^70", "toeplitz-2^70-ref", "toeplitz-10^19",
+            "toeplitz-10^19-ref", "toeplitz-build-n-0", "toeplitz-build-n-neg"])
     def test_bad_input_is_one_error_line(self, mobius_file, tmp_path, capsys, argv):
         argv = [str(a).format(m=mobius_file, tmp=tmp_path) for a in argv]
         assert run(argv) == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowla_lab.numbergen import mobius_prefix
 from chowla_lab.seqcore import SignSeq
@@ -29,6 +30,29 @@ def brute_owner(q, N):
             owner[pos] = j
             pos += step
     return owner
+
+
+def random_ref(seed, size):
+    return SignSeq(np.random.default_rng(seed).integers(-1, 2, size=size))
+
+
+def brute_tails(q, m, ell, K):
+    """Per interval index k: whether k is good, the non-initial offsets of
+    its tail and the tail positions, recomputed from the set-based owner
+    oracle."""
+    owner = brute_owner(q, K * q**m)
+    tails = []
+    for k in range(1, K + 1):
+        tail = range(k * q**m - q**ell + 1, k * q**m + 1)
+        good = not any(owner[n] != n and owner[n] > m for n in tail)
+        tails.append((good, tuple(i for i, n in enumerate(tail) if owner[n] != n), tail))
+    return owner, tails
+
+
+# (q, m, ell) with q^ell <= 40 and K * q^m small enough for the set oracle;
+# type-2 positions (non-good k) occur only where q^m is small
+TAIL_PARAMS = [(q, m, ell) for q in (2, 3, 4) for m in range(2, 6) for ell in range(1, m)
+               if q**ell <= 40 and q**m <= 256]
 
 
 class TestClassifyInitials:
@@ -79,7 +103,7 @@ class TestBuildToeplitz:
         ref = SignSeq(np.random.default_rng(0).integers(-1, 2, size=2000))
         spec = ToeplitzSpec(q=3, z_ref=ref)
         table = classify_initials(3, 2000)
-        t = build_toeplitz(spec, 2000, table)
+        t = build_toeplitz(spec, 2000)
         initial = table.is_initial()
         assert np.array_equal(t.values[initial], ref.values[:2000][initial])
 
@@ -94,7 +118,7 @@ class TestBuildToeplitz:
         N = 30_000
         ref = SignSeq(np.random.default_rng(2).integers(-1, 2, size=N))
         table = classify_initials(q, N)
-        t = build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N, table)
+        t = build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N)
         for n in range(1, 1001):
             j = int(table.owner[n])
             period = q**j
@@ -106,6 +130,14 @@ class TestBuildToeplitz:
     def test_reference_too_short(self):
         with pytest.raises(ValueError, match="reference length"):
             build_toeplitz(ToeplitzSpec(q=2, z_ref=SignSeq([1, 0])), 5)
+
+    @given(st.integers(2, 10), st.integers(1, 3000), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_owner(self, q, N, seed):
+        ref = random_ref(seed, N + 3)
+        t = build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N)
+        owner = brute_owner(q, N)
+        assert t.values.tolist() == [ref[owner[n]] for n in range(1, N + 1)]
 
 
 class TestToeplitzCorrelation:
@@ -163,6 +195,23 @@ class TestIntervalAnalytics:
             intervals = (members - 1) // qm
             assert np.all(np.diff(intervals) == q ** (j - m))
             assert np.unique(intervals).size == intervals.size
+
+    @pytest.mark.parametrize("q, m, ell", TAIL_PARAMS)
+    @given(st.integers(1, 50), st.integers(0, 2**31))
+    @settings(max_examples=4, deadline=None)
+    def test_matches_brute_owner(self, q, m, ell, K, seed):
+        ref = random_ref(seed, K * q**m)
+        spec = ToeplitzSpec(q=q, z_ref=ref)
+        owner, tails = brute_tails(q, m, ell, K)
+        good = [(mask, tail) for is_good, mask, tail in tails if is_good]
+        rep = interval_analytics(spec, m, ell, K)
+        assert rep.good_count == len(good)
+        assert rep.type1_mask == (good[0][0] if good else ())
+        assert rep.masks_identical == (len({mask for mask, _ in good}) <= 1)
+        bound = toeplitz_entropy_lower_bound(spec, m, ell, K)
+        assert bound.good_count == len(good)
+        blocks = {tuple(ref[owner[n]] for n in tail) for _, tail in good}
+        assert bound.distinct_blocks == len(blocks)
 
 
 class TestEntropyLowerBound:
