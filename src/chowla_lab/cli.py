@@ -2,9 +2,9 @@
 pipeline, bound audits, and report emission.
 
 Exit codes: 0 on success/pass, 1 when a battery or audit fails, 2 on usage
-errors.  Reports are JSON (schema 1) or CSV, written atomically, and embed
-the parameters, seed, and tool version, so identical invocations produce
-byte-identical reports.
+errors.  Reports are JSON (schema 1), or CSV of the series for the commands
+that have series, written atomically; they embed the parameters, seed, and
+tool version, so identical invocations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-r", type=int, default=2)
     p.add_argument("--n", type=int)
     p.add_argument("--tol", type=float, default=0.02)
-    _report_flags(p)
+    _report_flags(p, ("json", "csv"))
     p.set_defaults(func=cmd_chowla)
 
     p = sub.add_parser("sarnak", help="weighted sum against an orbit sampler")
@@ -377,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", help="comma-separated floats for --system periodic")
     p.add_argument("--weights", help=".sqz file for --system subshift")
     p.add_argument("--n", type=int)
-    _report_flags(p)
+    _report_flags(p, ("json", "csv"))
     p.set_defaults(func=cmd_sarnak)
 
     p = sub.add_parser("davenport", help="twisted-sum maximum over a frequency grid")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--grid", type=int, default=1000)
-    _report_flags(p)
+    _report_flags(p, ("json", "csv"))
     p.set_defaults(func=cmd_davenport)
 
     p = sub.add_parser("entropy", help="block complexity profile and entropy estimate")
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--n-lo", type=int)
     p.add_argument("--n-hi", type=int)
-    _report_flags(p)
+    _report_flags(p, ("json", "csv"))
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("hat-test", help="randomized-sign extension audit")
@@ -440,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--report", choices=["json", "csv"], default="json")
+def _report_flags(p: argparse.ArgumentParser, formats=("json",)) -> None:
+    p.add_argument("--report", choices=formats, default="json")
     p.add_argument("--out-report", help="report path (default: stdout)")
 
 

@@ -185,10 +185,13 @@ class RotationSampler(OrbitSampler):
             raise ValueError(f"alpha and x0 must be finite, got {self.alpha}, {self.x0}")
 
     def values(self, N: int) -> np.ndarray:
-        n = np.arange(1, N + 1, dtype=np.float64)
-        phase = np.mod(self.x0 + n * self.alpha, 1.0)
+        angle = np.arange(1, N + 1, dtype=np.float64)
+        angle *= self.alpha
+        angle += self.x0
+        np.mod(angle, 1.0, out=angle)
+        angle *= 2.0 * np.pi
         fn = np.cos if self.observable == "cos" else np.sin
-        return fn(2.0 * np.pi * phase)
+        return fn(angle, out=angle)
 
 
 @dataclass(frozen=True)

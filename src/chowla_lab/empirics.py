@@ -8,9 +8,10 @@ block set.
 
 Window counting conventions: a length-ell block in a prefix of length N has
 denominator N - ell + 1; blocks are packed as base-3 codes (letter + 1 per
-position), which is exact for lengths up to 39.  ``_window_codes`` is the
-one place that packs the windows of a prefix; the heavy-block recoding in
-``symbolicgen`` uses it too.
+position), which is exact for lengths up to 39.  ``_window_codes`` alone
+packs and ``_tally`` alone counts the windows of a prefix, also for the
+heavy-block recoding in ``symbolicgen``; ``complexity_profile``, which has
+no length cap, refines window ranks instead.
 """
 
 from __future__ import annotations
@@ -165,9 +166,10 @@ MAX_COMPLEXITY_ORDER = 512
 def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
     """Exact distinct-window counts for n = 1..n_max.
 
-    Windows of successive lengths are renumbered by group refinement
-    (rank of the length-n window combined with the next letter), so each
-    step is two linear passes and there is no length cap from code packing.
+    Rank refinement from the single length-0 window (rank 0): a length-n
+    window's rank is the dense rank of 3 * (rank of its first n-1 letters)
+    + (last letter + 1), so each step is a bincount and a gather, and there
+    is no length cap from code packing.
     """
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
@@ -175,20 +177,18 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
     N = values.size
     if n_max > N:
         raise ValueError(f"n_max {n_max} exceeds prefix length {N}")
-    digits = (values + 1).astype(np.int64)
+    digits = values + np.int8(1)
+    ranks = np.zeros(N, dtype=np.int64)
     counts = np.empty(n_max, dtype=np.int64)
-    key = digits
-    p = 0
-    ranks = None
     for n in range(1, n_max + 1):
-        if n > 1:
-            size = N - n + 1
-            key = ranks[:size] * 3 + digits[n - 1 : n - 1 + size]
-        bins = np.bincount(key, minlength=3 * max(p, 1))
-        lut = np.cumsum(bins > 0) - 1
-        p = int(lut[-1]) + 1
+        key = ranks[: N - n + 1]  # built in place: the old ranks are not read again
+        key *= 3
+        key += digits[n - 1 :]
+        lut = np.bincount(key)
+        np.cumsum(lut > 0, out=lut)
+        counts[n - 1] = lut[-1]
+        lut -= 1
         ranks = lut[key]
-        counts[n - 1] = p
     return ComplexityProfile(counts=counts, prefix_length=N)
 
 
@@ -297,6 +297,5 @@ def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> set[Block
     if len(w) < n:
         raise ValueError(f"prefix length {len(w)} < n = {n}")
     *_, codes = _window_codes(w.values, n)
-    uniq, counts = np.unique(codes, return_counts=True)
-    keep = counts / codes.size > threshold
-    return {code_to_block(int(c), n) for c in uniq[keep]}
+    uniq, counts = _tally(codes, 3**n)
+    return {code_to_block(c, n) for c in uniq[counts / codes.size > threshold].tolist()}

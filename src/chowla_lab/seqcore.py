@@ -28,12 +28,14 @@ def _as_symbol_array(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d sequence of symbols, got shape {arr.shape}")
-    arr = arr.astype(np.int8, copy=True)
-    bad = (arr < -1) | (arr > 1)
-    if bad.any():
-        pos = int(np.flatnonzero(bad)[0])
+    # Compare before casting: the cast to int8 wraps 257 to 1 and truncates 0.7 to 0.
+    ok = arr == 0
+    ok |= arr == 1
+    ok |= arr == -1
+    if not ok.all():
+        pos = int(np.argmin(ok))
         raise ValueError(f"symbol out of alphabet {{-1,0,1}} at position {pos + 1}: {arr[pos]}")
-    return arr
+    return arr.astype(np.int8, copy=True)
 
 
 class SignSeq:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirics import _window_codes
+from .empirics import _tally, _window_codes
 from .seqcore import SignSeq
 
 
@@ -256,10 +256,9 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
     nblocks = len(u) // big_n
 
     *_, codes = _window_codes(values, n)
-    uniq, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
-    freq = counts / codes.size
-    heavy_code = freq > params.heavy_threshold
-    heavy = heavy_code[inverse]
+    uniq, counts = _tally(codes, 3**n)
+    heavy_codes = uniq[counts / codes.size > params.heavy_threshold]
+    heavy = np.isin(codes, heavy_codes)
 
     fill = values[0]
     out = values.copy()
@@ -292,7 +291,7 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
         blocks_processed=nblocks,
         changed_fraction=changed / processed if processed else 0.0,
         unacceptable_fraction=unacceptable / nblocks if nblocks else 0.0,
-        heavy_block_count=int(np.count_nonzero(heavy_code)),
+        heavy_block_count=heavy_codes.size,
     )
 
 

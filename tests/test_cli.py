@@ -247,6 +247,21 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
+        ["hat-test", "--in", "{m}", "--k", 4],
+        ["toeplitz", "analyze", "--q", 2, "--m", 4, "--ell", 2, "--k", 3, "--ref", "{m}"],
+        ["bounds", "--h-square", 0.5, "--h-full", 1.0],
+        ["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 4, "--big-n", 8,
+         "--out", "{tmp}/d.sqz"],
+    ], ids=["hat-test", "toeplitz-analyze", "bounds", "determinize"])
+    def test_csv_only_for_commands_with_series(self, mobius_file, tmp_path, argv):
+        argv = [str(a).format(m=mobius_file, tmp=tmp_path) for a in argv]
+        report = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--report", "csv", "--out-report", report])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
         ["generate", "--kind", "mobius", "--n", 1000, "--out", "{dir}"],
         ["davenport", "--in", "{m}", "--grid", 100, "--out-report", "{dir}"],
         ["davenport", "--in", "{m}", "--grid", 100, "--report", "csv",

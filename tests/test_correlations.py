@@ -188,6 +188,13 @@ class TestSamplers:
         vals = RotationSampler(alpha=0.37, x0=0.2).values(1000)
         assert np.all(np.abs(vals) <= 1.0)
 
+    @pytest.mark.parametrize("x0, observable, fn", [(0.0, "cos", np.cos), (0.3, "sin", np.sin)])
+    def test_rotation_matches_formula(self, x0, observable, fn):
+        n = np.arange(1, 5001, dtype=np.float64)
+        want = fn(2.0 * np.pi * np.mod(x0 + n * 0.7071, 1.0))
+        got = RotationSampler(alpha=0.7071, x0=x0, observable=observable).values(5000)
+        assert got.tobytes() == want.tobytes()
+
     def test_periodic_periodicity(self):
         vals = PeriodicSampler((1.0, -2.0, 0.5)).values(30)
         assert np.allclose(vals[:27], vals[3:])

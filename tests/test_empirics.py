@@ -169,7 +169,29 @@ class TestPartitionIdentity:
                 assert abs(by_square[sq_block.letters] - f2) < 1e-9
 
 
+@st.composite
+def profile_inputs(draw):
+    """{-1,0,1} words, periodic words and two-letter words of length 1..300."""
+    length = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["three-letter", "periodic", "two-letter"]))
+    if kind == "periodic":
+        pattern = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=12))
+        return (pattern * length)[:length]
+    letters = (-1, 0, 1) if kind == "three-letter" else draw(
+        st.sampled_from([(-1, 1), (0, 1), (-1, 0)]))
+    return draw(st.lists(st.sampled_from(letters), min_size=length, max_size=length))
+
+
 class TestComplexityProfile:
+    @given(profile_inputs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_distinct_windows(self, values, data):
+        want = [len(window_counts(values, n)) for n in range(1, len(values) + 1)]
+        w = SignSeq(values)
+        assert complexity_profile(w, len(values)).counts.tolist() == want
+        n_max = data.draw(st.integers(1, min(len(values), 60)))
+        assert complexity_profile(w, n_max).counts.tolist() == want[:n_max]
+
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(2)
         values = rng.integers(-1, 2, size=400)

@@ -49,6 +49,22 @@ class TestSignSeq:
         with pytest.raises(ValueError, match="position 2"):
             SignSeq([0, 2, 1])
 
+    @pytest.mark.parametrize("values, position", [
+        ([257, 255, 0.7], 1), ([1, -129], 2), ([0, 0.7], 2), ([float("nan")], 1),
+        ([1, float("inf")], 2), ([float("-inf")], 1), (np.array([1, -128], dtype=np.int8), 2),
+        (np.array([0, 255], dtype=np.uint8), 2), ([0, 1, 1.5], 3),
+    ], ids=["wraps-to-1", "wraps-to-127", "truncates-to-0", "nan", "inf", "-inf",
+            "int8-min", "uint8-255", "half"])
+    def test_rejects_values_the_int8_cast_would_change(self, values, position):
+        with pytest.raises(ValueError,
+                           match=rf"symbol out of alphabet \{{-1,0,1\}} at position {position}:"):
+            SignSeq(values)
+
+    def test_accepts_integral_floats_and_bools(self):
+        assert SignSeq([1.0, -1.0, 0.0]).values.tolist() == [1, -1, 0]
+        assert SignSeq([True, False]).values.tolist() == [1, 0]
+        assert SignSeq(np.array([-1, 0, 1], dtype=np.int8)).values.dtype == np.int8
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SignSeq([])

@@ -2,6 +2,7 @@
 asserted tolerances are deterministic once verified."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -191,7 +192,81 @@ class TestSparseEmbed:
             sparse_embed(SignSeq([1, 0, 1]), 100, 2)
 
 
+def brute_determinize(values, params):
+    """Pure-Python recoding: (sequence, distinct blocks, changed fraction,
+    unacceptable fraction, heavy block count) from a Counter of windows."""
+    n, big_n, eps = params.n_block, params.big_n, params.epsilon
+    windows = [tuple(values[i : i + n]) for i in range(len(values) - n + 1)]
+    counts = Counter(windows)
+    heavy_blocks = {b for b, c in counts.items() if c / len(windows) > params.heavy_threshold}
+    heavy = [b in heavy_blocks for b in windows]
+    out = list(values)
+    fill = values[0]
+    nblocks = len(values) // big_n
+    distinct = set()
+    unacceptable = 0
+    for start in range(0, nblocks * big_n, big_n):
+        good = heavy[start : start + big_n - n + 1]
+        covered = [False] * big_n
+        if sum(good) / big_n < 1.0 - eps:
+            unacceptable += 1
+        else:
+            next_allowed = 0
+            for j, is_heavy in enumerate(good):
+                if is_heavy and j >= next_allowed:
+                    covered[j : j + n] = [True] * n
+                    next_allowed = j + n
+        for i in range(big_n):
+            if not covered[i]:
+                out[start + i] = fill
+        distinct.add(tuple(out[start : start + big_n]))
+    processed = nblocks * big_n
+    changed = sum(out[i] != values[i] for i in range(processed))
+    return out, len(distinct), changed / processed, unacceptable / nblocks, len(heavy_blocks)
+
+
+def recoding_summary(res):
+    return (res.sequence.values.tolist(), res.distinct_block_count, res.changed_fraction,
+            res.unacceptable_fraction, res.heavy_block_count)
+
+
+@st.composite
+def recoding_cases(draw):
+    """Blocks that are each one repeated letter (three times in four) or
+    random letters, so that acceptable and unacceptable blocks both occur."""
+    n_block = draw(st.integers(1, 4))
+    big_n = n_block * draw(st.integers(2, 6))
+    run_letter = draw(st.sampled_from([-1, 0, 1]))
+    values = []
+    for _ in range(draw(st.integers(2, 10))):
+        if draw(st.integers(0, 3)):
+            values += [run_letter] * big_n
+        else:
+            values += draw(st.lists(st.integers(-1, 1), min_size=big_n, max_size=big_n))
+    values += draw(st.lists(st.integers(-1, 1), max_size=big_n - 1))
+    # dyadic epsilons make some thresholds 2**-k, which a window frequency can equal
+    epsilon = draw(st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.25, 0.5, 0.75])))
+    params = DeterminizeParams(epsilon, n_block, big_n)
+    return values, params
+
+
 class TestDeterminize:
+    @given(recoding_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pure_python_recoding(self, case):
+        values, params = case
+        res = determinize_step(SignSeq(values), params)
+        assert recoding_summary(res) == brute_determinize(values, params)
+        assert res.blocks_processed == len(values) // params.big_n
+
+    def test_window_at_threshold_is_light(self):
+        # (0, 1, 0, 1) fills 2 of the 16 windows, exactly the threshold 2**-3
+        values = [1, 0, 1, 0, 1, 0, 1, 0, -1, -1, 0, -1, 1, -1, -1, 0, 1, -1, 0]
+        params = DeterminizeParams(epsilon=0.75, n_block=4, big_n=8)
+        res = determinize_step(SignSeq(values), params)
+        assert 0.0 < res.unacceptable_fraction < 1.0
+        assert recoding_summary(res) == brute_determinize(values, params)
+
     def test_constant_sequence_unchanged(self):
         u = SignSeq(np.ones(10_000, dtype=np.int8))
         res = determinize_step(u, DeterminizeParams(epsilon=0.2, n_block=10, big_n=100))
