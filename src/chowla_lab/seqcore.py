@@ -189,8 +189,9 @@ def read_sqz(path) -> SignSeq:
         magic, length = SQZ_HEADER.unpack(header)
         if magic != SQZ_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}, expected {SQZ_MAGIC!r}")
-        payload = fh.read()
-    if len(payload) != length:
-        raise ValueError(f"{path}: expected {length} symbols, found {len(payload)} bytes")
-    # SignSeq copies the read-only buffer view
-    return SignSeq(np.frombuffer(payload, dtype=np.int8))
+        values = np.fromfile(fh, dtype=np.int8)
+    if values.size != length:
+        raise ValueError(f"{path}: expected {length} symbols, found {values.size} bytes")
+    # min and max allocate nothing; SignSeq names the first bad byte of a bad file
+    ok = values.size and values.min() >= -1 and values.max() <= 1
+    return SignSeq._wrap(values) if ok else SignSeq(values)

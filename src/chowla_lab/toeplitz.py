@@ -10,8 +10,7 @@ intervals ((k)q^m, (k+1)q^m] yields entropy lower bounds.
 
 Only j with q^j <= N can own any position <= N other than j itself, so
 every function here works from the at most floor(log_q N) such initial
-progressions: build_toeplitz copies z(j) along each of them onto a copy of
-the reference, and classify_initials writes its owner table the same way.
+progressions; only classify_initials expands them into an owner table.
 """
 
 from __future__ import annotations
@@ -54,11 +53,11 @@ class InitialTable:
         return self.owner[1:] == np.arange(1, self.N + 1, dtype=self.owner.dtype)
 
     def non_initial_density_ok(self) -> bool:
-        """Exact check of density <= 1/(q-1) at every prefix length."""
-        non_initial = ~self.is_initial()
-        running = np.cumsum(non_initial, dtype=np.int64)
-        n = np.arange(1, self.N + 1, dtype=np.int64)
-        return bool(np.all(running * (self.q - 1) <= n))
+        """Exact check of density <= 1/(q-1) at every prefix length: the
+        running count can first exceed n/(q-1) only at a non-initial n."""
+        pos = np.flatnonzero(~self.is_initial()) + 1
+        step = self.q - 1
+        return bool(np.all(np.arange(step, step * pos.size + 1, step) <= pos))
 
 
 def _progressions(q: int, N: int) -> list[tuple[int, int]]:
@@ -155,9 +154,9 @@ class IntervalReport:
     non_good_fraction: float
     non_good_bound: float
     type1_count_expected: int
-    type1_counts_equal: bool
+    type1_counts_equal: bool  # true by construction: one pattern for every tail
     type1_count_observed: int
-    masks_identical: bool
+    masks_identical: bool  # true by construction
     type1_mask: tuple[int, ...]  # 0-based offsets within the tail window
 
     @property
@@ -165,45 +164,38 @@ class IntervalReport:
         return self.type1_count_observed / self.L
 
 
-def _tail_owners(q: int, m: int, ell: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Owners of the last L = q^ell positions of each interval ((k)q^m,
-    (k+1)q^m], k = 0..K-1, as a K x L array, which of those positions are
-    non-initial, and which k are good (no type-2 position in the tail)."""
+def _tail_classes(q: int, m: int, ell: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The owner j <= m of each of the last L = q^ell offsets of an interval
+    ((k)q^m, (k+1)q^m], 0 where the position is initial (the same in every
+    interval, as q^j divides q^m), and which k = 0..K-1 are good."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    # first: it bounds K*q^m before any int64 arithmetic on it
+    progressions = _progressions(q, K * q**m)
     L = q**ell
     qm = q**m
-    # classify first: it bounds K*q^m before any int64 arithmetic on it
-    owner = classify_initials(q, K * qm).owner
-    idx = np.arange(1, K + 1, dtype=np.int64)[:, None] * qm + np.arange(1 - L, 1, dtype=np.int64)
-    owners = owner[idx]
-    del owner  # free the table before the tail comparisons
-    non_initial = owners != idx
-    good = ~(non_initial & (owners > m)).any(axis=1)
-    return owners, non_initial, good
+    pattern = np.zeros(L, dtype=np.int64)
+    good = np.ones(K, dtype=bool)
+    for j, step in progressions:
+        if j <= m:
+            # offset r is k*q^m - L + 1 + r, in A_j when r = j + L - 1 (mod q^j)
+            pattern[(j + L - 1) % step :: step] = j
+        else:
+            n = np.arange(j + step, K * qm + 1, step, dtype=np.int64) - 1
+            good[n[n % qm >= qm - L] // qm] = False
+    return pattern, good
 
 
 def interval_analytics(spec: ToeplitzSpec, m: int, ell: int, K: int) -> IntervalReport:
     q = spec.q
     if not 1 <= ell < m:
         raise ValueError(f"need 1 <= ell < m, got ell={ell}, m={m}")
-    _, non_initial, good = _tail_owners(q, m, ell, K)
+    pattern, good = _tail_classes(q, m, ell, K)
     L = q**ell
     qm = q**m
 
     good_count = int(np.count_nonzero(good))
-    type1_masks = non_initial[good]
-    if good_count:
-        first = type1_masks[0]
-        masks_identical = bool(np.all(type1_masks == first[None, :]))
-        observed = int(first.sum())
-        counts_equal = bool(np.all(type1_masks.sum(axis=1) == observed))
-        mask = tuple(int(i) for i in np.flatnonzero(first))
-    else:
-        masks_identical = True
-        observed = 0
-        counts_equal = True
-        mask = ()
+    mask = tuple(int(i) for i in np.flatnonzero(pattern)) if good_count else ()
     try:
         bound = float(q) ** -(qm - m - L)
     except OverflowError:
@@ -217,10 +209,11 @@ def interval_analytics(spec: ToeplitzSpec, m: int, ell: int, K: int) -> Interval
         good_count=good_count,
         non_good_fraction=(K - good_count) / K,
         non_good_bound=bound,
-        type1_count_expected=(q**ell - 1) // (q - 1),
-        type1_counts_equal=counts_equal,
-        type1_count_observed=observed,
-        masks_identical=masks_identical,
+        # q^(ell-j) points of A_j per tail for each initial j <= ell, none for j > ell
+        type1_count_expected=sum(L // step for _, step in _progressions(q, L)),
+        type1_counts_equal=True,
+        type1_count_observed=len(mask),
+        masks_identical=True,
         type1_mask=mask,
     )
 
@@ -251,9 +244,11 @@ def toeplitz_entropy_lower_bound(spec: ToeplitzSpec, m: int, ell: int, K: int) -
     needed = K * q**m
     if len(spec.z_ref) < needed:
         raise ValueError(f"reference length {len(spec.z_ref)} < K*q^m = {needed}")
-    owners, _, good = _tail_owners(q, m, ell, K)
-    # t(n) = z(owner(n)), so the tail blocks of t are read straight from z
-    blocks = spec.z_ref.values[owners[good] - 1]
+    pattern, good = _tail_classes(q, m, ell, K)
+    # a good tail of t is z at its positions, with z(j) at the offsets A_j owns
+    idx = (np.flatnonzero(good)[:, None] + 1) * q**m - L + np.arange(L, dtype=np.int64)
+    idx[:, pattern > 0] = pattern[pattern > 0] - 1
+    blocks = spec.z_ref.values[idx]
     distinct = int(np.unique(blocks, axis=0).shape[0]) if blocks.size else 0
     estimate = math.log2(distinct) / L if distinct else 0.0
     return EntropyLowerBound(

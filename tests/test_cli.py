@@ -158,6 +158,14 @@ class TestToeplitzAnalyze:
         assert report["results"]["type1_fraction"] == 4 / 9
         assert report["verdict"] == "pass"
 
+    def test_type1_count_skips_non_initial_j(self, capsys):
+        # j = 3 lies in A_1, so the tail of 8 holds 4 + 2 type-1 positions
+        assert run(["toeplitz", "analyze", "--q", 2, "--m", 6, "--ell", 3,
+                    "--k", 50]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["type1_count_expected"] == 6
+        assert report["verdict"] == "pass"
+
     def test_with_reference(self, mobius_file, capsys):
         assert run(["toeplitz", "analyze", "--q", 3, "--m", 3, "--ell", 1,
                     "--k", 200, "--ref", mobius_file]) == 0

@@ -178,6 +178,14 @@ class TestSqzFormat:
         with pytest.raises(ValueError, match="magic"):
             read_sqz(path)
 
+    @pytest.mark.parametrize("byte, symbol", [(5, 5), (0x80, -128)])
+    def test_out_of_alphabet_payload_rejected(self, tmp_path, byte, symbol):
+        path = tmp_path / "bad.sqz"
+        path.write_bytes(b"SQZ1" + (4).to_bytes(8, "little") + bytes([1, 0, byte, 255]))
+        with pytest.raises(ValueError,
+                           match=rf"symbol out of alphabet \{{-1,0,1\}} at position 3: {symbol}$"):
+            read_sqz(path)
+
     def test_truncation_rejected(self, tmp_path):
         z = SignSeq([1, -1, 0, 1])
         path = tmp_path / "z.sqz"

@@ -1,5 +1,7 @@
 """Progression partition, Toeplitz building, interval analytics, entropy bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from chowla_lab.numbergen import mobius_prefix
 from chowla_lab.seqcore import SignSeq
 from chowla_lab.toeplitz import (
+    InitialTable,
     ToeplitzSpec,
     build_toeplitz,
     classify_initials,
@@ -92,6 +95,15 @@ class TestClassifyInitials:
             assert np.all(members >= j)
         # exact density bound at every prefix
         assert table.non_initial_density_ok()
+
+    def test_density_fails_on_an_early_prefix(self):
+        # positions 2 and 3 non-initial: 2 of the first 3 exceeds 1/(q-1) = 1/2,
+        # although 2 of all 10 does not
+        owner = np.arange(11, dtype=np.int64)
+        owner[2:4] = 1
+        assert not InitialTable(q=3, N=10, owner=owner).non_initial_density_ok()
+        owner[3] = 3
+        assert InitialTable(q=3, N=10, owner=owner).non_initial_density_ok()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -196,6 +208,22 @@ class TestIntervalAnalytics:
             assert np.all(np.diff(intervals) == q ** (j - m))
             assert np.unique(intervals).size == intervals.size
 
+    def test_no_owner_table(self):
+        # an owner table over K*q^m = 19,683,000 positions would be 158 MB
+        q, m, ell, K = 3, 8, 2, 3000
+        ref = random_ref(4, K * q**m)
+        tracemalloc.start()
+        try:
+            interval_analytics(ToeplitzSpec(q, SignSeq([0])), m, ell, K)
+            analytics_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            toeplitz_entropy_lower_bound(ToeplitzSpec(q, ref), m, ell, K)
+            entropy_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert analytics_peak < 2**20
+        assert entropy_peak < 2**20
+
     @pytest.mark.parametrize("q, m, ell", TAIL_PARAMS)
     @given(st.integers(1, 50), st.integers(0, 2**31))
     @settings(max_examples=4, deadline=None)
@@ -207,7 +235,11 @@ class TestIntervalAnalytics:
         rep = interval_analytics(spec, m, ell, K)
         assert rep.good_count == len(good)
         assert rep.type1_mask == (good[0][0] if good else ())
-        assert rep.masks_identical == (len({mask for mask, _ in good}) <= 1)
+        # the oracle carries the checks masks_identical and type1_counts_equal
+        # can no longer fail: every good tail has the reported mask
+        assert all(mask == rep.type1_mask for mask, _ in good)
+        if good:
+            assert rep.type1_count_expected == rep.type1_count_observed
         bound = toeplitz_entropy_lower_bound(spec, m, ell, K)
         assert bound.good_count == len(good)
         blocks = {tuple(ref[owner[n]] for n in tail) for _, tail in good}
