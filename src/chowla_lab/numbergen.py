@@ -1,4 +1,4 @@
-"""Arithmetic sequence generators via linear sieves.
+"""Arithmetic sequence generators via a segmented sieve.
 
 Provides:
 - mobius_prefix(N):    mu(n) for n = 1..N  (mu(n) = (-1)^k for squarefree n
@@ -10,8 +10,9 @@ Provides:
 - is_admissible / admissible_block_count: the residue-class admissibility
   test for {0,1} blocks and exact admissible-block counting
 
-All sieves are plain numpy array passes; every multiple/flip step is exact
-integer arithmetic, so outputs are exact (no probabilistic factoring).
+mu and lambda share one segmented sieve of Eratosthenes: its memory is the
+N-byte int8 output plus O(_SEGMENT) per segment.  Every multiple/flip step is
+exact integer arithmetic, so outputs are exact (no probabilistic factoring).
 """
 
 from __future__ import annotations
@@ -36,48 +37,45 @@ def _primes_upto(limit: int) -> np.ndarray:
     return np.flatnonzero(is_p).astype(np.int64)
 
 
-def mobius_prefix(N: int) -> SignSeq:
-    """The Mobius function mu(1..N).
+_SEGMENT = 1 << 20  # terms per sieve segment
 
-    Sign flips once per small prime divisor while a parallel product array
-    tracks the small squarefree part; entries with a leftover prime factor
-    above sqrt(N) (necessarily single) get one final flip.  O(N log log N).
-    """
+
+def _sign_sieve(N: int, squarefree: bool) -> SignSeq:
+    """lambda(1..N), or mu(1..N) when ``squarefree`` is set, by a segmented
+    sieve of Eratosthenes.  Per segment, each prime power q = p**k (mu: only
+    q = p, then zero on multiples of p**2) flips the sign and multiplies an
+    int64 ``prod`` by p; where ``prod`` falls short of n, the one prime factor
+    above sqrt(N) flips it once more.  Memory: N bytes plus O(_SEGMENT)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    mu = np.ones(N + 1, dtype=np.int8)
-    prod = np.ones(N + 1, dtype=np.int64)
-    for p in _primes_upto(math.isqrt(N)):
-        p = int(p)
-        mu[p::p] *= -1
-        prod[p::p] *= p
-        mu[p * p :: p * p] = 0
-    leftover = prod != np.arange(N + 1, dtype=np.int64)
-    leftover[0] = leftover[1] = False
-    np.negative(mu, out=mu, where=leftover)
-    return SignSeq._wrap(mu[1:])
+    out = np.ones(N, dtype=np.int8)  # out[i] is term i + 1
+    primes = [int(p) for p in _primes_upto(math.isqrt(N))]
+    for lo in range(1, N + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, N + 1)
+        seg = out[lo - 1 : hi - 1]
+        prod = np.ones(hi - lo, dtype=np.int64)
+        for p in primes:
+            q = p
+            while q < hi:
+                first = (-lo) % q
+                if squarefree and q > p:
+                    seg[first::q] = 0
+                    break
+                seg[first::q] *= -1
+                prod[first::q] *= p
+                q *= p
+        np.negative(seg, out=seg, where=prod != np.arange(lo, hi, dtype=np.int64))
+    return SignSeq._wrap(out)
+
+
+def mobius_prefix(N: int) -> SignSeq:
+    """The Mobius function mu(1..N), in N bytes plus O(_SEGMENT)."""
+    return _sign_sieve(N, squarefree=True)
 
 
 def liouville_prefix(N: int) -> SignSeq:
-    """The Liouville function lambda(1..N), values in {-1, 1}.
-
-    Flips once per prime-power divisor q = p**k (q <= N, p <= sqrt(N)),
-    which counts prime factors with multiplicity; a remainder array detects
-    the at-most-one prime factor above sqrt(N).
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    lam = np.ones(N + 1, dtype=np.int8)
-    rem = np.arange(N + 1, dtype=np.int64)
-    for p in _primes_upto(math.isqrt(N)):
-        p = int(p)
-        q = p
-        while q <= N:
-            lam[q::q] *= -1
-            rem[q::q] //= p
-            q *= p
-    lam[rem > 1] *= -1
-    return SignSeq._wrap(lam[1:])
+    """The Liouville function lambda(1..N), values in {-1, 1}."""
+    return _sign_sieve(N, squarefree=False)
 
 
 @dataclass(frozen=True)

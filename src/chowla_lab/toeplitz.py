@@ -49,8 +49,15 @@ class InitialTable:
         self.owner = owner  # owner[n] for n = 1..N; owner[0] unused
 
     def is_initial(self) -> np.ndarray:
-        """Boolean array over 1..N (index 0 corresponds to n = 1)."""
-        return self.owner[1:] == np.arange(1, self.N + 1, dtype=self.owner.dtype)
+        """Boolean array over 1..N (index 0 corresponds to n = 1).  The owners
+        are compared with their indices a chunk at a time, so that no N-sized
+        int64 temporary sits beside the table."""
+        mask = np.empty(self.N, dtype=bool)
+        chunk = 1 << 20
+        for lo in range(1, self.N + 1, chunk):
+            hi = min(lo + chunk, self.N + 1)
+            np.equal(self.owner[lo:hi], np.arange(lo, hi), out=mask[lo - 1 : hi - 1])
+        return mask
 
     def non_initial_density_ok(self) -> bool:
         """Exact check of density <= 1/(q-1) at every prefix length: the

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chowla_lab
 from chowla_lab import __version__
 from chowla_lab.cli import main
 from chowla_lab.numbergen import mobius_prefix
@@ -267,6 +272,27 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             run([*argv, "--report", "csv", "--out-report", report])
         assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path):
+        # The 10^10-byte sieve output cannot fit under a 3 GiB address-space
+        # cap, which applies to the child process only.
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowla_lab.cli", "generate", "--kind", "mobius",
+             "--n", str(10**10), "--out", "m.sqz"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            preexec_fn=cap_address_space, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

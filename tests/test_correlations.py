@@ -18,7 +18,7 @@ from chowla_lab.correlations import (
     sarnak_sum,
     strong_sarnak_sum,
 )
-from chowla_lab.numbergen import mobius_prefix
+from chowla_lab.numbergen import liouville_prefix, mobius_prefix
 from chowla_lab.seqcore import SignSeq, square_map
 from chowla_lab.symbolicgen import masked_coin_prefix
 
@@ -176,6 +176,11 @@ class TestPublishedValues:
         # M(10^6) = 212 (OEIS A084237)
         m = mobius_prefix(10**6)
         assert chowla_sum(m, CorrelationSpec((), (1,)), 10**6).final == 212 / 10**6
+
+    def test_liouville_on_sign_plane(self):
+        # L(10^6) = -530 (OEIS A090410)
+        lam = liouville_prefix(10**6)
+        assert chowla_sum(lam, CorrelationSpec((), (1,)), 10**6).final == -530 / 10**6
 
     def test_squarefree_count_on_support_plane(self):
         # Q(10^6) = 607926 squarefree integers up to 10^6 (OEIS A013928)

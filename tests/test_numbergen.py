@@ -1,11 +1,13 @@
 """Arithmetic generators against independent factorization oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowla_lab import numbergen
 from chowla_lab.numbergen import (
     BSet,
     admissible_block_count,
@@ -75,10 +77,63 @@ class TestLiouville:
         assert np.array_equal(lam[mask], mu[mask])
 
     def test_mobius_factors_as_liouville_times_square(self):
-        N = 10**5
-        mu = mobius_prefix(N)
-        lam = liouville_prefix(N)
-        assert np.array_equal(mu.values, lam.values * square_map(mu).values)
+        assert_mu_is_lambda_times_square(10**5)
+
+
+def assert_mu_is_lambda_times_square(N):
+    mu = mobius_prefix(N)
+    lam = liouville_prefix(N)
+    assert np.array_equal(mu.values, lam.values * square_map(mu).values)
+
+
+SMALL_SEGMENTS = [1, 2, 3, 7, 64]
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    n = range(1, 2001)
+    return (np.array([mobius_oracle(k) for k in n]),
+            np.array([(-1) ** big_omega_oracle(k) for k in n]))
+
+
+class TestSegments:
+    """Segment edges: the same prefixes from segments of a few terms."""
+
+    @pytest.mark.parametrize("segment", SMALL_SEGMENTS)
+    def test_against_factorization_oracles(self, monkeypatch, oracles, segment):
+        monkeypatch.setattr(numbergen, "_SEGMENT", segment)
+        mu, lam = oracles
+        assert np.array_equal(mobius_prefix(2000).values, mu)
+        assert np.array_equal(liouville_prefix(2000).values, lam)
+        # each N sieves its own primes up to sqrt(N): the set changes at p**2
+        edges = {p * p + d for p in (2, 3, 5, 7, 11, 13, 17) for d in (-1, 0, 1)}
+        for N in sorted(edges | set(range(1, 50))):
+            assert np.array_equal(mobius_prefix(N).values, mu[:N]), N
+            assert np.array_equal(liouville_prefix(N).values, lam[:N]), N
+
+    @pytest.mark.parametrize("N,segment", [(4096, s) for s in SMALL_SEGMENTS] + [(65537, 64)])
+    def test_against_whole_array_mu_b(self, monkeypatch, N, segment):
+        # 4096 = 2^12 is a prime power on a segment edge; 65537 is prime
+        expected = mu_b_prefix(BSet.prime_squares(N), N)
+        monkeypatch.setattr(numbergen, "_SEGMENT", segment)
+        assert mobius_prefix(N) == expected
+
+    def test_mobius_factors_as_liouville_times_square(self, monkeypatch):
+        monkeypatch.setattr(numbergen, "_SEGMENT", 1000)
+        assert_mu_is_lambda_times_square(10**5)
+
+    @pytest.mark.parametrize("sieve", [mobius_prefix, liouville_prefix])
+    def test_peak_memory_is_output_plus_segments(self, sieve):
+        # numpy reports its buffers to tracemalloc; the whole-array sieves
+        # traced about 18 bytes per symbol
+        N = 1 << 23
+        tracemalloc.start()
+        try:
+            sieve(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N + 24 * numbergen._SEGMENT
 
 
 class TestBSet:
