@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .correlations import (
-    CorrelationCurve,
     PeriodicSampler,
     RotationSampler,
     SubshiftSampler,
@@ -50,9 +49,12 @@ from .toeplitz import (
     toeplitz_entropy_lower_bound,
 )
 
-def _curve_rows(name: str, curve: CorrelationCurve | tuple) -> list[tuple[str, int, float]]:
-    points = curve.checkpoints if isinstance(curve, CorrelationCurve) else curve
+def _curve_rows(name: str, points: tuple[tuple[int, float], ...]) -> list[tuple[str, int, float]]:
     return [(name, n, value) for n, value in points]
+
+
+def _curve_json(points: tuple[tuple[int, float], ...]) -> list[dict]:
+    return [{"n": n, "value": value} for n, value in points]
 
 
 def emit_report(args, command: str, params: dict, results: dict, verdict: bool | None,
@@ -145,7 +147,7 @@ def cmd_chowla(args) -> int:
         "tol": report.tol,
         "max_abs": report.max_abs,
         "witness": report.witness.label(),
-        "witness_curve": [{"n": cn, "value": cv} for cn, cv in witness_curve.checkpoints],
+        "witness_curve": _curve_json(witness_curve.checkpoints),
         "ch1_max_abs": report.ch1_max_abs,
         "ch1_witness": report.ch1_witness.label(),
         "ch1_passed": report.ch1_passed,
@@ -155,7 +157,7 @@ def cmd_chowla(args) -> int:
         "note": "vanishing for arithmetic sequences is a conjecture-consistency "
         "check, not a theorem",
     }
-    curves = _curve_rows("witness:" + report.witness.label(), witness_curve)
+    curves = _curve_rows("witness:" + report.witness.label(), witness_curve.checkpoints)
     curves += [("entry:" + e.spec.label(), report.n, e.value) for e in report.entries]
     emit_report(args, "chowla", _params(args), results, report.passed, curves)
     return 0 if report.passed else 1
@@ -184,9 +186,10 @@ def cmd_sarnak(args) -> int:
         "n": n,
         "system": args.system,
         "final": curve.final,
-        "curve": [{"n": cn, "value": cv} for cn, cv in curve.checkpoints],
+        "curve": _curve_json(curve.checkpoints),
     }
-    emit_report(args, "sarnak", _params(args), results, None, _curve_rows("sarnak", curve))
+    emit_report(args, "sarnak", _params(args), results, None,
+                _curve_rows("sarnak", curve.checkpoints))
     return 0
 
 
@@ -199,7 +202,7 @@ def cmd_davenport(args) -> int:
         "grid": result.grid,
         "max_value": result.max_value,
         "argmax_theta": result.argmax_theta,
-        "curve": [{"n": cn, "value": cv} for cn, cv in result.curve],
+        "curve": _curve_json(result.curve),
     }
     emit_report(args, "davenport", _params(args), results, None,
                 _curve_rows("davenport", result.curve))

@@ -7,19 +7,23 @@ Sarnak-type sums and their strong form), and the Davenport-style maximum of
 twisted exponential sums over a rational frequency grid.
 
 Every sum reports a curve of partial values at ten evenly spaced checkpoint
-lengths, so decay is visible, not just the final value.
+lengths, so decay is visible, not just the final value.  Every sum over n
+walks those ten checkpoint slices, so beside the prefix it holds O(N/10)
+memory.
 
-Lag products are evaluated on packed bitplanes of the prefix, support
+Lag products are evaluated on packed bitplanes of each slice, support
 (z != 0) and sign (z < 0), one pair per shift: the product is nonzero on
 the AND of the shifted supports, and negative where the XOR of the
-exponent-1 factors' signs is set, so every sum is an exact integer count.
+exponent-1 factors' signs is set, so every Chowla-type sum is an exact
+integer count.  The orbit-weighted sums multiply the sampler's values by
+the slice's int8 product and add each slice with one float64 np.sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import combinations, groupby, product
 
 import numpy as np
 
@@ -83,90 +87,77 @@ class CorrelationCurve:
 _CHECKPOINTS = 10
 
 
-def _checkpoint_bounds(N: int) -> list[int]:
-    bounds = sorted({max(1, (j * N) // _CHECKPOINTS) for j in range(1, _CHECKPOINTS + 1)})
-    if bounds[-1] != N:
-        bounds.append(N)
-    return bounds
+def _slices(N: int):
+    """The checkpoint slices (lo, hi) of n = 1..N: hi runs over the distinct
+    checkpoints max(1, jN/10), j = 1..10, and lo is the one before (0 first)."""
+    lo = 0
+    for j in range(1, _CHECKPOINTS + 1):
+        hi = max(1, (j * N) // _CHECKPOINTS)
+        if hi > lo:
+            yield lo, hi
+            lo = hi
 
 
-def _curve_from_terms(terms: np.ndarray, N: int) -> CorrelationCurve:
-    bounds = _checkpoint_bounds(N)
-    points = []
-    total = 0.0
-    prev = 0
-    for b in bounds:
-        total += float(np.sum(terms[prev:b], dtype=np.float64))
-        points.append((b, total / b))
-        prev = b
-    return CorrelationCurve(checkpoints=tuple(points))
-
-
-def _bitplanes(z: SignSeq, shifts, N: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Support (z != 0) and sign (z < 0) bitplanes of z shifted by each a in
-    ``shifts``: bit n-1 of plane a is term n + a, n = 1..N, packed
-    little-endian into uint64 words whose bits past N are zero."""
+def _check_prefix(z: SignSeq, N: int, max_lag: int) -> None:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    needed = N + max(shifts)
-    if needed > len(z):
-        raise ValueError(
-            f"prefix of length {len(z)} too short: need N + max lag = {needed}"
-        )
-    values = z.values[:needed]
-    support = values != 0
-    sign = values < 0
-    nbytes = -(-N // 64) * 8
+    if N + max_lag > len(z):
+        raise ValueError(f"prefix of length {len(z)} too short: need N + max lag = {N + max_lag}")
+
+
+def _bitplanes(z: SignSeq, shifts, lo: int, hi: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Support (z != 0) and sign (z < 0) bitplanes of z shifted by each a in
+    ``shifts`` over the slice n = lo+1..hi: bit n-lo-1 of plane a is term
+    n + a, packed little-endian into uint64 words whose spare bits are zero."""
+    values = z.values[lo : hi + max(shifts)]
 
     def pack(bits: np.ndarray) -> np.ndarray:
-        words = np.zeros(nbytes, dtype=np.uint8)
         packed = np.packbits(bits, bitorder="little")
-        words[: packed.size] = packed
-        return words.view(np.uint64)
+        return np.pad(packed, (0, -packed.size % 8)).view(np.uint64)
 
-    return {a: (pack(support[a : a + N]), pack(sign[a : a + N])) for a in shifts}
+    support, sign = values != 0, values < 0
+    return {a: (pack(support[a : a + hi - lo]), pack(sign[a : a + hi - lo])) for a in shifts}
 
 
 def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum(dtype=np.int64))
 
 
-def _joint_support(planes: dict, shifts: tuple[int, ...]) -> np.ndarray:
-    """S: the bits where every factor z(n + a), a in ``shifts``, is nonzero."""
-    support = planes[shifts[0]][0].copy()
-    for a in shifts[1:]:
-        support &= planes[a][0]
-    return support
-
-
-def _product_terms(z: SignSeq, spec: CorrelationSpec, N: int) -> np.ndarray:
-    """prod_s z^{i_s}(n + a_s) for n = 1..N as int8: nonzero on the joint
-    support S, and -1 on the bits of S where the exponent-1 factors' signs
-    XOR to 1."""
-    shifts = (0,) + spec.lags
-    planes = _bitplanes(z, shifts, N)
-    support = _joint_support(planes, shifts)
+def _signed_counts(planes: dict, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The exact sum over the slice of prod_s z^{i_s}(n + a_s), keyed by the
+    exponents (i_s), for every exponent pattern on ``shifts``: the product is
+    nonzero on the joint support S, and negative where the exponent-1
+    factors' signs XOR to 1.  The sign planes restricted to S are XORed in
+    Gray-code order, so each pattern costs one XOR and one popcount."""
+    support = np.bitwise_and.reduce([planes[a][0] for a in shifts])
+    nonzero = _popcount(support)
+    signs = [planes[a][1] & support for a in shifts]
     negative = np.zeros_like(support)
-    for a, i in zip(shifts, spec.exponents):
-        if i == 1:
-            negative ^= planes[a][1]
-    negative &= support
-    support, negative = (
-        np.unpackbits(plane.view(np.uint8), count=N, bitorder="little").view(np.int8)
-        for plane in (support, negative)
-    )
-    return support - 2 * negative
+    sums = {(2,) * len(shifts): nonzero}
+    for step in range(1, 2 ** len(shifts)):
+        negative ^= signs[(step & -step).bit_length() - 1]
+        ones = step ^ (step >> 1)  # bit k set: factor k has exponent 1
+        exponents = tuple(2 - (ones >> k & 1) for k in range(len(shifts)))
+        sums[exponents] = nonzero - 2 * _popcount(negative)
+    return sums
 
 
 def chowla_sum(z: SignSeq, spec: CorrelationSpec, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of prod_s z^{i_s}(n + a_s), a_0 = 0."""
-    return _curve_from_terms(_product_terms(z, spec, N), N)
+    _check_prefix(z, N, spec.max_lag)
+    shifts = (0,) + spec.lags
+    points, total = [], 0
+    for lo, hi in _slices(N):
+        total += _signed_counts(_bitplanes(z, shifts, lo, hi), shifts)[spec.exponents]
+        points.append((hi, total / hi))
+    return CorrelationCurve(checkpoints=tuple(points))
 
 
 class OrbitSampler:
-    """Produces the real weight sequence f(T^n x), n = 1..N."""
+    """Produces the real weight sequence f(T^n x)."""
 
-    def values(self, N: int) -> np.ndarray:
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """f(T^n x) for n = lo+1..hi, as a new float64 array."""
         raise NotImplementedError
 
 
@@ -184,8 +175,8 @@ class RotationSampler(OrbitSampler):
         if not (math.isfinite(self.alpha) and math.isfinite(self.x0)):
             raise ValueError(f"alpha and x0 must be finite, got {self.alpha}, {self.x0}")
 
-    def values(self, N: int) -> np.ndarray:
-        angle = np.arange(1, N + 1, dtype=np.float64)
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        angle = np.arange(lo + 1, hi + 1, dtype=np.float64)
         angle *= self.alpha
         angle += self.x0
         np.mod(angle, 1.0, out=angle)
@@ -207,10 +198,10 @@ class PeriodicSampler(OrbitSampler):
         if not all(math.isfinite(v) for v in self.pattern):
             raise ValueError(f"pattern values must be finite: {self.pattern}")
 
-    def values(self, N: int) -> np.ndarray:
-        pat = np.asarray(self.pattern, dtype=np.float64)
-        idx = np.arange(1, N + 1, dtype=np.int64) % pat.size
-        return pat[idx]
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        # sample(n) = pattern[n mod P], starting from n = lo + 1
+        pat = np.roll(np.asarray(self.pattern, dtype=np.float64), -(lo + 1))
+        return np.resize(pat, hi - lo)
 
 
 @dataclass(frozen=True)
@@ -220,42 +211,48 @@ class SubshiftSampler(OrbitSampler):
 
     w: SignSeq
 
-    def values(self, N: int) -> np.ndarray:
-        if len(self.w) < N + 1:
-            raise ValueError(f"subshift sequence length {len(self.w)} < N + 1 = {N + 1}")
-        return self.w.values[1 : N + 1].astype(np.float64)
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        if len(self.w) < hi + 1:
+            raise ValueError(f"subshift sequence length {len(self.w)} < N + 1 = {hi + 1}")
+        return self.w.values[lo + 1 : hi + 1].astype(np.float64)
 
 
 def sarnak_sum(sampler: OrbitSampler, z: SignSeq, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of f(T^n x) z(n)."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if N > len(z):
-        raise ValueError(f"N = {N} exceeds prefix length {len(z)}")
-    terms = sampler.values(N) * z.values[:N]
-    return _curve_from_terms(terms, N)
+    return strong_sarnak_sum(sampler, z, CorrelationSpec(), N)
 
 
 def strong_sarnak_sum(
     sampler: OrbitSampler, z: SignSeq, spec: CorrelationSpec, N: int
 ) -> CorrelationCurve:
-    """Sarnak-type sum weighted by the full lag/exponent product of z."""
-    return _curve_from_terms(sampler.values(N) * _product_terms(z, spec, N), N)
+    """Sarnak-type sum weighted by the full lag/exponent product of z: per
+    checkpoint slice, the sampler's values times the int8 product, added
+    with one float64 np.sum."""
+    _check_prefix(z, N, spec.max_lag)
+    sampler.values(N - 1, N)  # a sampler that cannot reach N refuses before any work
+    points, total = [], 0.0
+    for lo, hi in _slices(N):
+        lagged = np.ones(hi - lo, dtype=np.int8)
+        for a, i in zip((0,) + spec.lags, spec.exponents):
+            lagged *= z.values[lo + a : hi + a] ** i
+        terms = sampler.values(lo, hi)
+        terms *= lagged
+        total += float(np.sum(terms, dtype=np.float64))
+        del terms  # before the next slice's values are made
+        points.append((hi, total / hi))
+    return CorrelationCurve(checkpoints=tuple(points))
 
 
 def enumerate_chowla_specs(max_lag: int, max_r: int) -> list[CorrelationSpec]:
     """All specs with lags inside {1..max_lag}, r <= max_r, exponents in
     {1,2} not all 2, in lexicographic (r, lags, exponents) order."""
-    from itertools import combinations, product
-
-    specs = []
-    for r in range(0, max_r + 1):
-        for lags in combinations(range(1, max_lag + 1), r):
-            for exps in product((1, 2), repeat=r + 1):
-                if all(i == 2 for i in exps):
-                    continue
-                specs.append(CorrelationSpec(lags=lags, exponents=exps))
-    return specs
+    return [
+        CorrelationSpec(lags=lags, exponents=exps)
+        for r in range(max_r + 1)
+        for lags in combinations(range(1, max_lag + 1), r)
+        for exps in product((1, 2), repeat=r + 1)
+        if 1 in exps
+    ]
 
 
 @dataclass(frozen=True)
@@ -304,24 +301,18 @@ def ch_battery(z: SignSeq, max_lag: int, max_r: int, N: int, tol: float) -> Batt
     )
     if count > BATTERY_BUDGET:
         raise ValueError(f"battery of {count} specs exceeds budget {BATTERY_BUDGET}")
-    planes = _bitplanes(z, range((max_lag if max_r else 0) + 1), N)
-    entries = []
-    for lags, group in groupby(enumerate_chowla_specs(max_lag, max_r), key=lambda s: s.lags):
-        # every exponent pattern on this lag set shares the support S; the
-        # sign planes restricted to S are XORed in Gray-code order, so each
-        # pattern costs one XOR and one popcount
-        shifts = (0,) + lags
-        support = _joint_support(planes, shifts)
-        nonzero = _popcount(support)
-        signs = [planes[a][1] & support for a in shifts]
-        negative = np.zeros_like(support)
-        sums = {}  # bit k of the key set: factor k has exponent 1
-        for step in range(1, 2 ** len(shifts)):
-            negative ^= signs[(step & -step).bit_length() - 1]
-            sums[step ^ (step >> 1)] = nonzero - 2 * _popcount(negative)
-        for spec in group:
-            ones = sum(1 << k for k, i in enumerate(spec.exponents) if i == 1)
-            entries.append(BatteryEntry(spec=spec, value=sums[ones] / N))
+    reach = max_lag if max_r else 0
+    _check_prefix(z, N, reach)
+    specs = enumerate_chowla_specs(max_lag, max_r)
+    totals = dict.fromkeys(specs, 0)
+    for lo, hi in _slices(N):
+        planes = _bitplanes(z, range(reach + 1), lo, hi)
+        # every exponent pattern on a lag set shares its support
+        for lags, group in groupby(specs, key=lambda s: s.lags):
+            sums = _signed_counts(planes, (0,) + lags)
+            for spec in group:
+                totals[spec] += sums[spec.exponents]
+    entries = [BatteryEntry(spec=spec, value=totals[spec] / N) for spec in specs]
     return BatteryReport(n=N, tol=tol, entries=tuple(entries))
 
 
@@ -340,30 +331,25 @@ def davenport_scan(z: SignSeq, N: int, grid: int) -> DavenportResult:
     at each checkpoint N'.
 
     theta ranges over the rational grid, so the sum depends on n only
-    through n mod grid; residue-class sums are accumulated per checkpoint
-    segment and a size-``grid`` inverse DFT evaluates all theta at once,
-    which is exact to rounding and equivalent to direct evaluation.
+    through n mod grid; exact integer residue-class sums are accumulated
+    per checkpoint slice and a size-``grid`` inverse DFT evaluates all
+    theta at once, which is exact to rounding and equivalent to direct
+    evaluation.
     """
     if grid < 100:
         raise ValueError(f"grid must be >= 100, got {grid}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if N > len(z):
-        raise ValueError(f"N = {N} exceeds prefix length {len(z)}")
-    values = z.values
-    bucket = np.zeros(grid, dtype=np.float64)
+    _check_prefix(z, N, 0)
+    bucket = np.zeros(grid, dtype=np.int64)
     curve = []
-    best = (0.0, 0.0)
-    prev = 0
-    for b in _checkpoint_bounds(N):
-        n = np.arange(prev + 1, b + 1, dtype=np.int64) % grid
-        seg = np.bincount(n, weights=values[prev:b].astype(np.float64), minlength=grid)
-        bucket += seg
-        mags = np.abs(np.fft.ifft(bucket) * grid) / b
+    for lo, hi in _slices(N):
+        # z(lo+1..hi) laid out from column (lo+1) mod grid of zero-padded rows
+        # of length grid, so column c sums the terms with n = c (mod grid)
+        start = (lo + 1) % grid
+        rows = np.pad(z.values[lo:hi], (start, -(start + hi - lo) % grid))
+        bucket += rows.reshape(-1, grid).sum(axis=0, dtype=np.int64)
+        mags = np.abs(np.fft.ifft(bucket) * grid) / hi
         j = int(np.argmax(mags))
-        curve.append((b, float(mags[j])))
-        best = (float(mags[j]), j / grid)
-        prev = b
+        curve.append((hi, float(mags[j])))
     return DavenportResult(
-        max_value=best[0], argmax_theta=best[1], curve=tuple(curve), grid=grid
+        max_value=curve[-1][1], argmax_theta=j / grid, curve=tuple(curve), grid=grid
     )

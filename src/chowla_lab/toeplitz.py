@@ -48,23 +48,31 @@ class InitialTable:
         self.N = N
         self.owner = owner  # owner[n] for n = 1..N; owner[0] unused
 
-    def is_initial(self) -> np.ndarray:
-        """Boolean array over 1..N (index 0 corresponds to n = 1).  The owners
-        are compared with their indices a chunk at a time, so that no N-sized
-        int64 temporary sits beside the table."""
-        mask = np.empty(self.N, dtype=bool)
+    def _chunks(self):
+        """(n, owner(n) == n) over consecutive runs of 2^20 positions, so that
+        no N-sized temporary sits beside the table."""
         chunk = 1 << 20
         for lo in range(1, self.N + 1, chunk):
-            hi = min(lo + chunk, self.N + 1)
-            np.equal(self.owner[lo:hi], np.arange(lo, hi), out=mask[lo - 1 : hi - 1])
+            n = np.arange(lo, min(lo + chunk, self.N + 1))
+            yield n, self.owner[lo : lo + n.size] == n
+
+    def is_initial(self) -> np.ndarray:
+        """Boolean array over 1..N (index 0 corresponds to n = 1)."""
+        mask = np.empty(self.N, dtype=bool)
+        for n, initial in self._chunks():
+            mask[n[0] - 1 : n[-1]] = initial
         return mask
 
     def non_initial_density_ok(self) -> bool:
         """Exact check of density <= 1/(q-1) at every prefix length: the
         running count can first exceed n/(q-1) only at a non-initial n."""
-        pos = np.flatnonzero(~self.is_initial()) + 1
-        step = self.q - 1
-        return bool(np.all(np.arange(step, step * pos.size + 1, step) <= pos))
+        seen = 0
+        for n, initial in self._chunks():
+            pos = n[~initial]
+            if np.any((seen + np.arange(1, pos.size + 1)) * (self.q - 1) > pos):
+                return False
+            seen += pos.size
+        return True
 
 
 def _progressions(q: int, N: int) -> list[tuple[int, int]]:
@@ -72,8 +80,6 @@ def _progressions(q: int, N: int) -> list[tuple[int, int]]:
     initial when it lies in no progression of an earlier initial i."""
     if q < 2 or N < 1:
         raise ValueError(f"need q >= 2 and N >= 1, got q={q}, N={N}")
-    if N > CLASSIFY_LIMIT:
-        raise ValueError(f"N = {N} exceeds classification bound {CLASSIFY_LIMIT}")
     found = []
     j = 1
     step = q
@@ -87,6 +93,8 @@ def _progressions(q: int, N: int) -> list[tuple[int, int]]:
 
 def classify_initials(q: int, N: int) -> InitialTable:
     progressions = _progressions(q, N)
+    if N > CLASSIFY_LIMIT:
+        raise ValueError(f"N = {N} exceeds classification bound {CLASSIFY_LIMIT}")
     owner = np.arange(N + 1, dtype=np.int64)
     for j, step in progressions:
         owner[j + step :: step] = j
@@ -175,21 +183,23 @@ def _tail_classes(q: int, m: int, ell: int, K: int) -> tuple[np.ndarray, np.ndar
     """The owner j <= m of each of the last L = q^ell offsets of an interval
     ((k)q^m, (k+1)q^m], 0 where the position is initial (the same in every
     interval, as q^j divides q^m), and which k = 0..K-1 are good."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    # first: it bounds K*q^m before any int64 arithmetic on it
-    progressions = _progressions(q, K * q**m)
+    # O(K + L) memory, int64 positions up to K*q^m; m < 62 first, as q^m >= 2^m
+    if not (1 <= K <= CLASSIFY_LIMIT and m < 62 and K * q**m < 2**62
+            and q**ell <= CLASSIFY_LIMIT):
+        raise ValueError(f"need 1 <= K <= {CLASSIFY_LIMIT}, K*q^m < 2^62 and q^ell <= "
+                         f"{CLASSIFY_LIMIT}, got q={q}, m={m}, ell={ell}, K={K}")
     L = q**ell
     qm = q**m
+    progressions = _progressions(q, K * qm)
     pattern = np.zeros(L, dtype=np.int64)
     good = np.ones(K, dtype=bool)
     for j, step in progressions:
         if j <= m:
             # offset r is k*q^m - L + 1 + r, in A_j when r = j + L - 1 (mod q^j)
             pattern[(j + L - 1) % step :: step] = j
-        else:
-            n = np.arange(j + step, K * qm + 1, step, dtype=np.int64) - 1
-            good[n[n % qm >= qm - L] // qm] = False
+        elif (j - 1) % qm >= qm - L:
+            # q^m divides q^j, so every j + s*q^j (s >= 1) has the offset of j
+            good[(j - 1) // qm + step // qm :: step // qm] = False
     return pattern, good
 
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, report shape, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -171,6 +172,25 @@ class TestToeplitzAnalyze:
         assert report["results"]["type1_count_expected"] == 6
         assert report["verdict"] == "pass"
 
+    def test_tail_statistics_past_the_table_bound(self, capsys):
+        # K*q^m = 6.25e9 is above classify_initials' bound, but the tails
+        # need memory O(K + L) only
+        results = []
+        for k in (10**4, 10**7):
+            assert run(["toeplitz", "analyze", "--q", 5, "--m", 4, "--ell", 2,
+                        "--k", k]) == 0
+            results.append(json.loads(capsys.readouterr().out)["results"])
+        small, large = results
+        for key in ("type1_mask", "type1_count_expected", "type1_count_observed"):
+            assert large[key] == small[key]
+
+    @pytest.mark.parametrize("q, m, ell, k", [
+        (5, 4, 2, 200_000_001), (2, 29, 28, 1), (10, 18, 1, 10), (2, 62, 1, 1),
+    ], ids=["K", "q^ell", "K*q^m", "m"])
+    def test_tail_bounds_are_one_error_line(self, capsys, q, m, ell, k):
+        assert run(["toeplitz", "analyze", "--q", q, "--m", m, "--ell", ell, "--k", k]) == 2
+        assert_one_error_line(capsys)
+
     def test_with_reference(self, mobius_file, capsys):
         assert run(["toeplitz", "analyze", "--q", 3, "--m", 3, "--ell", 1,
                     "--k", 200, "--ref", mobius_file]) == 0
@@ -308,3 +328,45 @@ class TestUsageErrors:
         assert_one_error_line(capsys)
         assert list(tmp_path.glob("*.tmp*")) == []
         assert list(target.iterdir()) == []
+
+
+# sha256 of each report on the first 10^5 Mobius terms at N = 99,993, which
+# 10 does not divide; recorded before the sums were moved onto checkpoint
+# slices, so they pin the report bytes of every correlation path.
+GOLDEN_REPORTS = {
+    "chowla-json": (["chowla", "--in", "m.sqz", "--max-lag", 4, "--max-r", 2],
+                    "8d590f0941258d82a0cd3f89a8ae841b1c5a944128cb80236c112860983b3bd3"),
+    "chowla-csv": (["chowla", "--in", "m.sqz", "--max-lag", 4, "--max-r", 2, "--report", "csv"],
+                   "cd6be77ab8181e8b67cf1062157676a2785c631f09868ce9fb7c017801f19df9"),
+    "sarnak-rotation": (["sarnak", "--in", "m.sqz", "--system", "rotation",
+                         "--alpha", "0.4142135623730951"],
+                        "49a1b7485c2524326700f748cebba7f6c77050abcaa8ed6ee468e56e72550e42"),
+    "sarnak-periodic": (["sarnak", "--in", "m.sqz", "--system", "periodic",
+                         "--pattern", "1,-0.5,0.25"],
+                        "749c8ebf6e8584e8618f348fa76d7844ef3e9aa0130d288ee88cd951ec6b1119"),
+    "sarnak-subshift": (["sarnak", "--in", "m.sqz", "--system", "subshift", "--weights", "l.sqz"],
+                        "a8865e0c9476607e7bb8f4309241f1add72ecbcb79b302cf7d13e66ec4a3cae7"),
+    "davenport-101": (["davenport", "--in", "m.sqz", "--grid", 101],
+                      "57efb2f499e1ad082be5b7f88f1ca144899b4f1be67d519cdbaa2d05fff92b86"),
+    "davenport-1000": (["davenport", "--in", "m.sqz", "--grid", 1000],
+                       "020a943468be07ae5666e093f0788b5165b0336f3acda031318be3763ad7edaa"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    for kind, name in (("mobius", "m.sqz"), ("liouville", "l.sqz")):
+        assert run(["generate", "--kind", kind, "--n", 100_000, "--out", path / name]) == 0
+    return path
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+    def test_report_bytes(self, golden_dir, tmp_path, monkeypatch, case):
+        argv, digest = GOLDEN_REPORTS[case]
+        # params embed --in, so the inputs are named relative to a fixed cwd
+        monkeypatch.chdir(golden_dir)
+        report = tmp_path / "report"
+        assert run([*argv, "--n", 99_993, "--out-report", report]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Correlation sums, the battery, orbit samplers, the grid scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,28 @@ def brute_prefix_sums(values, spec, N, weight=lambda m: 1):
             term *= values[m + a - 1] ** i
         sums.append(sums[-1] + term)
     return sums
+
+
+def checkpoint_bounds(N):
+    return sorted({max(1, j * N // 10) for j in range(1, 11)})
+
+
+def reference_curve(sampler, z, spec, N):
+    """The whole f * product array, each checkpoint slice added with one np.sum."""
+    product = np.ones(N, dtype=np.int64)
+    for a, i in zip((0,) + spec.lags, spec.exponents):
+        product *= z.values[a : a + N].astype(np.int64) ** i
+    terms = sampler.values(0, N) * product
+    points, total, prev = [], 0.0, 0
+    for b in checkpoint_bounds(N):
+        total += float(np.sum(terms[prev:b], dtype=np.float64))
+        points.append((b, total / b))
+        prev = b
+    return points
+
+
+def float_bytes(points):
+    return [(n, value.hex()) for n, value in points]
 
 
 # lengths around the 64-bit word boundaries of the bitplanes, and any other
@@ -171,6 +194,59 @@ class TestBruteForceOracle:
             assert value == sums[n] / n
 
 
+class TestCheckpointSlices:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_float_sums_equal_whole_array_reference(self, data):
+        # N < 10 repeats checkpoints; most other N are not multiples of 10
+        N = data.draw(st.one_of(st.integers(1, 9), st.integers(10, 3000)), label="N")
+        z = random_seq(data.draw(st.integers(0, 2**31), label="seed"), N + 4)
+        spec = data.draw(specs_within(4))
+        sampler = data.draw(st.one_of(
+            st.builds(RotationSampler, st.floats(-10, 10), st.floats(-1, 1),
+                      st.sampled_from(["cos", "sin"])),
+            st.builds(PeriodicSampler, st.lists(st.floats(-2, 2), min_size=1, max_size=9)),
+            st.builds(SubshiftSampler, st.just(random_seq(N, N + 1))),
+        ))
+        want = float_bytes(reference_curve(sampler, z, spec, N))
+        assert float_bytes(strong_sarnak_sum(sampler, z, spec, N).checkpoints) == want
+        plain = float_bytes(reference_curve(sampler, z, CorrelationSpec(), N))
+        assert float_bytes(sarnak_sum(sampler, z, N).checkpoints) == plain
+
+    @pytest.mark.parametrize("grid", [101, 977])
+    def test_davenport_every_checkpoint_matches_direct_evaluation(self, grid):
+        N = 2003
+        z = random_seq(12, N)
+        res = davenport_scan(z, N, grid)
+        assert [b for b, _ in res.curve] == checkpoint_bounds(N)
+        n = np.arange(1, N + 1)
+        phases = np.exp(2j * np.pi * (np.outer(np.arange(grid), n) % grid) / grid)
+        for b, value in res.curve:
+            direct = np.abs(phases[:, :b] @ z.values[:b]) / b
+            assert abs(value - direct.max()) < 1e-9
+        assert abs(direct[round(res.argmax_theta * grid)] - res.max_value) < 1e-9
+
+    @pytest.mark.parametrize("call", [
+        lambda z, N: ch_battery(z, 6, 3, N, 0.1),
+        lambda z, N: chowla_sum(z, CorrelationSpec((1, 2, 3), (1, 2, 1, 1)), N),
+        lambda z, N: sarnak_sum(RotationSampler(alpha=math.sqrt(2) - 1), z, N),
+        lambda z, N: strong_sarnak_sum(RotationSampler(alpha=0.3), z,
+                                       CorrelationSpec((1,), (1, 1)), N),
+        lambda z, N: davenport_scan(z, N, 1000),
+    ], ids=["battery-6-3", "chowla-r3", "sarnak-rotation", "strong-sarnak-r1", "davenport"])
+    def test_traced_memory_is_a_fraction_of_the_prefix(self, call):
+        # each sum holds one checkpoint slice's worth of temporaries
+        N = 2**22
+        z = random_seq(13, N + 6)
+        tracemalloc.start()
+        try:
+            call(z, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * N
+
+
 class TestPublishedValues:
     def test_mertens_on_sign_plane(self):
         # M(10^6) = 212 (OEIS A084237)
@@ -190,28 +266,28 @@ class TestPublishedValues:
 
 class TestSamplers:
     def test_rotation_bounded(self):
-        vals = RotationSampler(alpha=0.37, x0=0.2).values(1000)
+        vals = RotationSampler(alpha=0.37, x0=0.2).values(0, 1000)
         assert np.all(np.abs(vals) <= 1.0)
 
     @pytest.mark.parametrize("x0, observable, fn", [(0.0, "cos", np.cos), (0.3, "sin", np.sin)])
     def test_rotation_matches_formula(self, x0, observable, fn):
         n = np.arange(1, 5001, dtype=np.float64)
         want = fn(2.0 * np.pi * np.mod(x0 + n * 0.7071, 1.0))
-        got = RotationSampler(alpha=0.7071, x0=x0, observable=observable).values(5000)
+        got = RotationSampler(alpha=0.7071, x0=x0, observable=observable).values(0, 5000)
         assert got.tobytes() == want.tobytes()
 
     def test_periodic_periodicity(self):
-        vals = PeriodicSampler((1.0, -2.0, 0.5)).values(30)
+        vals = PeriodicSampler((1.0, -2.0, 0.5)).values(0, 30)
         assert np.allclose(vals[:27], vals[3:])
 
     def test_subshift_first_coordinate(self):
         w = SignSeq([1, -1, 0, 1, -1])
         # f(T^n x) = w(n+1)
-        assert SubshiftSampler(w).values(4).tolist() == [-1.0, 0.0, 1.0, -1.0]
+        assert SubshiftSampler(w).values(0, 4).tolist() == [-1.0, 0.0, 1.0, -1.0]
 
     def test_subshift_needs_extra_term(self):
         with pytest.raises(ValueError, match="N \\+ 1"):
-            SubshiftSampler(SignSeq([1, 1])).values(2)
+            SubshiftSampler(SignSeq([1, 1])).values(0, 2)
 
 
 class TestSarnakSum:

@@ -105,6 +105,17 @@ class TestClassifyInitials:
         owner[3] = 3
         assert InitialTable(q=3, N=10, owner=owner).non_initial_density_ok()
 
+    def test_density_check_walks_the_table_in_chunks(self):
+        # about 4.25 B/symbol (71 MB) here when the check held N-sized arrays
+        table = classify_initials(5, 2**24)
+        tracemalloc.start()
+        try:
+            assert table.non_initial_density_ok()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_validation(self):
         with pytest.raises(ValueError):
             classify_initials(1, 10)
