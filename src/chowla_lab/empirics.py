@@ -7,11 +7,10 @@ split evenly over the 2^|supp B| sign patterns?), and the positive-frequency
 block set.
 
 Window counting conventions: a length-ell block in a prefix of length N has
-denominator N - ell + 1; blocks are packed as base-3 codes (letter + 1 per
-position), which is exact for lengths up to 39.  ``_window_codes`` alone
-packs and ``_tally`` alone counts the windows of a prefix, also for the
-heavy-block recoding in ``symbolicgen``; ``complexity_profile``, which has
-no length cap, refines window ranks instead.
+denominator N - ell + 1.  ``_window_codes`` alone builds window keys, also for
+``symbolicgen``'s recoding: big-endian base-3 codes (letter + 1, the first
+letter most significant) that sort like the blocks and are exact up to length
+39.  ``_tally`` alone counts them; ``complexity_profile`` re-ranks them instead.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ _CODE_LENGTH_LIMIT = 39  # 3**39 - 1 < 2**63 <= 3**40 - 1
 
 
 def block_code(letters) -> int:
-    """Base-3 code of a block (little-endian in the position index)."""
+    """Base-3 code of a block, big-endian: codes sort like the blocks."""
     code = 0
-    scale = 1
     for v in letters:
-        code += (int(v) + 1) * scale
-        scale *= 3
+        code = 3 * code + int(v) + 1
     return code
 
 
@@ -44,29 +41,26 @@ def code_to_block(code: int, length: int) -> Block:
     for _ in range(length):
         code, digit = divmod(code, 3)
         letters.append(digit - 1)
-    return Block(tuple(letters))
+    return Block(tuple(letters[::-1]))
 
 
 def _window_codes(values: np.ndarray, k: int):
     """Yield the base-3 codes of every length-ell window for ell = 1..k.
 
     The array yielded for ell has N - ell + 1 entries; entry i is the code
-    of values[i : i + ell].  It is a view of one buffer that is updated in
-    place for ell + 1, so use or copy it before advancing the generator.
+    of values[i : i + ell].  It is a view of one int64 buffer, made 3 * key +
+    next letter in place for ell + 1: use, copy or overwrite it before that.
     """
-    if k > _CODE_LENGTH_LIMIT:
-        raise ValueError(f"window length {k} overflows 64-bit base-3 packing")
     if not 1 <= k <= values.size:
         raise ValueError(f"window length {k} outside 1..{values.size}")
-    digits = values.astype(np.int64) + 1
-    codes = digits.copy()
+    digits = values + np.int8(1)
+    codes = digits.astype(np.int64)
     yield codes
-    scale = 1
-    for ell in range(2, k + 1):
-        size = digits.size - ell + 1
-        scale *= 3
-        codes[:size] += digits[ell - 1 :] * scale
-        yield codes[:size]
+    for ell in range(1, k):
+        codes = codes[: digits.size - ell]
+        codes *= 3
+        codes += digits[ell:]
+        yield codes
 
 
 class EmpiricalMeasure:
@@ -166,29 +160,24 @@ MAX_COMPLEXITY_ORDER = 512
 def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
     """Exact distinct-window counts for n = 1..n_max.
 
-    Rank refinement from the single length-0 window (rank 0): a length-n
-    window's rank is the dense rank of 3 * (rank of its first n-1 letters)
-    + (last letter + 1), so each step is a bincount and a gather, and there
-    is no length cap from code packing.
+    Rank refinement: each length's keys from ``_window_codes`` are replaced
+    in place by their dense ranks, so the next key is 3 * (rank of the first
+    n-1 letters) + (last letter + 1); each step is a bincount and a gather,
+    and there is no length cap from code packing.
     """
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
-    values = w.values
-    N = values.size
+    N = len(w)
     if n_max > N:
         raise ValueError(f"n_max {n_max} exceeds prefix length {N}")
-    digits = values + np.int8(1)
-    ranks = np.zeros(N, dtype=np.int64)
     counts = np.empty(n_max, dtype=np.int64)
-    for n in range(1, n_max + 1):
-        key = ranks[: N - n + 1]  # built in place: the old ranks are not read again
-        key *= 3
-        key += digits[n - 1 :]
+    for n, key in enumerate(_window_codes(w.values, n_max), start=1):
         lut = np.bincount(key)
         np.cumsum(lut > 0, out=lut)
         counts[n - 1] = lut[-1]
         lut -= 1
-        ranks = lut[key]
+        # keys < lut.size, so "clip" clamps nothing; "raise" buffers an N-sized copy
+        np.take(lut, key, out=key, mode="clip")
     return ComplexityProfile(counts=counts, prefix_length=N)
 
 
@@ -261,7 +250,9 @@ def sign_extension_test(
     violations: list[tuple[Block, float]] = []
     audited = 0
     for ell in range(1, k + 1):
-        for squared, freq2 in measure_z2.items(ell):
+        # little-endian code order (last letter first): reports list violations and break
+        # witness ties in it
+        for squared, freq2 in sorted(measure_z2.items(ell), key=lambda it: it[0].letters[::-1]):
             if freq2 <= audit_factor * tol:
                 continue
             audited += 1
@@ -289,13 +280,14 @@ def sign_extension_test(
     )
 
 
-def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> set[Block]:
-    """Blocks of length n whose empirical frequency exceeds ``threshold``:
-    a finite-scale stand-in for the positive-upper-frequency subshift."""
+def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> np.ndarray:
+    """Sorted int64 codes (``code_to_block`` decodes one) of the length-n
+    blocks whose frequency exceeds ``threshold``: a finite-scale stand-in
+    for the positive-upper-frequency subshift."""
     if not 1 <= n <= MAX_FREQUENCY_ORDER:
         raise ValueError(f"n must be in 1..{MAX_FREQUENCY_ORDER}, got {n}")
     if len(w) < n:
         raise ValueError(f"prefix length {len(w)} < n = {n}")
     *_, codes = _window_codes(w.values, n)
     uniq, counts = _tally(codes, 3**n)
-    return {code_to_block(c, n) for c in uniq[counts / codes.size > threshold].tolist()}
+    return uniq[counts / codes.size > threshold]

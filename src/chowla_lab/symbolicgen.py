@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirics import _tally, _window_codes
+from .empirics import _CODE_LENGTH_LIMIT, _tally, _window_codes
 from .seqcore import SignSeq
 
 
@@ -211,8 +211,9 @@ class DeterminizeParams:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if self.n_block < 1:
-            raise ValueError("n_block must be >= 1")
+        if not 1 <= self.n_block <= _CODE_LENGTH_LIMIT:
+            raise ValueError(f"n_block must be in 1..{_CODE_LENGTH_LIMIT} (a longer window "
+                             f"overflows 64-bit base-3 packing), got {self.n_block}")
         if self.big_n < self.n_block:
             raise ValueError(f"big_n {self.big_n} < n_block {self.n_block}")
         if self.big_n % self.n_block != 0:

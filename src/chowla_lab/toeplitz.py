@@ -102,8 +102,8 @@ def classify_initials(q: int, N: int) -> InitialTable:
     return InitialTable(q=q, N=N, owner=owner)
 
 
-def _toeplitz_values(spec: ToeplitzSpec, N: int) -> np.ndarray:
-    """t(1..N) as a writable int8 array; build_toeplitz wraps it."""
+def build_toeplitz(spec: ToeplitzSpec, N: int) -> SignSeq:
+    """t(n) = z(n) for initial n, else z(j) for the owning initial j."""
     if len(spec.z_ref) < N:
         raise ValueError(f"reference length {len(spec.z_ref)} < N = {N}")
     progressions = _progressions(spec.q, N)
@@ -111,12 +111,7 @@ def _toeplitz_values(spec: ToeplitzSpec, N: int) -> np.ndarray:
     for j, step in progressions:
         # j is initial, so no progression writes t[j - 1]
         t[j - 1 + step :: step] = t[j - 1]
-    return t
-
-
-def build_toeplitz(spec: ToeplitzSpec, N: int) -> SignSeq:
-    """t(n) = z(n) for initial n, else z(j) for the owning initial j."""
-    return SignSeq._wrap(_toeplitz_values(spec, N))
+    return SignSeq._wrap(t)
 
 
 @dataclass(frozen=True)
@@ -136,13 +131,21 @@ class CorrelationBound:
 
 
 def toeplitz_correlation(spec: ToeplitzSpec, N: int) -> CorrelationBound:
-    t = _toeplitz_values(spec, N)
+    """t(n) z(n) is z(n)^2 at an initial n and z(j) z(n) on A_j without j:
+    exact integer sums over strided views of z, without building t."""
+    if len(spec.z_ref) < N:
+        raise ValueError(f"reference length {len(spec.z_ref)} < N = {N}")
+    progressions = _progressions(spec.q, N)
     z = spec.z_ref.values[:N]
-    t *= z
-    value = float(np.sum(t, dtype=np.float64)) / N
-    square_mean = int(np.count_nonzero(z)) / N
+    support = int(np.count_nonzero(z))
+    total = support
+    for j, step in progressions:
+        copies = z[j - 1 + step :: step]
+        total += int(z[j - 1]) * int(np.sum(copies, dtype=np.int64))
+        total -= int(np.count_nonzero(copies))
+    square_mean = support / N
     return CorrelationBound(
-        value=value,
+        value=total / N,
         lower_bound=square_mean - 2.0 / (spec.q - 1),
         square_mean=square_mean,
         n=N,

@@ -353,6 +353,32 @@ GOLDEN_REPORTS = {
 }
 
 
+# sha256 of each block-statistics output on a generated 20,000-term input,
+# recorded while window codes were little-endian: the hat-test lists three
+# violations in visiting order, entropy takes lengths past 39 through the
+# re-ranked keys, and the first determinize pass finds 13 heavy windows.
+BLOCK_REPORTS = {
+    "hat-test-coded": (
+        ["generate", "--kind", "coded", "--k0", 2, "--seed", 1],
+        ["hat-test", "--k", 8, "--tol", 0.01], 1,
+        {"report": "ae555b24ca8635bd838b1aa0b3e46127b35edc814e8130b0e7f391e48ac65f7f"}),
+    "entropy-json": (
+        ["generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--seed", 1],
+        ["entropy", "--n-max", 60], 0,
+        {"report": "68ca84111ecdef4b56e6a5c7e5c0c9c7f8c861b774e4f24c2f14d7b01087f4b2"}),
+    "entropy-csv": (
+        ["generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--seed", 1],
+        ["entropy", "--n-max", 60, "--report", "csv"], 0,
+        {"report": "169efdd338efd4e823a4e8d303ae1421e491c26eca76138eddc0474a956dd746"}),
+    "determinize-sturmian": (
+        ["generate", "--kind", "sturmian", "--alpha", "0.3819660112501051"],
+        ["determinize", "--epsilon", 0.5, "--n-block", 12, "--big-n", 96, "--steps", 2,
+         "--out", "out.sqz"], 0,
+        {"report": "cc943adf7ba7faa37b5b09251de7c3db90640c40e85c6cd78e02a3d8096d5bd9",
+         "out.sqz": "cd5ffbeedd326778117432b7e76f0b71ce4d87c195461fe3d1888c94951c1a39"}),
+}
+
+
 @pytest.fixture(scope="module")
 def golden_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
@@ -370,3 +396,13 @@ class TestGoldenReports:
         report = tmp_path / "report"
         assert run([*argv, "--n", 99_993, "--out-report", report]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_REPORTS))
+    def test_block_report_bytes(self, tmp_path, monkeypatch, case):
+        source, argv, code, digests = BLOCK_REPORTS[case]
+        # params embed --in and --out, so every path is relative to tmp_path
+        monkeypatch.chdir(tmp_path)
+        assert run([*source, "--n", 20_000, "--out", "in.sqz"]) == 0
+        assert run([*argv, "--in", "in.sqz", "--out-report", "report"]) == code
+        for name, digest in digests.items():
+            assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest

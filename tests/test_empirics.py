@@ -1,6 +1,7 @@
 """Block statistics: frequencies, complexity, the sign-extension audit."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from chowla_lab.empirics import (
     _window_codes,
     block_code,
     block_frequencies,
+    code_to_block,
     complexity_profile,
     entropy_estimate,
     positive_frequency_blocks,
@@ -65,7 +67,15 @@ class TestWindowCodes:
         *_, codes = _window_codes(ones, 39)
         assert codes.tolist() == [3**39 - 1] * 12
         with pytest.raises(ValueError, match="overflows 64-bit base-3 packing"):
-            next(_window_codes(ones, 40))
+            DeterminizeParams(0.1, 40, 80)
+
+    @given(st.lists(st.integers(-1, 1), min_size=1, max_size=12), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_codes_sort_like_blocks(self, letters, data):
+        other = data.draw(st.lists(st.integers(-1, 1), min_size=len(letters),
+                                   max_size=len(letters)))
+        assert code_to_block(block_code(letters), len(letters)).letters == tuple(letters)
+        assert (block_code(letters) < block_code(other)) == (letters < other)
 
     def test_length_outside_prefix_rejected(self):
         with pytest.raises(ValueError, match="window length"):
@@ -93,7 +103,28 @@ class TestWindowCodes:
         total = len(values) - n + 1
         want = {b for b, c in counts.items() if c / total > threshold}
         got = positive_frequency_blocks(SignSeq(values), n, threshold)
-        assert {b.letters for b in got} == want
+        assert np.all(got[:-1] < got[1:])
+        assert {code_to_block(c, n).letters for c in got.tolist()} == want
+
+
+class TestKernelMemory:
+    # one int64 key buffer and the int8 digits beside the input; an int64
+    # digit copy and product temporary made each of these about 25 B/symbol
+    @pytest.mark.parametrize("call", [
+        lambda z: block_frequencies(z, 12),
+        lambda z: sign_extension_test(z, 8, 0.01),
+        lambda z: determinize_step(z, DeterminizeParams(0.5, 12, 96)),
+    ], ids=["block-frequencies", "sign-test", "determinize"])
+    def test_traced_peak_per_symbol(self, call):
+        N = 2**22
+        z = SignSeq(np.random.default_rng(5).integers(-1, 2, size=N, dtype=np.int8))
+        tracemalloc.start()
+        try:
+            call(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * N
 
 
 class TestBlockFrequencies:
@@ -312,12 +343,13 @@ class TestSignExtension:
 class TestPositiveFrequencyBlocks:
     def test_periodic(self):
         z = SignSeq(np.resize([1, 0, -1], 3000))
-        blocks = positive_frequency_blocks(z, 3, 0.1)
-        assert {b.letters for b in blocks} == {(1, 0, -1), (0, -1, 1), (-1, 1, 0)}
+        codes = positive_frequency_blocks(z, 3, 0.1)
+        assert [code_to_block(c, 3).letters for c in codes.tolist()] == [
+            (-1, 1, 0), (0, -1, 1), (1, 0, -1)]
 
     def test_threshold_above_one_empty(self):
         z = SignSeq(np.resize([1, 0], 1000))
-        assert positive_frequency_blocks(z, 2, 1.1) == set()
+        assert positive_frequency_blocks(z, 2, 1.1).size == 0
 
     def test_coin_all_blocks(self):
         z = bernoulli_prefix((-1, 1), BernoulliParams((0.5, 0.5), seed=8), 10**6)

@@ -182,6 +182,27 @@ class TestToeplitzCorrelation:
             cb = toeplitz_correlation(ToeplitzSpec(q=4, z_ref=ref), 5000)
             assert cb.holds
 
+    @given(st.integers(2, 7), st.integers(1, 3000), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sum_over_built_sequence(self, q, N, seed):
+        ref = random_ref(seed, N + 3)
+        spec = ToeplitzSpec(q=q, z_ref=ref)
+        t = build_toeplitz(spec, N).values
+        want = float(np.sum(t * ref.values[:N], dtype=np.float64)) / N
+        assert toeplitz_correlation(spec, N).value.hex() == want.hex()
+
+    def test_never_builds_the_sequence(self):
+        # strided views of z only; building t held N bytes
+        N = 2**22
+        spec = ToeplitzSpec(q=2, z_ref=random_ref(4, N))
+        tracemalloc.start()
+        try:
+            toeplitz_correlation(spec, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestIntervalAnalytics:
     def test_exact_density_q3(self):
