@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .correlations import (
     PeriodicSampler,
@@ -57,9 +55,11 @@ def _curve_json(points: tuple[tuple[int, float], ...]) -> list[dict]:
     return [{"n": n, "value": value} for n, value in points]
 
 
-def emit_report(args, command: str, params: dict, results: dict, verdict: bool | None,
-                curves: list[tuple[str, int, float]] | None = None) -> None:
-    if getattr(args, "report", "json") == "csv":
+def emit_report(args, command: str, results: dict, verdict: bool | None,
+                curves: list[tuple[str, int, float]] | None = None) -> int:
+    """Write the report to --out-report, or stdout, and return the exit
+    code: 1 when the verdict is a fail, 0 on a pass or with no verdict."""
+    if args.report == "csv":
         lines = ["series,n,value"]
         for name, n, value in curves or []:
             lines.append(f"{name},{n},{value!r}")
@@ -70,25 +70,33 @@ def emit_report(args, command: str, params: dict, results: dict, verdict: bool |
             "tool": "chowla-lab",
             "version": __version__,
             "command": command,
-            "params": params,
+            "params": _params(args),
             "results": results,
         }
         if verdict is not None:
             report["verdict"] = "pass" if verdict else "fail"
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "out_report", None)
-    if out:
-        _atomic_write(out, text.encode("utf-8"))
+    if args.out_report:
+        _atomic_write(args.out_report, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
+    return 0 if verdict is None or verdict else 1
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _params(args) -> dict:
+    skip = {"func", "out_report"}  # the report's own location is not an input
+    return {
+        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
+    }
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _save_sqz(path: str, seq: SignSeq) -> None:
+    write_sqz(path, seq)
+    print(f"{path}: {os.path.getsize(path)} bytes, {len(seq)} symbols")
+
+
+def _csv(text: str, cast) -> list:
+    return [cast(v) for v in text.split(",") if v.strip()]
 
 
 def _load(path: str) -> SignSeq:
@@ -110,7 +118,7 @@ def cmd_generate(args) -> int:
         if args.bset == "prime-squares":
             bset = BSet.prime_squares(n)
         else:
-            bset = BSet.from_squares(_csv_ints(args.bset))
+            bset = BSet.from_squares(_csv(args.bset, int))
         seq = mu_b_prefix(bset, n)
     elif kind == "sturmian":
         if args.alpha is None:
@@ -119,7 +127,7 @@ def cmd_generate(args) -> int:
     elif kind == "bernoulli":
         if args.probs is None:
             raise ValueError("--probs is required for --kind bernoulli")
-        probs = _csv_floats(args.probs)
+        probs = _csv(args.probs, float)
         alphabet = {2: (-1, 1), 3: (-1, 0, 1)}.get(len(probs))
         if alphabet is None:
             raise ValueError(f"--probs needs 2 or 3 values, got {len(probs)}")
@@ -132,8 +140,7 @@ def cmd_generate(args) -> int:
         seq = doubling_word_prefix(n)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown kind {kind}")
-    write_sqz(args.out, seq)
-    print(f"{args.out}: {os.path.getsize(args.out)} bytes, {len(seq)} symbols")
+    _save_sqz(args.out, seq)
     return 0
 
 
@@ -159,8 +166,7 @@ def cmd_chowla(args) -> int:
     }
     curves = _curve_rows("witness:" + report.witness.label(), witness_curve.checkpoints)
     curves += [("entry:" + e.spec.label(), report.n, e.value) for e in report.entries]
-    emit_report(args, "chowla", _params(args), results, report.passed, curves)
-    return 0 if report.passed else 1
+    return emit_report(args, "chowla", results, report.passed, curves)
 
 
 def _build_sampler(args):
@@ -171,7 +177,7 @@ def _build_sampler(args):
     if args.system == "periodic":
         if args.pattern is None:
             raise ValueError("--pattern is required for --system periodic")
-        return PeriodicSampler(pattern=tuple(_csv_floats(args.pattern)))
+        return PeriodicSampler(pattern=tuple(_csv(args.pattern, float)))
     if args.weights is None:
         raise ValueError("--weights is required for --system subshift")
     return SubshiftSampler(w=_load(args.weights))
@@ -188,9 +194,7 @@ def cmd_sarnak(args) -> int:
         "final": curve.final,
         "curve": _curve_json(curve.checkpoints),
     }
-    emit_report(args, "sarnak", _params(args), results, None,
-                _curve_rows("sarnak", curve.checkpoints))
-    return 0
+    return emit_report(args, "sarnak", results, None, _curve_rows("sarnak", curve.checkpoints))
 
 
 def cmd_davenport(args) -> int:
@@ -204,9 +208,7 @@ def cmd_davenport(args) -> int:
         "argmax_theta": result.argmax_theta,
         "curve": _curve_json(result.curve),
     }
-    emit_report(args, "davenport", _params(args), results, None,
-                _curve_rows("davenport", result.curve))
-    return 0
+    return emit_report(args, "davenport", results, None, _curve_rows("davenport", result.curve))
 
 
 def cmd_entropy(args) -> int:
@@ -225,8 +227,7 @@ def cmd_entropy(args) -> int:
         "note": "finite-scale estimator, not the true limit",
     }
     curve = [("p_n", n + 1, float(c)) for n, c in enumerate(profile.counts)]
-    emit_report(args, "entropy", _params(args), results, None, curve)
-    return 0
+    return emit_report(args, "entropy", results, None, curve)
 
 
 def cmd_hat_test(args) -> int:
@@ -240,23 +241,20 @@ def cmd_hat_test(args) -> int:
             {"block": list(b.letters), "deviation": d} for b, d in report.violations
         ],
     }
-    emit_report(args, "hat-test", _params(args), results, report.passed)
-    return 0 if report.passed else 1
+    return emit_report(args, "hat-test", results, report.passed)
 
 
 def cmd_toeplitz_build(args) -> int:
     ref = _load(args.ref)
     n = args.n if args.n is not None else len(ref)
     t = build_toeplitz(ToeplitzSpec(q=args.q, z_ref=ref), n)
-    write_sqz(args.out, t)
-    print(f"{args.out}: {os.path.getsize(args.out)} bytes, {len(t)} symbols")
+    _save_sqz(args.out, t)
     return 0
 
 
 def cmd_toeplitz_analyze(args) -> int:
     ref = _load(args.ref) if args.ref else None
-    spec_ref = ref if ref is not None else SignSeq(np.zeros(1, dtype=np.int8))
-    spec = ToeplitzSpec(q=args.q, z_ref=spec_ref)
+    spec = ToeplitzSpec(q=args.q, z_ref=ref if ref is not None else SignSeq([0]))
     report = interval_analytics(spec, args.m, args.ell, args.k)
     results = {
         "L": report.L,
@@ -283,8 +281,7 @@ def cmd_toeplitz_analyze(args) -> int:
             verdict = verdict and corr.holds
         else:
             results["note"] = f"reference too short for entropy bound (need {needed})"
-    emit_report(args, "toeplitz-analyze", _params(args), results, verdict)
-    return 0 if verdict else 1
+    return emit_report(args, "toeplitz-analyze", results, verdict)
 
 
 def cmd_bounds(args) -> int:
@@ -295,21 +292,21 @@ def cmd_bounds(args) -> int:
         "lower_margin": verdict.lower_margin,
         "equality_flag": verdict.equality_flag,
     }
-    emit_report(args, "bounds", _params(args), results, verdict.passed)
-    return 0 if verdict.passed else 1
+    return emit_report(args, "bounds", results, verdict.passed)
 
 
 def cmd_determinize(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    # the last pass's epsilon; 2**(steps-1) must convert to a float first
+    if not (args.steps <= sys.float_info.max_exp and args.epsilon / 2**(args.steps - 1) > 0):
+        raise ValueError(f"--epsilon/2**{args.steps - 1} is not a positive float")
     u = _load(args.input)
     current = u
     steps = []
     ok = True
     for i in range(args.steps):
-        params = DeterminizeParams(
-            epsilon=args.epsilon / 2**i, n_block=args.n_block, big_n=args.big_n
-        )
+        params = DeterminizeParams(args.epsilon / 2**i, args.n_block, args.big_n)
         result = determinize_step(current, params)
         bound = result.distinct_block_bound(params)
         ok = ok and result.distinct_block_count < bound
@@ -325,15 +322,7 @@ def cmd_determinize(args) -> int:
         )
         current = result.sequence
     write_sqz(args.out, current)
-    emit_report(args, "determinize", _params(args), {"steps": steps}, ok)
-    return 0 if ok else 1
-
-
-def _params(args) -> dict:
-    skip = {"func", "out_report"}  # the report's own location is not an input
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
+    return emit_report(args, "determinize", {"steps": steps}, ok)
 
 
 def build_parser() -> argparse.ArgumentParser:

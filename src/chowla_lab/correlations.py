@@ -245,10 +245,11 @@ def strong_sarnak_sum(
 
 def enumerate_chowla_specs(max_lag: int, max_r: int) -> list[CorrelationSpec]:
     """All specs with lags inside {1..max_lag}, r <= max_r, exponents in
-    {1,2} not all 2, in lexicographic (r, lags, exponents) order."""
+    {1,2} not all 2, in lexicographic (r, lags, exponents) order.  No lag
+    set has more than max_lag lags, so r stops there."""
     return [
         CorrelationSpec(lags=lags, exponents=exps)
-        for r in range(max_r + 1)
+        for r in range(min(max_r, max_lag) + 1)
         for lags in combinations(range(1, max_lag + 1), r)
         for exps in product((1, 2), repeat=r + 1)
         if 1 in exps
@@ -296,11 +297,12 @@ def ch_battery(z: SignSeq, max_lag: int, max_r: int, N: int, tol: float) -> Batt
         raise ValueError(f"need max_lag >= 1 and max_r >= 0, got {max_lag}, {max_r}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    count = sum(
-        math.comb(max_lag, r) * (2 ** (r + 1) - 1) for r in range(0, max_r + 1)
-    )
-    if count > BATTERY_BUDGET:
-        raise ValueError(f"battery of {count} specs exceeds budget {BATTERY_BUDGET}")
+    count = 0
+    for r in range(min(max_r, max_lag) + 1):  # stops before the terms grow huge
+        count += math.comb(max_lag, r) * (2 ** (r + 1) - 1)
+        if count > BATTERY_BUDGET:
+            raise ValueError(f"battery of at least {count} specs exceeds budget "
+                             f"{BATTERY_BUDGET}")
     reach = max_lag if max_r else 0
     _check_prefix(z, N, reach)
     specs = enumerate_chowla_specs(max_lag, max_r)

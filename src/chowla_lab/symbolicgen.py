@@ -290,8 +290,8 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
         sequence=SignSeq._wrap(out),
         distinct_block_count=len(distinct),
         blocks_processed=nblocks,
-        changed_fraction=changed / processed if processed else 0.0,
-        unacceptable_fraction=unacceptable / nblocks if nblocks else 0.0,
+        changed_fraction=changed / processed,
+        unacceptable_fraction=unacceptable / nblocks,
         heavy_block_count=heavy_codes.size,
     )
 

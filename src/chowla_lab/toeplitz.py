@@ -23,6 +23,8 @@ import numpy as np
 from .seqcore import SignSeq
 
 CLASSIFY_LIMIT = 200_000_000
+# tail length bound: reports list each type-1 tail offset as a Python int
+_TAIL_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,9 @@ def _tail_classes(q: int, m: int, ell: int, K: int) -> tuple[np.ndarray, np.ndar
     interval, as q^j divides q^m), and which k = 0..K-1 are good."""
     # O(K + L) memory, int64 positions up to K*q^m; m < 62 first, as q^m >= 2^m
     if not (1 <= K <= CLASSIFY_LIMIT and m < 62 and K * q**m < 2**62
-            and q**ell <= CLASSIFY_LIMIT):
+            and q**ell <= _TAIL_LIMIT):
         raise ValueError(f"need 1 <= K <= {CLASSIFY_LIMIT}, K*q^m < 2^62 and q^ell <= "
-                         f"{CLASSIFY_LIMIT}, got q={q}, m={m}, ell={ell}, K={K}")
+                         f"2^20, got q={q}, m={m}, ell={ell}, K={K}")
     L = q**ell
     qm = q**m
     progressions = _progressions(q, K * qm)

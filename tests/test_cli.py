@@ -93,6 +93,22 @@ class TestChowla:
         assert run(["chowla", "--in", z, "--max-lag", 2, "--max-r", 1,
                     "--n", 1000, "--tol", 0.5]) == 1
 
+    def test_max_r_above_max_lag_is_max_lag(self, tmp_path, capsys):
+        # no lag set has more than max_lag lags; in a child, so a hang times out
+        z = tmp_path / "m.sqz"
+        assert run(["generate", "--kind", "mobius", "--n", 3000, "--out", z]) == 0
+        argv = ["chowla", "--in", str(z), "--max-lag", "3", "--n", "500", "--tol", "0.1"]
+        capsys.readouterr()
+        assert run([*argv, "--max-r", 3]) == 0
+        expected = json.loads(capsys.readouterr().out)["results"]
+        env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowla_lab.cli", *argv, "--max-r", "99999999999"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["results"] == expected
+
     def test_deterministic_reports(self, mobius_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["chowla", "--in", mobius_file, "--max-lag", 2, "--max-r", 1, "--tol", 0.02]
@@ -185,8 +201,9 @@ class TestToeplitzAnalyze:
             assert large[key] == small[key]
 
     @pytest.mark.parametrize("q, m, ell, k", [
-        (5, 4, 2, 200_000_001), (2, 29, 28, 1), (10, 18, 1, 10), (2, 62, 1, 1),
-    ], ids=["K", "q^ell", "K*q^m", "m"])
+        (5, 4, 2, 200_000_001), (2, 29, 28, 1), (2, 28, 27, 1), (10, 18, 1, 10),
+        (2, 62, 1, 1),
+    ], ids=["K", "q^ell", "q^ell-2^27", "K*q^m", "m"])
     def test_tail_bounds_are_one_error_line(self, capsys, q, m, ell, k):
         assert run(["toeplitz", "analyze", "--q", q, "--m", m, "--ell", ell, "--k", k]) == 2
         assert_one_error_line(capsys)
@@ -238,7 +255,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flags", [
         ["--n", 0], ["--n", -3], ["--tol", "nan"], ["--tol", "inf"], ["--tol", 0],
-        ["--tol", -0.5],
+        ["--tol", -0.5], ["--max-lag", 10**11, "--max-r", 10**11],
     ])
     def test_bad_battery_input_is_one_error_line(self, mobius_file, capsys, flags):
         assert run(["chowla", "--in", mobius_file, *flags]) == 2
@@ -255,6 +272,8 @@ class TestUsageErrors:
          "--steps", 0, "--out", "{tmp}/d.sqz"],
         ["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 40, "--big-n", 80,
          "--out", "{tmp}/d.sqz"],
+        ["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 4, "--big-n", 8,
+         "--steps", 1025, "--out", "{tmp}/d.sqz"],
         ["sarnak", "--in", "{m}", "--system", "periodic", "--pattern", "1", "--n", 0],
         ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", 0.5, "--n", -3],
         ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", "nan"],
@@ -269,7 +288,7 @@ class TestUsageErrors:
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", 0, "--out", "{tmp}/t.sqz"],
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", -3, "--out", "{tmp}/t.sqz"],
     ], ids=["hat-tol-nan", "hat-tol-inf", "probs-nan", "probs-nan-3", "steps-0",
-            "n-block-40", "sarnak-n-0", "sarnak-n-neg", "sarnak-alpha-nan",
+            "n-block-40", "steps-1025", "sarnak-n-0", "sarnak-n-neg", "sarnak-alpha-nan",
             "sarnak-x0-inf", "sarnak-pattern-nan", "davenport-n-0",
             "davenport-n-neg", "toeplitz-2^70", "toeplitz-2^70-ref", "toeplitz-10^19",
             "toeplitz-10^19-ref", "toeplitz-build-n-0", "toeplitz-build-n-neg"])
@@ -379,6 +398,28 @@ BLOCK_REPORTS = {
 }
 
 
+# sha256 of each report of the commands that take neither --n nor --in,
+# recorded before the report path was shared by every command; the --ref
+# cases read the golden 10^5-term Mobius input.
+PLAIN_REPORTS = {
+    "toeplitz-analyze": (
+        ["toeplitz", "analyze", "--q", 2, "--m", 6, "--ell", 3, "--k", 50], 0,
+        "d2f9025f892a3acffb823254238293d600639103cc84da08f9f8852bc2295441"),
+    "toeplitz-analyze-ref": (
+        ["toeplitz", "analyze", "--q", 3, "--m", 3, "--ell", 1, "--k", 200, "--ref", "m.sqz"], 0,
+        "5c8965ee20fe52cd8b6a61e600da954e9cb6520b2d9b04bca5e16c8251f6690b"),
+    "toeplitz-analyze-short-ref": (
+        ["toeplitz", "analyze", "--q", 5, "--m", 8, "--ell", 2, "--k", 200, "--ref", "m.sqz"], 0,
+        "b7048140214287ecbdef2ee0ebab29c7ba32900111e97a09cc1592fffd684479"),
+    "bounds-pass": (
+        ["bounds", "--h-square", 0.6079, "--h-full", 0.9636, "--recurrent"], 0,
+        "8df0077ea951dd7418876178644eb4d20261fa1fcb4473f4da5422e356d9a1ff"),
+    "bounds-fail": (
+        ["bounds", "--h-square", 0.9, "--h-full", 0.9, "--recurrent"], 1,
+        "6adf9b70e23c7302f69e2400be24aac190e367f530c83b3177578a3df128dbc4"),
+}
+
+
 @pytest.fixture(scope="module")
 def golden_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
@@ -395,6 +436,14 @@ class TestGoldenReports:
         monkeypatch.chdir(golden_dir)
         report = tmp_path / "report"
         assert run([*argv, "--n", 99_993, "--out-report", report]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case", sorted(PLAIN_REPORTS))
+    def test_plain_report_bytes(self, golden_dir, tmp_path, monkeypatch, case):
+        argv, code, digest = PLAIN_REPORTS[case]
+        monkeypatch.chdir(golden_dir)
+        report = tmp_path / "report"
+        assert run([*argv, "--out-report", report]) == code
         assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("case", sorted(BLOCK_REPORTS))

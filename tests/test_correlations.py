@@ -100,6 +100,10 @@ class TestCorrelationSpec:
         assert all(not s.all_squared for s in specs)
         assert specs == enumerate_chowla_specs(5, 2)  # deterministic
 
+    def test_r_stops_at_max_lag(self):
+        # no lag set inside {1..3} has more than 3 lags
+        assert enumerate_chowla_specs(3, 10**11) == enumerate_chowla_specs(3, 3)
+
 
 class TestChowlaSum:
     def test_alternating_lag_one(self):
