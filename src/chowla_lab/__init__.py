@@ -24,14 +24,12 @@ from .symbolicgen import (
     BernoulliParams,
     DeterminizeParams,
     DeterminizeResult,
-    QuantizedSeq,
     SturmianParams,
     bernoulli_prefix,
     determinize_step,
     doubling_word_prefix,
     masked_coin_prefix,
     pair_code_prefix,
-    quantize,
     sparse_embed,
     sturmian_prefix,
 )

@@ -146,6 +146,8 @@ def cmd_generate(args) -> int:
 
 def cmd_chowla(args) -> int:
     z = _load(args.input)
+    if args.n is None and args.max_lag >= len(z):
+        raise ValueError(f"--max-lag {args.max_lag} must be below the prefix length {len(z)}")
     n = args.n if args.n is not None else len(z) - args.max_lag
     report = ch_battery(z, args.max_lag, args.max_r, n, args.tol)
     witness_curve = chowla_sum(z, report.witness, n)

@@ -102,7 +102,8 @@ def _check_prefix(z: SignSeq, N: int, max_lag: int) -> None:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N + max_lag > len(z):
-        raise ValueError(f"prefix of length {len(z)} too short: need N + max lag = {N + max_lag}")
+        need = f"N + max lag = {N + max_lag}" if max_lag else f"N = {N}"
+        raise ValueError(f"prefix of length {len(z)} too short: need {need}")
 
 
 def _bitplanes(z: SignSeq, shifts, lo: int, hi: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:

@@ -10,7 +10,11 @@ Window counting conventions: a length-ell block in a prefix of length N has
 denominator N - ell + 1.  ``_window_codes`` alone builds window keys, also for
 ``symbolicgen``'s recoding: big-endian base-3 codes (letter + 1, the first
 letter most significant) that sort like the blocks and are exact up to length
-39.  ``_tally`` alone counts them; ``complexity_profile`` re-ranks them instead.
+39 in int64.  ``_tally`` counts them for the block statistics, and the
+recoding counts only its heavy runs.  ``complexity_profile`` re-ranks
+them instead, with int32 keys and rank table while 3N + 3 < 2**31 (int64
+above): per symbol, one byte of digits, four of keys and at most twelve of
+table.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .seqcore import Block, SignSeq, square_map
 MAX_FREQUENCY_ORDER = 24
 _BINCOUNT_CODE_LIMIT = 1 << 23  # dense counting below this code range
 _CODE_LENGTH_LIMIT = 39  # 3**39 - 1 < 2**63 <= 3**40 - 1
+_CHUNK = 1 << 20  # terms per chunk where a whole-array call makes N-sized temporaries
 
 
 def block_code(letters) -> int:
@@ -44,17 +49,18 @@ def code_to_block(code: int, length: int) -> Block:
     return Block(tuple(letters[::-1]))
 
 
-def _window_codes(values: np.ndarray, k: int):
+def _window_codes(values: np.ndarray, k: int, dtype=np.int64):
     """Yield the base-3 codes of every length-ell window for ell = 1..k.
 
     The array yielded for ell has N - ell + 1 entries; entry i is the code
-    of values[i : i + ell].  It is a view of one int64 buffer, made 3 * key +
-    next letter in place for ell + 1: use, copy or overwrite it before that.
+    of values[i : i + ell].  It is a view of one ``dtype`` buffer, made
+    3 * key + next letter in place for ell + 1: use, copy or overwrite it
+    before that.
     """
     if not 1 <= k <= values.size:
         raise ValueError(f"window length {k} outside 1..{values.size}")
     digits = values + np.int8(1)
-    codes = digits.astype(np.int64)
+    codes = digits.astype(dtype)
     yield codes
     for ell in range(1, k):
         codes = codes[: digits.size - ell]
@@ -162,22 +168,29 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
 
     Rank refinement: each length's keys from ``_window_codes`` are replaced
     in place by their dense ranks, so the next key is 3 * (rank of the first
-    n-1 letters) + (last letter + 1); each step is a bincount and a gather,
-    and there is no length cap from code packing.
+    n-1 letters) + (last letter + 1) < 3 * p_{n-1}.  Each step scatters the
+    keys into a table of that size, takes its running sum and gathers the
+    ranks back; there is no length cap from code packing.
     """
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
     N = len(w)
     if n_max > N:
         raise ValueError(f"n_max {n_max} exceeds prefix length {N}")
+    dtype = np.int32 if 3 * N + 3 < 2**31 else np.int64
     counts = np.empty(n_max, dtype=np.int64)
-    for n, key in enumerate(_window_codes(w.values, n_max), start=1):
-        lut = np.bincount(key)
-        np.cumsum(lut > 0, out=lut)
-        counts[n - 1] = lut[-1]
-        lut -= 1
-        # keys < lut.size, so "clip" clamps nothing; "raise" buffers an N-sized copy
-        np.take(lut, key, out=key, mode="clip")
+    p = 1  # p_0: the empty window
+    for n, key in enumerate(_window_codes(w.values, n_max, dtype), start=1):
+        rank = np.zeros(3 * p, dtype=dtype)
+        rank[key] = 1
+        np.cumsum(rank, out=rank)
+        counts[n - 1] = p = int(rank[-1])
+        rank -= 1
+        for lo in range(0, key.size, _CHUNK):  # np.take copies an int32 index to intp
+            chunk = key[lo : lo + _CHUNK]
+            # keys < rank.size, so "clip" clamps nothing; "raise" buffers a copy
+            np.take(rank, chunk, out=chunk, mode="clip")
+        del rank  # before the next length's table is made
     return ComplexityProfile(counts=counts, prefix_length=N)
 
 

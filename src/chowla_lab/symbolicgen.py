@@ -3,9 +3,9 @@
 Rotation-coded (generalized) Sturmian words, seeded Bernoulli prefixes, the
 two counterexample codings (a 4-letter pair code and a coin sequence masked
 by its own next term), a non-recurrent doubling word with inflating zero
-blocks, sparse zero-padded embeddings of a reference word's blocks, the
+blocks, sparse zero-padded embeddings of a reference word's blocks, and the
 heavy-block recoding step used to approximate a sequence by one of low block
-diversity, and interval quantization of real orbits.
+diversity.
 
 Every generator is a pure function of (params, seed, N): same inputs give a
 byte-identical prefix.  The random source is numpy's PCG64 generator.
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirics import _CODE_LENGTH_LIMIT, _tally, _window_codes
-from .seqcore import SignSeq
+from .empirics import _CHUNK, _CODE_LENGTH_LIMIT, _window_codes
+from .seqcore import SignSeq, _as_symbol_array
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -86,21 +86,26 @@ class BernoulliParams:
 def bernoulli_prefix(alphabet, params: BernoulliParams, N: int) -> SignSeq:
     """N i.i.d. draws over ``alphabet`` with the given probabilities.
 
-    Deterministic in (alphabet, params, N): a single uniform array from the
-    seeded generator is sliced against cumulative probabilities.
+    Deterministic in (alphabet, params, N): uniforms from the seeded
+    generator are sliced against cumulative probabilities, drawn in chunks
+    that continue one stream, so the bytes equal those of a single draw.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    symbols = np.asarray(alphabet, dtype=np.int8)
-    if symbols.ndim != 1 or symbols.size != len(params.probabilities):
+    symbols = _as_symbol_array(alphabet)
+    if symbols.size != len(params.probabilities):
         raise ValueError(
             f"alphabet size {symbols.size} != probabilities size {len(params.probabilities)}"
         )
     cuts = np.cumsum(np.asarray(params.probabilities, dtype=np.float64))
     cuts[-1] = 1.0
-    u = _rng(params.seed).random(N)
-    idx = np.searchsorted(cuts, u, side="right")
-    return SignSeq(symbols[idx])
+    rng = _rng(params.seed)
+    out = np.empty(N, dtype=np.int8)
+    for lo in range(0, N, _CHUNK):
+        u = rng.random(min(_CHUNK, N - lo))
+        out[lo : lo + u.size] = symbols[np.searchsorted(cuts, u, side="right")]
+        del u  # before the next chunk is drawn
+    return SignSeq._wrap(out)
 
 
 def pair_code_prefix(k0: int, seed: int, N: int) -> SignSeq:
@@ -239,6 +244,25 @@ class DeterminizeResult:
         return 2.0 ** (params.epsilon * params.big_n) + 1.0
 
 
+def _heavy_codes(values: np.ndarray, n: int, threshold: float) -> np.ndarray:
+    """Sorted codes of the length-n windows whose frequency exceeds threshold.
+
+    The window codes are sorted in place.  With t the least count whose
+    frequency t / size exceeds threshold, a heavy code fills a run of at
+    least t sorted entries, and every such run covers an index divisible by
+    t; so only the codes at those indices are counted, by binary search.
+    """
+    *_, srt = _window_codes(values, n)
+    srt.sort()
+    size = srt.size
+    t = max(1, int(threshold * size))  # no count below it exceeds threshold
+    while t / size <= threshold:
+        t += 1
+    candidates = np.unique(srt[::t])
+    runs = np.searchsorted(srt, candidates, "right") - np.searchsorted(srt, candidates, "left")
+    return candidates[runs >= t]
+
+
 def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult:
     """One recoding pass: classify n-windows of ``u`` as heavy or light by
     empirical frequency, then rewrite each complete big_n block.
@@ -256,10 +280,13 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
     values = u.values
     nblocks = len(u) // big_n
 
-    *_, codes = _window_codes(values, n)
-    uniq, counts = _tally(codes, 3**n)
-    heavy_codes = uniq[counts / codes.size > params.heavy_threshold]
-    heavy = np.isin(codes, heavy_codes)
+    heavy_codes = _heavy_codes(values, n, params.heavy_threshold)
+    heavy = np.zeros(len(u) - n + 1, dtype=bool)
+    if heavy_codes.size:  # rebuild the window codes the sort reordered
+        *_, codes = _window_codes(values, n)
+        for lo in range(0, codes.size, _CHUNK):  # np.isin's temporaries are N-sized
+            heavy[lo : lo + _CHUNK] = np.isin(codes[lo : lo + _CHUNK], heavy_codes)
+        del codes, _  # before the output copy is made
 
     fill = values[0]
     out = values.copy()
@@ -294,30 +321,3 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
         unacceptable_fraction=unacceptable / nblocks,
         heavy_block_count=heavy_codes.size,
     )
-
-
-@dataclass(frozen=True)
-class QuantizedSeq:
-    """Quantized real sequence: per-term values, the letter set, and codes."""
-
-    values: np.ndarray
-    alphabet: np.ndarray
-    codes: np.ndarray
-
-
-def quantize(y, step: float) -> QuantizedSeq:
-    """Snap each y[n] to the largest letter <= y[n] from the evenly spaced
-    set {min(y) - step/2 + k*step}; the sup-norm error is strictly below
-    ``step`` and the letter set just covers [min y, max y]."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("y must be a nonempty 1-d sequence")
-    base = arr.min() - step / 2.0
-    codes = np.floor((arr - base) / step).astype(np.int64)
-    alphabet = base + step * np.arange(codes.max() + 1, dtype=np.float64)
-    values = alphabet[codes]
-    for a in (values, alphabet, codes):
-        a.setflags(write=False)
-    return QuantizedSeq(values=values, alphabet=alphabet, codes=codes)

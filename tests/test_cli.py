@@ -28,6 +28,15 @@ def assert_one_error_line(capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+# The quantity a refusal names, for the cases whose wording is pinned.
+ERROR_TEXT = {
+    "davenport-n-long": "prefix of length 100000 too short: need N = 1000000",
+    "sarnak-n-long": "prefix of length 100000 too short: need N = 1000000",
+    "chowla-max-lag-long": "--max-lag 100000 must be below the prefix length 100000",
+}
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +290,9 @@ class TestUsageErrors:
         ["sarnak", "--in", "{m}", "--system", "periodic", "--pattern", "1,nan"],
         ["davenport", "--in", "{m}", "--n", 0],
         ["davenport", "--in", "{m}", "--n", -3],
+        ["davenport", "--in", "{m}", "--n", 10**6],
+        ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", 0.5, "--n", 10**6],
+        ["chowla", "--in", "{m}", "--max-lag", 100_000],
         ["toeplitz", "analyze", "--q", 2, "--m", 70, "--ell", 1, "--k", 1],
         ["toeplitz", "analyze", "--q", 2, "--m", 70, "--ell", 1, "--k", 1, "--ref", "{m}"],
         ["toeplitz", "analyze", "--q", 10, "--m", 19, "--ell", 1, "--k", 1],
@@ -290,12 +302,14 @@ class TestUsageErrors:
     ], ids=["hat-tol-nan", "hat-tol-inf", "probs-nan", "probs-nan-3", "steps-0",
             "n-block-40", "steps-1025", "sarnak-n-0", "sarnak-n-neg", "sarnak-alpha-nan",
             "sarnak-x0-inf", "sarnak-pattern-nan", "davenport-n-0",
-            "davenport-n-neg", "toeplitz-2^70", "toeplitz-2^70-ref", "toeplitz-10^19",
+            "davenport-n-neg", "davenport-n-long", "sarnak-n-long", "chowla-max-lag-long",
+            "toeplitz-2^70", "toeplitz-2^70-ref", "toeplitz-10^19",
             "toeplitz-10^19-ref", "toeplitz-build-n-0", "toeplitz-build-n-neg"])
-    def test_bad_input_is_one_error_line(self, mobius_file, tmp_path, capsys, argv):
+    def test_bad_input_is_one_error_line(self, mobius_file, tmp_path, capsys, request, argv):
         argv = [str(a).format(m=mobius_file, tmp=tmp_path) for a in argv]
         assert run(argv) == 2
-        assert_one_error_line(capsys)
+        line = assert_one_error_line(capsys)
+        assert ERROR_TEXT.get(request.node.callspec.id, "") in line
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

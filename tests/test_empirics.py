@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowla_lab import empirics
 from chowla_lab.empirics import (
     Block,
     _window_codes,
@@ -107,6 +108,17 @@ class TestWindowCodes:
         assert {code_to_block(c, n).letters for c in got.tolist()} == want
 
 
+def traced_peak(call, N):
+    """Peak traced bytes of call(z) on a uniform {-1,0,1} prefix z of length N."""
+    z = SignSeq(np.random.default_rng(5).integers(-1, 2, size=N, dtype=np.int8))
+    tracemalloc.start()
+    try:
+        call(z)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestKernelMemory:
     # one int64 key buffer and the int8 digits beside the input; an int64
     # digit copy and product temporary made each of these about 25 B/symbol
@@ -117,14 +129,19 @@ class TestKernelMemory:
     ], ids=["block-frequencies", "sign-test", "determinize"])
     def test_traced_peak_per_symbol(self, call):
         N = 2**22
-        z = SignSeq(np.random.default_rng(5).integers(-1, 2, size=N, dtype=np.int8))
-        tracemalloc.start()
-        try:
-            call(z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 18 * N
+        assert traced_peak(call, N) < 18 * N
+
+    # int32 ranks in a table of 3 p_{n-1} entries, heavy codes counted on the
+    # sorted window buffer, and the uniforms drawn in chunks
+    @pytest.mark.parametrize("call,bound", [
+        (lambda z: complexity_profile(z, 20), 20),
+        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 18),
+        (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
+         6),
+    ], ids=["complexity-profile", "determinize-n20", "bernoulli"])
+    def test_narrow_kernel_peak_per_symbol(self, call, bound):
+        N = 2**22
+        assert traced_peak(call, N) < bound * N
 
 
 class TestBlockFrequencies:
@@ -230,6 +247,13 @@ class TestComplexityProfile:
         for n in range(1, 13):
             want = len({values[i : i + n].tobytes() for i in range(401 - n)})
             assert profile.p(n) == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_edges(self, monkeypatch, chunk):
+        monkeypatch.setattr(empirics, "_CHUNK", chunk)
+        values = np.random.default_rng(4).integers(-1, 2, size=1000).tolist()
+        want = [len(window_counts(values, n)) for n in range(1, 13)]
+        assert complexity_profile(SignSeq(values), 12).counts.tolist() == want
 
     def test_constant(self):
         profile = complexity_profile(SignSeq(np.zeros(500, dtype=np.int8)), 20)

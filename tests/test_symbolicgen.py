@@ -3,11 +3,13 @@ asserted tolerances are deterministic once verified."""
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowla_lab import symbolicgen
 from chowla_lab.correlations import CorrelationSpec, chowla_sum
 from chowla_lab.empirics import complexity_profile
 from chowla_lab.seqcore import SignSeq
@@ -20,7 +22,6 @@ from chowla_lab.symbolicgen import (
     doubling_word_prefix,
     masked_coin_prefix,
     pair_code_prefix,
-    quantize,
     sparse_embed,
     sturmian_prefix,
 )
@@ -87,9 +88,22 @@ class TestBernoulli:
         z = bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), seed=3), 10**6)
         assert abs((z.values != 0).mean() - 0.5) < 0.005
 
+    @pytest.mark.parametrize("N", [1, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7])
+    def test_chunks_continue_one_stream(self, N):
+        # the one-shot draw: a dropped or repeated uniform at a chunk edge shifts the rest
+        symbols, probs = np.array([-1, 0, 1], dtype=np.int8), (0.25, 0.5, 0.25)
+        cuts = np.cumsum(probs)
+        cuts[-1] = 1.0
+        u = np.random.Generator(np.random.PCG64(17)).random(N)
+        want = symbols[np.searchsorted(cuts, u, side="right")]
+        got = bernoulli_prefix((-1, 0, 1), BernoulliParams(probs, seed=17), N)
+        assert np.array_equal(got.values, want)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="sum"):
             BernoulliParams((0.5, 0.6), seed=0)
+        with pytest.raises(ValueError, match="out of alphabet"):
+            bernoulli_prefix((-1, 2), BernoulliParams((1.0, 0.0), seed=0), 10)
         with pytest.raises(ValueError, match="alphabet size"):
             bernoulli_prefix((-1, 1), BernoulliParams((0.25, 0.5, 0.25), seed=0), 10)
 
@@ -234,7 +248,8 @@ def recoding_summary(res):
 def recoding_cases(draw):
     """Blocks that are each one repeated letter (three times in four) or
     random letters, so that acceptable and unacceptable blocks both occur."""
-    n_block = draw(st.integers(1, 4))
+    # 15 and 16 give codes above 2**23, as long windows such as n_block 20 do
+    n_block = draw(st.one_of(st.integers(1, 4), st.sampled_from([15, 16])))
     big_n = n_block * draw(st.integers(2, 6))
     run_letter = draw(st.sampled_from([-1, 0, 1]))
     values = []
@@ -258,6 +273,14 @@ class TestDeterminize:
         res = determinize_step(SignSeq(values), params)
         assert recoding_summary(res) == brute_determinize(values, params)
         assert res.blocks_processed == len(values) // params.big_n
+
+    @given(recoding_cases(), st.sampled_from([1, 2, 7]))
+    @settings(max_examples=50, deadline=None)
+    def test_chunk_edges(self, case, chunk):
+        values, params = case
+        with mock.patch.object(symbolicgen, "_CHUNK", chunk):
+            res = determinize_step(SignSeq(values), params)
+        assert recoding_summary(res) == brute_determinize(values, params)
 
     def test_window_at_threshold_is_light(self):
         # (0, 1, 0, 1) fills 2 of the 16 windows, exactly the threshold 2**-3
@@ -323,35 +346,3 @@ class TestDeterminize:
         res = determinize_step(u, params)
         assert res.distinct_block_count < res.distinct_block_bound(params)
         assert res.changed_fraction < eps + res.unacceptable_fraction + 1e-12
-
-
-class TestQuantize:
-    def test_constant(self):
-        q = quantize([0.4] * 5, 0.2)
-        assert np.all(q.values == q.values[0])
-        assert q.alphabet.size == 1
-
-    def test_examples_within_step(self):
-        y = np.array([0.1, 0.9, 0.5])
-        q = quantize(y, 0.25)
-        assert np.all(np.abs(q.values - y) < 0.25)
-        assert np.all(q.values <= y)
-
-    def test_cosine_orbit_alphabet(self):
-        n = np.arange(1, 5001)
-        y = np.cos(2 * np.pi * n * (math.sqrt(2) - 1))
-        q = quantize(y, 0.1)
-        assert q.alphabet.size <= 21
-
-    @given(
-        st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=100),
-        st.floats(1e-3, 10.0, allow_nan=False),
-    )
-    @settings(max_examples=100)
-    def test_sup_norm_error(self, ys, step):
-        q = quantize(ys, step)
-        assert np.all(np.abs(q.values - np.asarray(ys)) < step)
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            quantize([1.0], 0.0)
