@@ -10,9 +10,15 @@ Provides:
 - is_admissible / admissible_block_count: the residue-class admissibility
   test for {0,1} blocks and exact admissible-block counting
 
-mu and lambda share one segmented sieve of Eratosthenes: its memory is the
-N-byte int8 output plus O(_SEGMENT) per segment.  Every multiple/flip step is
-exact integer arithmetic, so outputs are exact (no probabilistic factoring).
+mu and lambda share one segmented sieve of Eratosthenes (``_sign_sieve``)
+over the primes p <= sqrt(N).  Per segment of _SEGMENT terms it keeps one
+uint8 accumulator: each sieved prime power q = p**k (mu: only q = p) adds
+the odd weight c_p = 2*floor(3*log2 p) + 1 at the multiples of q.  Bit 0 of
+the sum is the parity of the sieved prime factors, and the sum decides
+whether one prime factor above sqrt(N) remains: it does exactly when the sum
+is below 5*floor(log2 n) (proof in ``_sign_sieve``).  Memory: the N-byte int8
+output plus about 2*_SEGMENT bytes.  Every step is exact integer arithmetic,
+so outputs are exact (no probabilistic factoring).
 """
 
 from __future__ import annotations
@@ -42,29 +48,51 @@ _SEGMENT = 1 << 20  # terms per sieve segment
 
 def _sign_sieve(N: int, squarefree: bool) -> SignSeq:
     """lambda(1..N), or mu(1..N) when ``squarefree`` is set, by a segmented
-    sieve of Eratosthenes.  Per segment, each prime power q = p**k (mu: only
-    q = p, then zero on multiples of p**2) flips the sign and multiplies an
-    int64 ``prod`` by p; where ``prod`` falls short of n, the one prime factor
-    above sqrt(N) flips it once more.  Memory: N bytes plus O(_SEGMENT)."""
+    sieve of Eratosthenes over the primes p <= sqrt(N).
+
+    Per segment, each prime power q = p**k <= n adds c_p = 2*floor(3*log2 p)
+    + 1 to a uint8 ``acc`` at the multiples of q (mu: only q = p, and the
+    multiples of p**2 are zeroed in the output).  Every c_p is odd, so bit 0
+    of acc(n) is the parity of n's prime factors up to sqrt(N), counted with
+    multiplicity for lambda.  At most one prime factor r > sqrt(N) is left,
+    and with k = floor(log2 n) it exists exactly when acc(n) < 5k:
+
+    - For p >= 2, 5*log2 p <= 6*log2 p - 1 <= c_p <= 6*log2 p + 1 <= 7*log2 p.
+    - No such r: the sieved powers multiply to n, so acc(n) >= 5*log2 n >= 5k.
+    - Such an r: n = m*r with m < r, since r**2 > N >= n, so acc(n) <=
+      7*log2 m (mu: for squarefree m; other n are zeroed).  With L = log2 m,
+      n > m**2 gives 5k > 5*(2L - 1) >= 7L once m >= 4; m = 1, 2, 3 have
+      acc(n) = 0, 7, 9 below 5k with k >= 1, 2, 3 (n >= 2, 6, 15).
+
+    The flip is therefore ``acc < 5k``, one comparison per dyadic piece
+    [2**k, 2**(k+1)) of the segment.  acc(n) <= 7*log2 n stays below 256
+    while N < 2**36; larger N is refused.  Memory: N bytes plus 2*_SEGMENT.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if N >= 1 << 36:
+        raise ValueError(f"N = {N} is too large for the sieve: need N < 2**36")
     out = np.ones(N, dtype=np.int8)  # out[i] is term i + 1
-    primes = [int(p) for p in _primes_upto(math.isqrt(N))]
+    weights = [(p, 2 * (p**3).bit_length() - 1) for p in map(int, _primes_upto(math.isqrt(N)))]
     for lo in range(1, N + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, N + 1)
         seg = out[lo - 1 : hi - 1]
-        prod = np.ones(hi - lo, dtype=np.int64)
-        for p in primes:
+        acc = np.zeros(hi - lo, dtype=np.uint8)
+        for p, c in weights:
             q = p
             while q < hi:
                 first = (-lo) % q
                 if squarefree and q > p:
                     seg[first::q] = 0
                     break
-                seg[first::q] *= -1
-                prod[first::q] *= p
+                acc[first::q] += c
                 q *= p
-        np.negative(seg, out=seg, where=prod != np.arange(lo, hi, dtype=np.int64))
+        for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
+            piece = acc[max(lo, 1 << k) - lo : min(hi, 2 << k) - lo]  # n in [2**k, 2**(k+1))
+            piece ^= piece < 5 * k  # a prime above sqrt(N) flips bit 0
+        acc &= seg.view(np.uint8)  # seg is 0 or 1 here: keep bit 0 where it is 1
+        acc <<= 1
+        seg -= acc.view(np.int8)  # 1 - 2 = -1 where the parity is odd
     return SignSeq._wrap(out)
 
 

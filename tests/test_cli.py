@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,29 @@ class TestUsageErrors:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sieve_beyond_2_36_is_refused_before_allocating(self, tmp_path):
+        # The sieve's uint8 accumulator holds 7*log2 N only below 2**36.  The
+        # cap keeps a regression from allocating the 64 GiB output; a refusal
+        # names N and needs no memory, so it returns at once.
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowla_lab.cli", "generate", "--kind", "mobius",
+             "--n", str(2**36), "--out", "m.sqz"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            preexec_fn=cap_address_space, timeout=120,
+        )
+        assert time.monotonic() - start < 20
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: N = 68719476736 is too large for the sieve: need N < 2**36"]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 """Arithmetic generators against independent factorization oracles."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -18,7 +19,12 @@ from chowla_lab.numbergen import (
 )
 from chowla_lab.seqcore import square_map
 
+from summatory_oracle import summatory
 from test_seqcore import factorize
+
+
+def is_prime(n: int) -> bool:
+    return factorize(n) == [(n, 1)]
 
 
 def mobius_oracle(n: int) -> int:
@@ -118,6 +124,28 @@ class TestSegments:
         monkeypatch.setattr(numbergen, "_SEGMENT", segment)
         assert mobius_prefix(N) == expected
 
+    @pytest.mark.parametrize("segment", SMALL_SEGMENTS)
+    def test_large_prime_threshold(self, monkeypatch, oracles, segment):
+        # one prime above sqrt(N) flips the sign where acc < 5*floor(log2 n),
+        # a threshold compared once per dyadic piece of a segment
+        monkeypatch.setattr(numbergen, "_SEGMENT", segment)
+        mu, lam = oracles
+        for N in sorted({2**k + d for k in range(1, 11) for d in (-1, 0, 1)}):
+            assert np.array_equal(mobius_prefix(N).values, mu[:N]), N
+            assert np.array_equal(liouville_prefix(N).values, lam[:N]), N
+        # n = p*r with r the least prime above isqrt(N) has the most sieved
+        # weight beside a large prime; 3**a and 2**a * 3**b fall furthest
+        # below the threshold's floor(log2 n) with no large prime
+        for s in (3, 5, 10, 22, 44):
+            N = (s + 1) ** 2 - 1  # isqrt(N) = s
+            r = next(r for r in itertools.count(s + 1) if is_prime(r))
+            cases = [p * r for p in range(2, N // r + 1) if is_prime(p)]
+            cases += [2**a * 3**b for a in range(11) for b in range(7) if 2**a * 3**b <= N]
+            mu_N, lam_N = mobius_prefix(N), liouville_prefix(N)
+            for n in cases:
+                assert mu_N[n] == mobius_oracle(n), (N, n)
+                assert lam_N[n] == (-1) ** big_omega_oracle(n), (N, n)
+
     def test_mobius_factors_as_liouville_times_square(self, monkeypatch):
         monkeypatch.setattr(numbergen, "_SEGMENT", 1000)
         assert_mu_is_lambda_times_square(10**5)
@@ -125,7 +153,8 @@ class TestSegments:
     @pytest.mark.parametrize("sieve", [mobius_prefix, liouville_prefix])
     def test_peak_memory_is_output_plus_segments(self, sieve):
         # numpy reports its buffers to tracemalloc; the whole-array sieves
-        # traced about 18 bytes per symbol
+        # traced about 18 bytes per symbol, the uint8 accumulator about
+        # N + 2 * _SEGMENT
         N = 1 << 23
         tracemalloc.start()
         try:
@@ -133,7 +162,28 @@ class TestSegments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < N + 24 * numbergen._SEGMENT
+        assert peak < N + 4 * numbergen._SEGMENT
+
+
+class TestSummatoryOracle:
+    """The sieve-free M(x) and L(x) of ``summatory_oracle``."""
+
+    def test_small_x_against_factorization_oracles(self, oracles):
+        mu, lam = (np.cumsum(o) for o in oracles)
+        for x in range(1, 2001):
+            assert summatory(x) == (mu[x - 1], lam[x - 1]), x
+
+    @pytest.mark.parametrize("x,M,L", [(10**9, -222, -25216), (10**10, -33722, -116026)])
+    def test_published_values(self, x, M, L):
+        # OEIS A084237 (Mertens) and A090410 (Liouville) at 10^9 and 10^10
+        assert summatory(x) == (M, L)
+
+    @pytest.mark.parametrize("x,M,L", [(10**6, 212, -530), (10**7, 1037, -842),
+                                       (10**8, 1928, -3884)])
+    def test_sieve_prefix_sums(self, x, M, L):
+        assert summatory(x) == (M, L)
+        assert mobius_prefix(x).values.sum(dtype=np.int64) == M
+        assert liouville_prefix(x).values.sum(dtype=np.int64) == L
 
 
 class TestBSet:
