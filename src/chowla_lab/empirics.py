@@ -10,25 +10,24 @@ Window counting conventions: a length-ell block in a prefix of length N has
 denominator N - ell + 1.  ``_window_codes`` alone builds window keys, also for
 ``symbolicgen``'s recoding: big-endian base-3 codes (letter + 1, the first
 letter most significant) that sort like the blocks and are exact up to length
-39 in int64.  ``_tally`` counts them for the block statistics, and the
-recoding counts only its heavy runs.  ``complexity_profile`` re-ranks
-them instead, with int32 keys and rank table while 3N + 3 < 2**31 (int64
-above): per symbol, one byte of digits, four of keys and at most twelve of
-table.
+39 in int64.  ``block_frequencies`` tallies length k alone and reads the
+shorter lengths, and the sign test z^2, off that histogram; the recoding
+counts only its heavy runs.  ``complexity_profile`` re-ranks the keys
+instead, with int32 keys and rank table while 3N + 3 < 2**31 (int64 above):
+per symbol, one byte of digits, four of keys and at most twelve of table.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import Block, SignSeq, square_map
+from .seqcore import Block, SignSeq
 
 MAX_FREQUENCY_ORDER = 24
-_BINCOUNT_CODE_LIMIT = 1 << 23  # dense counting below this code range
+_DENSE_CODE_LIMIT = 1 << 23  # dense counting up to this code range, by sort above
 _CODE_LENGTH_LIMIT = 39  # 3**39 - 1 < 2**63 <= 3**40 - 1
 _CHUNK = 1 << 20  # terms per chunk where a whole-array call makes N-sized temporaries
 
@@ -92,10 +91,8 @@ class EmpiricalMeasure:
         ell = len(letters)
         if not 1 <= ell <= self.max_order:
             raise ValueError(f"block length {ell} outside 1..{self.max_order}")
-        return self._count_code(ell, block_code(letters))
-
-    def _count_code(self, ell: int, code: int) -> int:
         codes, counts = self._tables[ell]
+        code = block_code(letters)
         i = np.searchsorted(codes, code)
         if i < codes.size and codes[i] == code:
             return int(counts[i])
@@ -117,25 +114,35 @@ def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
     """Overlapping-window frequencies of every block of length <= k.
 
     freq(B) = #{1 <= n <= N-ell+1 : w[n..n+ell-1] = B} / (N-ell+1).
+
+    Only length k is tallied; length ell is the marginal of ell + 1 (code // 3
+    over sorted runs) plus the window at N - ell, which no longer one extends.
     """
     if not 1 <= k <= MAX_FREQUENCY_ORDER:
         raise ValueError(f"k must be in 1..{MAX_FREQUENCY_ORDER}, got {k}")
     if len(w) < 10 * k:
         raise ValueError(f"prefix length {len(w)} < 10*k = {10 * k}")
-    tables = {
-        ell: _tally(codes, 3**ell)
-        for ell, codes in enumerate(_window_codes(w.values, k), start=1)
-    }
+    *_, longest = _window_codes(w.values, k, np.int32 if 3**k < 2**31 else np.int64)
+    tables = {k: _tally(longest, 3**k)}
+    del _, longest  # the window buffer, before the marginals
+    for ell in range(k - 1, 0, -1):
+        longer, counts = tables[ell + 1]
+        codes, last = longer // 3, block_code(w.values[-ell:])
+        i = np.searchsorted(codes, last)
+        codes, counts = np.insert(codes, i, last), np.insert(counts, i, 1)
+        runs = np.flatnonzero(np.diff(codes, prepend=-1))
+        tables[ell] = codes[runs], np.add.reduceat(counts, runs)
     return EmpiricalMeasure(max_order=k, window_count=len(w), tables=tables)
 
 
 def _tally(codes: np.ndarray, code_range: int):
-    if code_range <= _BINCOUNT_CODE_LIMIT:
-        bins = np.bincount(codes, minlength=code_range)
-        nz = np.flatnonzero(bins)
-        return nz.astype(np.int64), bins[nz].astype(np.int64)
-    uniq, counts = np.unique(codes, return_counts=True)
-    return uniq, counts.astype(np.int64)
+    if code_range > _DENSE_CODE_LIMIT:
+        uniq, counts = np.unique(codes, return_counts=True)
+        return uniq.astype(np.int64), counts.astype(np.int64)
+    bins = np.zeros(code_range, dtype=np.int64)
+    np.add.at(bins, codes, 1)  # np.bincount would copy an int32 index to intp
+    nz = np.flatnonzero(bins)
+    return nz, bins[nz]
 
 
 @dataclass(frozen=True)
@@ -248,40 +255,53 @@ def sign_extension_test(
 
     Rare squared blocks (frequency <= audit_factor*tol) are skipped: they
     cannot be statistically resolved at finite scale.  Returns the worst
-    deviation, its witness block, and all blocks whose deviation exceeds
-    tol.
+    deviation, its witness (the first maximum) and all blocks whose deviation
+    exceeds tol, in (length, little-endian squared code, block code) order.
+    z^2's counts are sums of z's over each support; an unobserved sign
+    pattern deviates by its target and is enumerated only where it places
+    the witness or exceeds tol.
     """
     if not 1 <= k <= MAX_SIGN_TEST_ORDER:
         raise ValueError(f"k must be in 1..{MAX_SIGN_TEST_ORDER}, got {k}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    measure_z = block_frequencies(z, k)
-    measure_z2 = block_frequencies(square_map(z), k)
-
-    max_violation = 0.0
-    witness: Block | None = None
-    violations: list[tuple[Block, float]] = []
-    audited = 0
+    tables = block_frequencies(z, k)._tables
+    max_violation, witness, violations, audited = 0.0, None, [], 0
     for ell in range(1, k + 1):
-        # little-endian code order (last letter first): reports list violations and break
-        # witness ties in it
-        for squared, freq2 in sorted(measure_z2.items(ell), key=lambda it: it[0].letters[::-1]):
-            if freq2 <= audit_factor * tol:
-                continue
-            audited += 1
-            support = squared.support
-            target = freq2 / 2 ** len(support)
-            base = list(squared.letters)
-            for signs in itertools.product((-1, 1), repeat=len(support)):
-                for pos, sign in zip(support, signs):
-                    base[pos] = sign
-                block = Block(tuple(base))
-                deviation = abs(measure_z.freq(block) - target)
-                if deviation > max_violation:
-                    max_violation = deviation
-                    witness = block
-                if deviation > tol:
-                    violations.append((block, deviation))
+        codes, counts = tables.pop(ell)  # each length's table is freed once audited
+        denom = len(z) - ell + 1
+        # little-endian support masks, bit j for letter j: they sort squares last letter first
+        masks = sum((codes // 3**i % 3 != 1) << (ell - 1 - i) for i in range(ell))
+        squared = np.zeros(2**ell, dtype=np.int64)
+        np.add.at(squared, masks, counts)
+        support = np.bitwise_count(np.arange(2**ell)).astype(np.int64)
+        freq2 = squared / denom
+        audit = (squared > 0) & ~(freq2 <= audit_factor * tol)
+        audited += int(np.count_nonzero(audit))
+        target = freq2 / 2.0**support
+        # 0 off the audited squares: it never beats 0.0 or exceeds tol
+        deviation = np.abs(counts / denom - target[masks]) * audit[masks]
+        unseen = audit & (np.bincount(masks, minlength=2**ell) < 1 << support)
+        top = max(deviation.max(), target[unseen].max(initial=0.0))
+        new_max = top > max_violation
+        more_masks = np.flatnonzero(unseen & ((target > tol) | new_max & (target == top)))
+        more = np.zeros(more_masks.size, dtype=np.int64)
+        for i in range(ell):
+            reps = 1 + (more_masks >> i & 1)
+            pairs = np.flatnonzero(np.repeat(reps == 2, reps))
+            more_masks, more = np.repeat(more_masks, reps), np.repeat(3 * more + 1, reps)
+            more[pairs] += np.tile([-1, 1], pairs.size // 2)  # letters -1 and 1
+        fresh = ~np.isin(more, codes)
+        masks, codes = np.append(masks, more_masks[fresh]), np.append(codes, more[fresh])
+        deviation = np.append(deviation, target[more_masks[fresh]])
+        pick = np.flatnonzero((deviation > tol) | new_max & (deviation == top))
+        pick = pick[np.lexsort((codes[pick], masks[pick]))]
+        if new_max:
+            max_violation = float(top)
+            witness = code_to_block(int(codes[pick[np.argmax(deviation[pick] == top)]]), ell)
+        pick = pick[deviation[pick] > tol]
+        violations += [(code_to_block(c, ell), d)
+                       for c, d in zip(codes[pick].tolist(), deviation[pick].tolist())]
     return SignExtensionReport(
         passed=max_violation <= tol,
         max_violation=max_violation,
@@ -301,6 +321,6 @@ def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> np.ndarra
         raise ValueError(f"n must be in 1..{MAX_FREQUENCY_ORDER}, got {n}")
     if len(w) < n:
         raise ValueError(f"prefix length {len(w)} < n = {n}")
-    *_, codes = _window_codes(w.values, n)
+    *_, codes = _window_codes(w.values, n, np.int32 if 3**n < 2**31 else np.int64)
     uniq, counts = _tally(codes, 3**n)
     return uniq[counts / codes.size > threshold]

@@ -181,6 +181,23 @@ class TestHatTest:
              "--seed", 5, "--n", 200_000, "--out", z])
         assert run(["hat-test", "--in", z, "--k", 4, "--tol", 0.01]) == 0
 
+    def test_k16_small_tol_finishes(self, tmp_path):
+        # 3^16 window codes and tens of thousands of audited squares: in a
+        # child, so a sign test that enumerates them one by one times out
+        z = tmp_path / "b.sqz"
+        run(["generate", "--kind", "bernoulli", "--probs", "0.45,0.1,0.45",
+             "--seed", 1, "--n", 100_000, "--out", z])
+        env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowla_lab.cli", "hat-test", "--in", str(z),
+             "--k", "16", "--tol", "0.0001"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode in (0, 1)
+        report = json.loads(proc.stdout)
+        assert report["command"] == "hat-test"
+        assert report["results"]["audited_blocks"] > 0
+
 
 class TestToeplitzAnalyze:
     def test_exact_intervals(self, capsys):

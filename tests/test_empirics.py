@@ -6,11 +6,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chowla_lab import empirics
 from chowla_lab.empirics import (
     Block,
+    SignExtensionReport,
     _window_codes,
     block_code,
     block_frequencies,
@@ -30,6 +31,7 @@ from chowla_lab.symbolicgen import (
     pair_code_prefix,
     sturmian_prefix,
 )
+from sign_test_oracle import sign_test
 
 LOG2_3 = math.log2(3)
 
@@ -132,16 +134,27 @@ class TestKernelMemory:
         assert traced_peak(call, N) < 18 * N
 
     # int32 ranks in a table of 3 p_{n-1} entries, heavy codes counted on the
-    # sorted window buffer, and the uniforms drawn in chunks
+    # sorted window buffer, the uniforms drawn in chunks, and one int32
+    # length-k tally that the shorter lengths and z^2 are read off
     @pytest.mark.parametrize("call,bound", [
         (lambda z: complexity_profile(z, 20), 20),
         (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 18),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
          6),
-    ], ids=["complexity-profile", "determinize-n20", "bernoulli"])
+        (lambda z: block_frequencies(z, 12), 8),
+        (lambda z: sign_extension_test(z, 12, 0.001), 8),
+    ], ids=["complexity-profile", "determinize-n20", "bernoulli", "block-frequencies-k12",
+            "sign-test-k12"])
     def test_narrow_kernel_peak_per_symbol(self, call, bound):
         N = 2**22
         assert traced_peak(call, N) < bound * N
+
+
+def assert_counts_match(values, k):
+    measure = block_frequencies(SignSeq(values), k)
+    for ell in range(1, k + 1):
+        got = {b.letters: measure.count(b) for b, _ in measure.items(ell)}
+        assert got == window_counts(values, ell)
 
 
 class TestBlockFrequencies:
@@ -192,6 +205,22 @@ class TestBlockFrequencies:
                     m.freq(Block(block.letters + (s,))) for s in (-1, 0, 1)
                 )
                 assert abs(f - extended) <= slack
+
+    @given(st.data(), st.integers(1, 14))
+    @settings(max_examples=50, deadline=None)
+    def test_dense_tally_matches_counter(self, data, k):
+        values = data.draw(st.lists(st.integers(-1, 1), min_size=10 * k, max_size=10 * k + 200))
+        assert_counts_match(values, k)
+
+    @pytest.mark.parametrize("k", [15, 16, 24])
+    def test_sorted_tally_matches_counter(self, k):
+        assert_counts_match(np.random.default_rng(k).integers(-1, 2, size=600).tolist(), k)
+
+    @pytest.mark.parametrize("k", [2, 5, 14, 15, 24])
+    def test_last_windows_counted(self, k):
+        # (1, -1, 1, -1) and its tails occur only among the last k - ell windows,
+        # which no length-k window extends
+        assert_counts_match([0] * 300 + [1, -1, 1, -1], k)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="k must be"):
@@ -362,6 +391,69 @@ class TestSignExtension:
     def test_guards(self):
         with pytest.raises(ValueError, match="k must be"):
             sign_extension_test(SignSeq([1] * 400), 17, 0.01)
+
+
+def oracle_report(values, k, tol, audit_factor=2.0):
+    passed, max_violation, witness, violations, audited = sign_test(values, k, tol, audit_factor)
+    return SignExtensionReport(
+        passed=passed,
+        max_violation=max_violation,
+        witness=Block(witness) if witness else None,
+        violations=tuple((Block(b), d) for b, d in violations),
+        k=k,
+        tol=tol,
+        audited_blocks=audited,
+    )
+
+
+@st.composite
+def weighted_words(draw, min_size=30, max_size=400):
+    """Words drawn with random letter probabilities for -1, 0 and 1."""
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(min_size, max_size))
+    return rng.choice([-1, 0, 1], size=size, p=weights / weights.sum()).tolist()
+
+
+tols = st.sampled_from([1e-3, 1e-2, 5e-2, 1e-1])
+# 0.3 also lets an unobserved pattern be the witness of a passing report
+wide_tols = st.sampled_from([1e-3, 1e-2, 5e-2, 1e-1, 0.3])
+
+
+class TestSignTestOracle:
+    """Reports equal, float bits included, to the loop form in sign_test_oracle."""
+
+    @given(weighted_words(), st.integers(1, 7), tols, st.sampled_from([0.0, 0.5, 2.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_prefixes(self, values, k, tol, audit_factor):
+        k = min(k, len(values) // 10)
+        got = sign_extension_test(SignSeq(values), k, tol, audit_factor)
+        assert got == oracle_report(values, k, tol, audit_factor)
+
+    @given(st.lists(st.integers(-1, 1), min_size=1, max_size=8), st.integers(30, 400),
+           st.integers(1, 7), wide_tols)
+    @example([-1, -1, 1, -1], 32, 3, 0.1)  # lengths 1 and 2 tie at 0.25: length 1 wins
+    @example([-1, -1, 1, 1], 30, 3, 0.3)  # the unobserved (-1, -1, -1) is the witness
+    @settings(max_examples=60, deadline=None)
+    def test_periodic_words_break_ties_alike(self, pattern, n, k, tol):
+        values = (pattern * n)[:n]
+        k = min(k, n // 10)
+        assert sign_extension_test(SignSeq(values), k, tol) == oracle_report(values, k, tol)
+
+    @given(st.sampled_from([(0, 1), (-1, 0), (1,), (-1, 1)]), st.data(), wide_tols)
+    @settings(max_examples=60, deadline=None)
+    def test_short_prefixes_with_unseen_patterns(self, letters, data, tol):
+        # few windows, missing letters: many sign patterns are never observed
+        # yet have target > tol, so they are violations and can be witnesses
+        values = data.draw(st.lists(st.sampled_from(letters), min_size=30, max_size=60))
+        k = data.draw(st.integers(1, len(values) // 10))
+        assert sign_extension_test(SignSeq(values), k, tol) == oracle_report(values, k, tol)
+
+    def test_unseen_patterns_are_reported(self):
+        rep = sign_extension_test(SignSeq([1] * 30), 2, 0.1)
+        assert rep.violations[0] == (Block((-1,)), 0.5)
+        assert rep.witness == Block((1, 1)) and rep.max_violation == 0.75
+        assert rep == oracle_report([1] * 30, 2, 0.1)
 
 
 class TestPositiveFrequencyBlocks:
