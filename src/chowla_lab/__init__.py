@@ -8,7 +8,6 @@ from .seqcore import (
     SignSeq,
     pointwise_product,
     read_sqz,
-    shift,
     square_map,
     write_sqz,
 )
@@ -63,7 +62,6 @@ from .correlations import (
 from .toeplitz import (
     CorrelationBound,
     EntropyLowerBound,
-    InitialTable,
     IntervalReport,
     ToeplitzSpec,
     build_toeplitz,

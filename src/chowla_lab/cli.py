@@ -438,6 +438,10 @@ def _report_flags(p: argparse.ArgumentParser, formats=("json",)) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # before any work: a report that fails last would leave the .sqz behind
+        for path in (getattr(args, "out", None), getattr(args, "out_report", None)):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"output directory does not exist: {path}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,10 +59,6 @@ class CorrelationSpec:
     def max_lag(self) -> int:
         return self.lags[-1] if self.lags else 0
 
-    @property
-    def all_squared(self) -> bool:
-        return all(i == 2 for i in self.exponents)
-
     def label(self) -> str:
         lags = ",".join(str(a) for a in self.lags)
         exps = ",".join(str(i) for i in self.exponents)
@@ -78,10 +74,6 @@ class CorrelationCurve:
     @property
     def final(self) -> float:
         return self.checkpoints[-1][1]
-
-    @property
-    def final_n(self) -> int:
-        return self.checkpoints[-1][0]
 
 
 _CHECKPOINTS = 10

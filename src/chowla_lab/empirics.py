@@ -87,7 +87,7 @@ class EmpiricalMeasure:
         return self.window_count - length + 1
 
     def count(self, block) -> int:
-        letters = block.letters if isinstance(block, Block) else tuple(block)
+        letters = (block if isinstance(block, Block) else Block(tuple(block))).letters
         ell = len(letters)
         if not 1 <= ell <= self.max_order:
             raise ValueError(f"block length {ell} outside 1..{self.max_order}")
@@ -99,8 +99,8 @@ class EmpiricalMeasure:
         return 0
 
     def freq(self, block) -> float:
-        letters = block.letters if isinstance(block, Block) else tuple(block)
-        return self.count(letters) / self.denominator(len(letters))
+        block = block if isinstance(block, Block) else Block(tuple(block))
+        return self.count(block) / self.denominator(len(block))
 
     def items(self, length: int):
         """Yield (Block, frequency) for every observed block of the length."""
@@ -122,9 +122,7 @@ def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
         raise ValueError(f"k must be in 1..{MAX_FREQUENCY_ORDER}, got {k}")
     if len(w) < 10 * k:
         raise ValueError(f"prefix length {len(w)} < 10*k = {10 * k}")
-    *_, longest = _window_codes(w.values, k, np.int32 if 3**k < 2**31 else np.int64)
-    tables = {k: _tally(longest, 3**k)}
-    del _, longest  # the window buffer, before the marginals
+    tables = {k: _tally(w.values, k)}
     for ell in range(k - 1, 0, -1):
         longer, counts = tables[ell + 1]
         codes, last = longer // 3, block_code(w.values[-ell:])
@@ -135,11 +133,13 @@ def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
     return EmpiricalMeasure(max_order=k, window_count=len(w), tables=tables)
 
 
-def _tally(codes: np.ndarray, code_range: int):
-    if code_range > _DENSE_CODE_LIMIT:
+def _tally(values: np.ndarray, k: int):
+    """Sorted int64 codes and counts of the observed length-k windows."""
+    *_, codes = _window_codes(values, k, np.int32 if 3**k < 2**31 else np.int64)
+    if 3**k > _DENSE_CODE_LIMIT:
         uniq, counts = np.unique(codes, return_counts=True)
         return uniq.astype(np.int64), counts.astype(np.int64)
-    bins = np.zeros(code_range, dtype=np.int64)
+    bins = np.zeros(3**k, dtype=np.int64)
     np.add.at(bins, codes, 1)  # np.bincount would copy an int32 index to intp
     nz = np.flatnonzero(bins)
     return nz, bins[nz]
@@ -237,9 +237,6 @@ class SignExtensionReport:
     tol: float
     audited_blocks: int
 
-    def violation_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted({len(b) for b, _ in self.violations}))
-
 
 MAX_SIGN_TEST_ORDER = 16
 AUDIT_FACTOR = 2.0
@@ -321,6 +318,5 @@ def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> np.ndarra
         raise ValueError(f"n must be in 1..{MAX_FREQUENCY_ORDER}, got {n}")
     if len(w) < n:
         raise ValueError(f"prefix length {len(w)} < n = {n}")
-    *_, codes = _window_codes(w.values, n, np.int32 if 3**n < 2**31 else np.int64)
-    uniq, counts = _tally(codes, 3**n)
-    return uniq[counts / codes.size > threshold]
+    uniq, counts = _tally(w.values, n)
+    return uniq[counts / (len(w) - n + 1) > threshold]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import SignSeq
+from .seqcore import SignSeq, _as_symbol_array
 
 
 def _primes_upto(limit: int) -> np.ndarray:
@@ -186,13 +186,10 @@ def is_admissible(block, bset: BSet) -> bool:
 
 
 def _as01(block) -> np.ndarray:
-    letters = getattr(block, "as_array", None)
-    if letters is not None:
-        arr = block.as_array()
-    elif isinstance(block, SignSeq):
+    if isinstance(block, SignSeq):
         arr = block.values
-    else:
-        arr = np.asarray(block, dtype=np.int8)
+    else:  # a Block or a list of letters, checked before the int8 cast
+        arr = _as_symbol_array(getattr(block, "letters", block))
     if ((arr != 0) & (arr != 1)).any():
         raise ValueError("admissibility is defined for blocks over {0,1}")
     return arr

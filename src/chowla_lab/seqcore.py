@@ -78,20 +78,10 @@ class SignSeq:
             raise IndexError(f"index {n} outside 1..{self._values.size}")
         return int(self._values[n - 1])
 
-    def window(self, start: int, length: int) -> np.ndarray:
-        """Terms start .. start+length-1 (1-based) as a read-only array."""
-        if start < 1 or length < 1 or start + length - 1 > len(self):
-            raise IndexError(f"window [{start}, {start + length - 1}] outside 1..{len(self)}")
-        return self._values[start - 1 : start - 1 + length]
-
     def prefix(self, n: int) -> "SignSeq":
         if not 1 <= n <= len(self):
             raise ValueError(f"prefix length {n} outside 1..{len(self)}")
         return SignSeq._wrap(self._values[:n].copy())
-
-    def support_count(self) -> int:
-        """Number of nonzero terms."""
-        return int(np.count_nonzero(self._values))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignSeq):
@@ -118,10 +108,11 @@ class Block:
     def __post_init__(self):
         if len(self.letters) < 1:
             raise ValueError("a Block must have length >= 1")
-        letters = tuple(int(v) for v in self.letters)
-        for i, v in enumerate(letters):
+        # before the int cast, which truncates 0.5 to 0
+        for i, v in enumerate(self.letters):
             if v not in ALPHABET:
                 raise ValueError(f"letter out of alphabet at position {i}: {v}")
+        letters = tuple(int(v) for v in self.letters)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(
             self, "support", tuple(i for i, v in enumerate(letters) if v != 0)
@@ -129,12 +120,6 @@ class Block:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def square(self) -> "Block":
-        return Block(tuple(v * v for v in self.letters))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.letters, dtype=np.int8)
 
 
 def square_map(z: SignSeq) -> SignSeq:
@@ -149,15 +134,6 @@ def pointwise_product(a: SignSeq, b: SignSeq) -> SignSeq:
     return SignSeq._wrap(a.values * b.values)
 
 
-def shift(w: SignSeq, s: int) -> SignSeq:
-    """Left shift by s: result[n] = w[n+s], length reduced by s."""
-    if not 0 <= s < len(w):
-        raise ValueError(f"shift {s} outside 0..{len(w) - 1}")
-    if s == 0:
-        return w
-    return SignSeq._wrap(w.values[s:].copy())
-
-
 def _atomic_write(path, *chunks) -> None:
     """Write the bytes-like ``chunks`` in order to ``path`` through a temp
     file and a rename; the temp file is removed if either step fails."""
@@ -167,6 +143,8 @@ def _atomic_write(path, *chunks) -> None:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
+    except OSError as exc:  # name the caller's path, not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         if os.path.lexists(tmp):
             os.remove(tmp)

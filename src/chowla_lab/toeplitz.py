@@ -39,44 +39,6 @@ class ToeplitzSpec:
             raise ValueError(f"q must be >= 2, got {self.q}")
 
 
-class InitialTable:
-    """Owner table for 1..N: owner(n) is the initial j with n in A_j
-    (owner(n) = n exactly when n is initial)."""
-
-    __slots__ = ("q", "N", "owner")
-
-    def __init__(self, q: int, N: int, owner: np.ndarray):
-        self.q = q
-        self.N = N
-        self.owner = owner  # owner[n] for n = 1..N; owner[0] unused
-
-    def _chunks(self):
-        """(n, owner(n) == n) over consecutive runs of 2^20 positions, so that
-        no N-sized temporary sits beside the table."""
-        chunk = 1 << 20
-        for lo in range(1, self.N + 1, chunk):
-            n = np.arange(lo, min(lo + chunk, self.N + 1))
-            yield n, self.owner[lo : lo + n.size] == n
-
-    def is_initial(self) -> np.ndarray:
-        """Boolean array over 1..N (index 0 corresponds to n = 1)."""
-        mask = np.empty(self.N, dtype=bool)
-        for n, initial in self._chunks():
-            mask[n[0] - 1 : n[-1]] = initial
-        return mask
-
-    def non_initial_density_ok(self) -> bool:
-        """Exact check of density <= 1/(q-1) at every prefix length: the
-        running count can first exceed n/(q-1) only at a non-initial n."""
-        seen = 0
-        for n, initial in self._chunks():
-            pos = n[~initial]
-            if np.any((seen + np.arange(1, pos.size + 1)) * (self.q - 1) > pos):
-                return False
-            seen += pos.size
-        return True
-
-
 def _progressions(q: int, N: int) -> list[tuple[int, int]]:
     """(j, q^j) for every initial j with q^j <= N, in increasing j: j is
     initial when it lies in no progression of an earlier initial i."""
@@ -93,7 +55,9 @@ def _progressions(q: int, N: int) -> list[tuple[int, int]]:
     return found
 
 
-def classify_initials(q: int, N: int) -> InitialTable:
+def classify_initials(q: int, N: int) -> np.ndarray:
+    """Read-only int64 owner table: owner[n] for n = 1..N is the initial j
+    with n in A_j (n itself when n is initial), and owner[0] = 0."""
     progressions = _progressions(q, N)
     if N > CLASSIFY_LIMIT:
         raise ValueError(f"N = {N} exceeds classification bound {CLASSIFY_LIMIT}")
@@ -101,7 +65,7 @@ def classify_initials(q: int, N: int) -> InitialTable:
     for j, step in progressions:
         owner[j + step :: step] = j
     owner.setflags(write=False)
-    return InitialTable(q=q, N=N, owner=owner)
+    return owner
 
 
 def build_toeplitz(spec: ToeplitzSpec, N: int) -> SignSeq:

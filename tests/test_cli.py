@@ -345,6 +345,23 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["generate", "--kind", "mobius", "--n", 1000], "--out"),
+        (["toeplitz", "build", "--q", 5, "--ref", "{m}"], "--out"),
+        (["chowla", "--in", "{m}", "--max-lag", 2, "--max-r", 1], "--out-report"),
+        (["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 2, "--big-n", 4,
+          "--out", "{tmp}/d.sqz"], "--out-report"),
+    ], ids=["generate-out", "toeplitz-build-out", "chowla-out-report",
+            "determinize-out-report"])
+    def test_output_in_a_missing_directory_is_refused_first(self, mobius_file, tmp_path,
+                                                            capsys, argv, flag):
+        # refused before any work: determinize wrote d.sqz before its report failed
+        missing = tmp_path / "missing" / "out"
+        argv = [str(a).format(m=mobius_file, tmp=tmp_path) for a in argv]
+        assert run([*argv, flag, missing]) == 2
+        assert assert_one_error_line(capsys) == f"error: output directory does not exist: {missing}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_of_memory_is_one_error_line(self, tmp_path):
         # The 10^10-byte sieve output cannot fit under a 3 GiB address-space
         # cap, which applies to the child process only.

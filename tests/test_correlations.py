@@ -97,7 +97,7 @@ class TestCorrelationSpec:
     def test_enumeration_counts_and_order(self):
         specs = enumerate_chowla_specs(5, 2)
         assert len(specs) == 1 + 5 * 3 + 10 * 7
-        assert all(not s.all_squared for s in specs)
+        assert all(1 in s.exponents for s in specs)
         assert specs == enumerate_chowla_specs(5, 2)  # deterministic
 
     def test_r_stops_at_max_lag(self):
@@ -170,7 +170,7 @@ class TestBruteForceOracle:
         spec = data.draw(specs_within(len(values) - N))
         sums = brute_prefix_sums(values, spec, N)
         curve = chowla_sum(SignSeq(values), spec, N)
-        assert curve.final_n == N
+        assert curve.checkpoints[-1][0] == N
         for n, value in curve.checkpoints:
             assert value == sums[n] / n
 
@@ -193,7 +193,7 @@ class TestBruteForceOracle:
                                      min_size=1, max_size=7))
         sums = brute_prefix_sums(values, spec, N, lambda m: pattern[m % len(pattern)])
         curve = strong_sarnak_sum(PeriodicSampler(tuple(pattern)), SignSeq(values), spec, N)
-        assert curve.final_n == N
+        assert curve.checkpoints[-1][0] == N
         for n, value in curve.checkpoints:
             assert value == sums[n] / n
 

@@ -20,7 +20,7 @@ from chowla_lab.numbergen import (
 from chowla_lab.seqcore import square_map
 
 from summatory_oracle import summatory
-from test_seqcore import factorize
+from factorize_oracle import factorize
 
 
 def is_prime(n: int) -> bool:
@@ -236,6 +236,13 @@ class TestAdmissibility:
     def test_rejects_sign_letters(self):
         with pytest.raises(ValueError):
             is_admissible([1, -1], BSet.from_squares([4]))
+
+    @pytest.mark.parametrize("letters", [[0.9, 1, 1, 1], [257, 1, 1, 1]],
+                             ids=["truncates-to-0", "overflows-int8"])
+    def test_rejects_letters_the_int8_cast_would_change(self, letters):
+        # the cast made [0.9, 1, 1, 1] the admissible (0, 1, 1, 1)
+        with pytest.raises(ValueError, match="out of alphabet"):
+            is_admissible(letters, BSet.from_squares([4]))
 
     def test_mobius_square_blocks_admissible(self):
         # admissibility of squarefree-indicator windows is forced by definition

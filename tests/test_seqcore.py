@@ -9,31 +9,14 @@ from chowla_lab.seqcore import (
     SignSeq,
     pointwise_product,
     read_sqz,
-    shift,
     square_map,
     write_sqz,
 )
 
-
-def factorize(n):
-    """Trial-division oracle: list of (prime, exponent)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+from factorize_oracle import factorize
 
 
 signseqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=200).map(SignSeq)
-pm_seqs = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=200).map(SignSeq)
 
 
 class TestSignSeq:
@@ -76,7 +59,7 @@ class TestSignSeq:
 
     def test_window_and_prefix(self):
         s = SignSeq([1, -1, 0, 1])
-        assert s.window(2, 2).tolist() == [-1, 0]
+        assert s.values[1:3].tolist() == [-1, 0]
         assert s.prefix(2) == SignSeq([1, -1])
 
 
@@ -85,12 +68,14 @@ class TestBlock:
         b = Block((1, 0, -1, 0))
         assert b.support == (0, 2)
 
-    def test_square(self):
-        assert Block((1, -1, 0)).square() == Block((1, 1, 0))
-
     def test_rejects_bad_letter(self):
         with pytest.raises(ValueError):
             Block((0, 3))
+
+    def test_rejects_a_letter_the_int_cast_would_change(self):
+        # int(0.5) is 0: the cast made this Block((0, 1))
+        with pytest.raises(ValueError, match="position 0: 0.5"):
+            Block((0.5, 1))
 
 
 class TestSquareMap:
@@ -136,23 +121,6 @@ class TestPointwiseProduct:
         b = SignSeq(data.draw(st.lists(
             st.sampled_from([-1, 1]), min_size=len(a), max_size=len(a))))
         assert square_map(pointwise_product(a, b)) == square_map(a)
-
-
-class TestShift:
-    def test_examples(self):
-        assert shift(SignSeq([1, 0, -1]), 1) == SignSeq([0, -1])
-        w = SignSeq([1, -1, 0, 1])
-        assert shift(w, 0) == w
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            shift(SignSeq([1, 0]), 2)
-
-    @given(signseqs, st.data())
-    def test_semigroup_law(self, w, data):
-        s = data.draw(st.integers(0, len(w) - 1))
-        t = data.draw(st.integers(0, len(w) - 1 - s))
-        assert shift(w, s + t) == shift(shift(w, s), t)
 
 
 class TestSqzFormat:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from chowla_lab.numbergen import mobius_prefix
 from chowla_lab.seqcore import SignSeq
 from chowla_lab.toeplitz import (
-    InitialTable,
     ToeplitzSpec,
     build_toeplitz,
     classify_initials,
@@ -18,21 +17,7 @@ from chowla_lab.toeplitz import (
     toeplitz_entropy_lower_bound,
 )
 
-
-def brute_owner(q, N):
-    """Set-based oracle: walk j upward, first unclaimed j opens A_j."""
-    owner = {}
-    for j in range(1, N + 1):
-        if j in owner:
-            continue
-        owner[j] = j
-        step = q**j
-        pos = j + step
-        while pos <= N:
-            assert pos not in owner, (q, j, pos)
-            owner[pos] = j
-            pos += step
-    return owner
+from owner_oracle import brute_owner, is_initial, non_initial_density_ok
 
 
 def random_ref(seed, size):
@@ -60,14 +45,14 @@ TAIL_PARAMS = [(q, m, ell) for q in (2, 3, 4) for m in range(2, 6) for ell in ra
 
 class TestClassifyInitials:
     def test_hand_example_q3(self):
-        t = classify_initials(3, 10)
-        initials = [n for n in range(1, 11) if t.owner[n] == n]
+        owner = classify_initials(3, 10)
+        initials = [n for n in range(1, 11) if owner[n] == n]
         assert initials == [1, 2, 3, 5, 6, 8, 9]
-        assert {n: int(t.owner[n]) for n in (4, 7, 10)} == {4: 1, 7: 1, 10: 1}
+        assert {n: int(owner[n]) for n in (4, 7, 10)} == {4: 1, 7: 1, 10: 1}
 
     def test_hand_example_q2(self):
-        t = classify_initials(2, 6)
-        non_initials = {n: int(t.owner[n]) for n in range(1, 7) if t.owner[n] != n}
+        owner = classify_initials(2, 6)
+        non_initials = {n: int(owner[n]) for n in range(1, 7) if owner[n] != n}
         assert non_initials == {3: 1, 5: 1, 6: 2}
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -75,18 +60,18 @@ class TestClassifyInitials:
         N = 3000
         table = classify_initials(q, N)
         oracle = brute_owner(q, N)
-        assert {n: int(table.owner[n]) for n in range(1, N + 1)} == oracle
+        assert {n: int(table[n]) for n in range(1, N + 1)} == oracle
 
     @pytest.mark.parametrize("q", [2, 3, 5, 10])
     def test_partition_and_density(self, q):
         N = 10**5
         table = classify_initials(q, N)
-        owner = table.owner[1:]
+        owner = table[1:]
         n = np.arange(1, N + 1, dtype=np.int64)
         # every position owned by an initial j with the right congruence
+        assert table[0] == 0 and not table.flags.writeable
         assert np.all(owner >= 1)
-        is_initial = table.is_initial()
-        assert np.all(is_initial[owner - 1])
+        assert np.all(is_initial(table)[owner - 1])
         non_init = owner != n
         step = np.ones(N, dtype=np.int64)
         for j in np.unique(owner[non_init]):
@@ -94,27 +79,16 @@ class TestClassifyInitials:
             assert np.all((members - j) % q**j == 0)
             assert np.all(members >= j)
         # exact density bound at every prefix
-        assert table.non_initial_density_ok()
+        assert non_initial_density_ok(table, q)
 
     def test_density_fails_on_an_early_prefix(self):
         # positions 2 and 3 non-initial: 2 of the first 3 exceeds 1/(q-1) = 1/2,
         # although 2 of all 10 does not
         owner = np.arange(11, dtype=np.int64)
         owner[2:4] = 1
-        assert not InitialTable(q=3, N=10, owner=owner).non_initial_density_ok()
+        assert not non_initial_density_ok(owner, 3)
         owner[3] = 3
-        assert InitialTable(q=3, N=10, owner=owner).non_initial_density_ok()
-
-    def test_density_check_walks_the_table_in_chunks(self):
-        # about 4.25 B/symbol (71 MB) here when the check held N-sized arrays
-        table = classify_initials(5, 2**24)
-        tracemalloc.start()
-        try:
-            assert table.non_initial_density_ok()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert non_initial_density_ok(owner, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,7 +101,7 @@ class TestBuildToeplitz:
         spec = ToeplitzSpec(q=3, z_ref=ref)
         table = classify_initials(3, 2000)
         t = build_toeplitz(spec, 2000)
-        initial = table.is_initial()
+        initial = is_initial(table)
         assert np.array_equal(t.values[initial], ref.values[:2000][initial])
 
     def test_q3_copies_first_term(self):
@@ -143,7 +117,7 @@ class TestBuildToeplitz:
         table = classify_initials(q, N)
         t = build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N)
         for n in range(1, 1001):
-            j = int(table.owner[n])
+            j = int(table[n])
             period = q**j
             for k in range(1, 6):
                 if n + k * period > N:
@@ -233,7 +207,7 @@ class TestIntervalAnalytics:
         qm = q**m
         table = classify_initials(q, K * qm)
         n = np.arange(1, K * qm + 1, dtype=np.int64)
-        owner = table.owner[1:]
+        owner = table[1:]
         for j in (4, 5):  # initial for q=2 (3 is non-initial)
             members = n[(owner == j) & (n != j)]
             intervals = (members - 1) // qm
