@@ -108,18 +108,14 @@ def _load(path: str) -> SignSeq:
 def cmd_generate(args) -> int:
     kind = args.kind
     n = args.n
-    if kind == "mobius":
-        seq = mobius_prefix(n)
+    if kind == "mobius" or (kind == "mu-b" and args.bset == "prime-squares"):
+        seq = mobius_prefix(n)  # mu_b over every prime square is mu
     elif kind == "liouville":
         seq = liouville_prefix(n)
     elif kind == "mu-b":
         if args.bset is None:
             raise ValueError("--bset is required for --kind mu-b")
-        if args.bset == "prime-squares":
-            bset = BSet.prime_squares(n)
-        else:
-            bset = BSet.from_squares(_csv(args.bset, int))
-        seq = mu_b_prefix(bset, n)
+        seq = mu_b_prefix(BSet.from_squares(_csv(args.bset, int)), n)
     elif kind == "sturmian":
         if args.alpha is None:
             raise ValueError("--alpha is required for --kind sturmian")
@@ -324,7 +320,11 @@ def cmd_determinize(args) -> int:
         )
         current = result.sequence
     write_sqz(args.out, current)
-    return emit_report(args, "determinize", {"steps": steps}, ok)
+    try:
+        return emit_report(args, "determinize", {"steps": steps}, ok)
+    except BaseException:  # a failed run leaves no .sqz behind
+        os.remove(args.out)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:

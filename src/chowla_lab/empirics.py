@@ -11,10 +11,11 @@ denominator N - ell + 1.  ``_window_codes`` alone builds window keys, also for
 ``symbolicgen``'s recoding: big-endian base-3 codes (letter + 1, the first
 letter most significant) that sort like the blocks and are exact up to length
 39 in int64.  ``block_frequencies`` tallies length k alone and reads the
-shorter lengths, and the sign test z^2, off that histogram; the recoding
-counts only its heavy runs.  ``complexity_profile`` re-ranks the keys
-instead, with int32 keys and rank table while 3N + 3 < 2**31 (int64 above):
-per symbol, one byte of digits, four of keys and at most twelve of table.
+shorter lengths, and the sign test z^2, off that histogram; the recoding's
+heavy-window kernel, ``positive_frequency_blocks``, keeps the long runs of
+the codes sorted in place.  ``complexity_profile`` re-ranks the keys instead,
+with int32 keys and rank table while 3N + 3 < 2**31 (int64 above): per
+symbol, one byte of digits, four of keys and at most twelve of table.
 """
 
 from __future__ import annotations
@@ -48,16 +49,18 @@ def code_to_block(code: int, length: int) -> Block:
     return Block(tuple(letters[::-1]))
 
 
-def _window_codes(values: np.ndarray, k: int, dtype=np.int64):
+def _window_codes(values: np.ndarray, k: int, dtype=None):
     """Yield the base-3 codes of every length-ell window for ell = 1..k.
 
     The array yielded for ell has N - ell + 1 entries; entry i is the code
-    of values[i : i + ell].  It is a view of one ``dtype`` buffer, made
-    3 * key + next letter in place for ell + 1: use, copy or overwrite it
-    before that.
+    of values[i : i + ell].  It is a view of one ``dtype`` buffer (by default
+    int32 while 3**k < 2**31, else int64), made 3 * key + next letter in
+    place for ell + 1: use, copy or overwrite it before that.
     """
     if not 1 <= k <= values.size:
         raise ValueError(f"window length {k} outside 1..{values.size}")
+    if dtype is None:
+        dtype = np.int32 if 3**k < 2**31 else np.int64
     digits = values + np.int8(1)
     codes = digits.astype(dtype)
     yield codes
@@ -135,7 +138,7 @@ def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
 
 def _tally(values: np.ndarray, k: int):
     """Sorted int64 codes and counts of the observed length-k windows."""
-    *_, codes = _window_codes(values, k, np.int32 if 3**k < 2**31 else np.int64)
+    *_, codes = _window_codes(values, k)
     if 3**k > _DENSE_CODE_LIMIT:
         uniq, counts = np.unique(codes, return_counts=True)
         return uniq.astype(np.int64), counts.astype(np.int64)
@@ -288,7 +291,7 @@ def sign_extension_test(
             pairs = np.flatnonzero(np.repeat(reps == 2, reps))
             more_masks, more = np.repeat(more_masks, reps), np.repeat(3 * more + 1, reps)
             more[pairs] += np.tile([-1, 1], pairs.size // 2)  # letters -1 and 1
-        fresh = ~np.isin(more, codes)
+        fresh = codes.take(np.searchsorted(codes, more), mode="clip") != more  # codes are sorted
         masks, codes = np.append(masks, more_masks[fresh]), np.append(codes, more[fresh])
         deviation = np.append(deviation, target[more_masks[fresh]])
         pick = np.flatnonzero((deviation > tol) | new_max & (deviation == top))
@@ -313,10 +316,27 @@ def sign_extension_test(
 def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> np.ndarray:
     """Sorted int64 codes (``code_to_block`` decodes one) of the length-n
     blocks whose frequency exceeds ``threshold``: a finite-scale stand-in
-    for the positive-upper-frequency subshift."""
-    if not 1 <= n <= MAX_FREQUENCY_ORDER:
-        raise ValueError(f"n must be in 1..{MAX_FREQUENCY_ORDER}, got {n}")
+    for the positive-upper-frequency subshift.
+
+    The window codes are sorted in place.  With t the least count whose
+    frequency t / size exceeds threshold, a code is kept when its first
+    sorted entry equals the entry t - 1 places on.
+    """
+    if not 1 <= n <= _CODE_LENGTH_LIMIT:
+        raise ValueError(f"n must be in 1..{_CODE_LENGTH_LIMIT}, got {n}")
     if len(w) < n:
         raise ValueError(f"prefix length {len(w)} < n = {n}")
-    uniq, counts = _tally(w.values, n)
-    return uniq[counts / (len(w) - n + 1) > threshold]
+    size = len(w) - n + 1
+    if not threshold < 1.0:  # also nan: no frequency exceeds it
+        return np.empty(0, dtype=np.int64)
+    t = max(1, int(threshold * size)) if threshold > 0.0 else 1
+    while t / size <= threshold:  # ends by t = size, as size / size > threshold
+        t += 1
+    *_, srt = _window_codes(w.values, n)
+    srt.sort()
+    m = size - t + 1
+    keep = srt[:m] == srt[t - 1 :]  # entries of a run of at least t ...
+    for lo in range(1, m, _CHUNK):  # ... that start it; chunked, with no N-sized temporary
+        hi = min(lo + _CHUNK, m)
+        keep[lo:hi] &= srt[lo:hi] != srt[lo - 1 : hi - 1]
+    return srt[:m][keep].astype(np.int64, copy=False)

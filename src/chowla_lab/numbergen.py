@@ -4,7 +4,7 @@ Provides:
 - mobius_prefix(N):    mu(n) for n = 1..N  (mu(n) = (-1)^k for squarefree n
                        with k distinct prime factors, else 0)
 - liouville_prefix(N): lambda(n) = (-1)^Omega(n), Omega counting multiplicity
-- mu_b_prefix(B, N):   the generalized Mobius function for a set
+- mu_b_prefix(B, N):   the generalized Mobius function for a finite set
                        B = {b_k = a_k**2} with pairwise coprime roots a_k:
                        0 when some b_k | n, else (-1)^#{k : a_k | n}
 - is_admissible / admissible_block_count: the residue-class admissibility
@@ -111,10 +111,8 @@ class BSet:
     """A set of perfect squares b_k = a_k**2 with pairwise coprime roots.
 
     ``b_values`` and ``a_values`` are sorted and aligned.  Construct with
-    :meth:`from_squares` for an explicit finite set (coprimality checked) or
-    :meth:`prime_squares` for {p**2 : p prime <= limit} (coprime by
-    construction; for an exact mu_b prefix of length N take limit >= N, so
-    that every root that can divide an index is materialized).
+    :meth:`from_squares`, which checks coprimality.  Over every prime square
+    mu_b is mu itself, which ``mobius_prefix`` sieves.
     """
 
     b_values: tuple[int, ...]
@@ -140,13 +138,6 @@ class BSet:
                         f"roots {roots[i]} and {roots[j]} are not coprime"
                     )
         return cls(tuple(bs), tuple(roots))
-
-    @classmethod
-    def prime_squares(cls, limit: int) -> "BSet":
-        primes = [int(p) for p in _primes_upto(limit)]
-        if not primes:
-            raise ValueError(f"no primes <= {limit}")
-        return cls(tuple(p * p for p in primes), tuple(primes))
 
     def __len__(self) -> int:
         return len(self.b_values)

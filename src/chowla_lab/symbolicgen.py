@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirics import _CHUNK, _CODE_LENGTH_LIMIT, _window_codes
+from .empirics import _CHUNK, _CODE_LENGTH_LIMIT, _window_codes, positive_frequency_blocks
 from .seqcore import SignSeq, _as_symbol_array
 
 
@@ -244,25 +244,6 @@ class DeterminizeResult:
         return 2.0 ** (params.epsilon * params.big_n) + 1.0
 
 
-def _heavy_codes(values: np.ndarray, n: int, threshold: float) -> np.ndarray:
-    """Sorted codes of the length-n windows whose frequency exceeds threshold.
-
-    The window codes are sorted in place.  With t the least count whose
-    frequency t / size exceeds threshold, a heavy code fills a run of at
-    least t sorted entries, and every such run covers an index divisible by
-    t; so only the codes at those indices are counted, by binary search.
-    """
-    *_, srt = _window_codes(values, n)
-    srt.sort()
-    size = srt.size
-    t = max(1, int(threshold * size))  # no count below it exceeds threshold
-    while t / size <= threshold:
-        t += 1
-    candidates = np.unique(srt[::t])
-    runs = np.searchsorted(srt, candidates, "right") - np.searchsorted(srt, candidates, "left")
-    return candidates[runs >= t]
-
-
 def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult:
     """One recoding pass: classify n-windows of ``u`` as heavy or light by
     empirical frequency, then rewrite each complete big_n block.
@@ -271,7 +252,9 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
     1 - epsilon become a constant run of the first symbol of ``u``; in the
     others a greedy left-to-right scan keeps disjoint heavy windows and the
     uncovered positions are overwritten by that symbol.  A trailing partial
-    block is left unchanged and not counted.
+    block is left unchanged and not counted.  The blocks are the rows of an
+    nblocks x big_n matrix, and the scan steps through the start offsets for
+    all of them at once.
     """
     n = params.n_block
     big_n = params.big_n
@@ -279,45 +262,40 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
         raise ValueError(f"big_n {big_n} exceeds sequence length {len(u)}")
     values = u.values
     nblocks = len(u) // big_n
+    processed = nblocks * big_n
 
-    heavy_codes = _heavy_codes(values, n, params.heavy_threshold)
-    heavy = np.zeros(len(u) - n + 1, dtype=bool)
+    heavy_codes = positive_frequency_blocks(u, n, params.heavy_threshold)
+    good = np.zeros((nblocks, big_n), dtype=bool)  # good[m, j]: window m*big_n + j is heavy
     if heavy_codes.size:  # rebuild the window codes the sort reordered
         *_, codes = _window_codes(values, n)
-        for lo in range(0, codes.size, _CHUNK):  # np.isin's temporaries are N-sized
-            heavy[lo : lo + _CHUNK] = np.isin(codes[lo : lo + _CHUNK], heavy_codes)
-        del codes, _  # before the output copy is made
+        keys = heavy_codes.astype(codes.dtype, copy=False)
+        flat = good.reshape(-1)
+        for lo in range(0, min(codes.size, processed), _CHUNK):  # N-sized temporaries otherwise
+            chunk = codes[lo : min(lo + _CHUNK, processed)]
+            found = keys.take(np.searchsorted(keys, chunk), mode="clip")  # past the end: last key
+            flat[lo : lo + chunk.size] = found == chunk
+        del codes, chunk, found, _  # each view of the buffer, before the output copy
+    good[:, big_n - n + 1 :] = False  # windows that run past their block
+    acceptable = np.count_nonzero(good, axis=1) / big_n >= 1.0 - params.epsilon
+    good[~acceptable] = False
+    next_allowed = np.zeros(nblocks, dtype=np.int64)
+    for j in np.flatnonzero(good.any(axis=0)).tolist():
+        keep = good[:, j]  # a view: the kept starts overwrite the heavy ones
+        keep &= next_allowed <= j
+        next_allowed[keep] = j + n
+    covered = good.copy()
+    for d in range(1, n):
+        covered[:, d:] |= good[:, :-d]
 
-    fill = values[0]
     out = values.copy()
-    distinct: set[bytes] = set()
-    unacceptable = 0
-    for m in range(nblocks):
-        start = m * big_n
-        good = heavy[start : start + big_n - n + 1]
-        good_count = int(np.count_nonzero(good))
-        if good_count / big_n < 1.0 - params.epsilon:
-            out[start : start + big_n] = fill
-            unacceptable += 1
-        else:
-            covered = np.zeros(big_n, dtype=bool)
-            good_idx = np.flatnonzero(good)
-            next_allowed = 0
-            for j in good_idx:
-                if j >= next_allowed:
-                    covered[j : j + n] = True
-                    next_allowed = j + n
-            block = out[start : start + big_n]
-            block[~covered] = fill
-        distinct.add(out[start : start + big_n].tobytes())
-
-    processed = nblocks * big_n
+    rows = out[:processed].reshape(nblocks, big_n)
+    np.putmask(rows, ~covered, values[0])
     changed = int(np.count_nonzero(out[:processed] != values[:processed]))
     return DeterminizeResult(
         sequence=SignSeq._wrap(out),
-        distinct_block_count=len(distinct),
+        distinct_block_count=len(set(map(np.ndarray.tobytes, rows))),
         blocks_processed=nblocks,
         changed_fraction=changed / processed,
-        unacceptable_fraction=unacceptable / nblocks,
+        unacceptable_fraction=(nblocks - np.count_nonzero(acceptable)) / nblocks,
         heavy_block_count=heavy_codes.size,
     )

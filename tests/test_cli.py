@@ -76,6 +76,14 @@ class TestGenerate:
         assert run(["generate", *extra, "--n", 5000, "--out", out]) == 0
         assert len(read_sqz(out)) == 5000
 
+    @pytest.mark.parametrize("n", [1, 5000])
+    def test_mu_b_over_prime_squares_is_mobius(self, tmp_path, n):
+        # the sieve serves this set: --n 1 used to exit 2 with "no primes <= 1"
+        out = tmp_path / "z.sqz"
+        assert run(["generate", "--kind", "mu-b", "--bset", "prime-squares", "--n", n,
+                    "--out", out]) == 0
+        assert read_sqz(out) == mobius_prefix(n)
+
     def test_missing_parameter_is_usage_error(self, tmp_path):
         out = tmp_path / "z.sqz"
         assert run(["generate", "--kind", "sturmian", "--n", 100, "--out", out]) == 2
@@ -266,6 +274,16 @@ class TestDeterminize:
         step = report["results"]["steps"][0]
         assert step["distinct_blocks"] < step["distinct_bound"]
         assert len(read_sqz(out)) == 50_000
+
+    def test_failed_report_leaves_no_sqz(self, tmp_path, capsys):
+        # the .sqz is written before the report, which cannot replace a directory
+        z = tmp_path / "u.sqz"
+        run(["generate", "--kind", "mobius", "--n", 1000, "--out", z])
+        capsys.readouterr()
+        assert run(["determinize", "--in", z, "--epsilon", 0.1, "--n-block", 2, "--big-n", 4,
+                    "--out", tmp_path / "d.sqz", "--out-report", tmp_path]) == 2
+        assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == [z]
 
 
 class TestUsageErrors:

@@ -1,7 +1,6 @@
 """Correlation sums, the battery, orbit samplers, the grid scan."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,8 @@ from chowla_lab.correlations import (
 from chowla_lab.numbergen import liouville_prefix, mobius_prefix
 from chowla_lab.seqcore import SignSeq, square_map
 from chowla_lab.symbolicgen import masked_coin_prefix
+
+from traced_memory import traced_peak
 
 
 def random_seq(seed, n):
@@ -241,14 +242,7 @@ class TestCheckpointSlices:
     def test_traced_memory_is_a_fraction_of_the_prefix(self, call):
         # each sum holds one checkpoint slice's worth of temporaries
         N = 2**22
-        z = random_seq(13, N + 6)
-        tracemalloc.start()
-        try:
-            call(z, N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * N
+        assert traced_peak(call, random_seq(13, N + 6), N) < 2 * N
 
 
 class TestPublishedValues:

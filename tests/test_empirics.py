@@ -1,7 +1,8 @@
 """Block statistics: frequencies, complexity, the sign-extension audit."""
 
+import contextlib
 import math
-import tracemalloc
+import signal
 from collections import Counter
 
 import numpy as np
@@ -32,6 +33,7 @@ from chowla_lab.symbolicgen import (
     sturmian_prefix,
 )
 from sign_test_oracle import sign_test
+from traced_memory import traced_peak
 
 LOG2_3 = math.log2(3)
 
@@ -110,15 +112,9 @@ class TestWindowCodes:
         assert {code_to_block(c, n).letters for c in got.tolist()} == want
 
 
-def traced_peak(call, N):
-    """Peak traced bytes of call(z) on a uniform {-1,0,1} prefix z of length N."""
-    z = SignSeq(np.random.default_rng(5).integers(-1, 2, size=N, dtype=np.int8))
-    tracemalloc.start()
-    try:
-        call(z)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def uniform_prefix(N):
+    """A uniform {-1,0,1} prefix of length N."""
+    return SignSeq(np.random.default_rng(5).integers(-1, 2, size=N, dtype=np.int8))
 
 
 class TestKernelMemory:
@@ -131,7 +127,7 @@ class TestKernelMemory:
     ], ids=["block-frequencies", "sign-test", "determinize"])
     def test_traced_peak_per_symbol(self, call):
         N = 2**22
-        assert traced_peak(call, N) < 18 * N
+        assert traced_peak(call, uniform_prefix(N)) < 18 * N
 
     # int32 ranks in a table of 3 p_{n-1} entries, heavy codes counted on the
     # sorted window buffer, the uniforms drawn in chunks, and one int32
@@ -147,7 +143,7 @@ class TestKernelMemory:
             "sign-test-k12"])
     def test_narrow_kernel_peak_per_symbol(self, call, bound):
         N = 2**22
-        assert traced_peak(call, N) < bound * N
+        assert traced_peak(call, uniform_prefix(N)) < bound * N
 
 
 def assert_counts_match(values, k):
@@ -465,12 +461,46 @@ class TestSignTestOracle:
         assert rep == oracle_report([1] * 30, 2, 0.1)
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestPositiveFrequencyBlocks:
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 1e300, 1.0, 0.999, -1.0,
+                                           -math.inf])
+    def test_threshold_edges(self, threshold):
+        # no frequency exceeds the first five, every one exceeds the last two; the
+        # search for the least heavy count once ran for ever at 1e300
+        values = np.resize([1, 0, -1, -1], 40).tolist()
+        observed = sorted(block_code(b) for b in window_counts(values, 2))
+        with time_limit(5):
+            got = positive_frequency_blocks(SignSeq(values), 2, threshold)
+        assert got.tolist() == (observed if threshold < 0 else [])
+
     def test_periodic(self):
         z = SignSeq(np.resize([1, 0, -1], 3000))
         codes = positive_frequency_blocks(z, 3, 0.1)
         assert [code_to_block(c, 3).letters for c in codes.tolist()] == [
             (-1, 1, 0), (0, -1, 1), (1, 0, -1)]
+
+    def test_longest_windows(self):
+        # int64 codes hold 39 letters, the longest n_block DeterminizeParams allows
+        values = np.resize([1, 0, -1], 3000)
+        codes = positive_frequency_blocks(SignSeq(values), 39, 0.1)
+        want = sorted(tuple(values[s : s + 39].tolist()) for s in range(3))
+        assert [code_to_block(c, 39).letters for c in codes.tolist()] == want
+        with pytest.raises(ValueError, match="1..39"):
+            positive_frequency_blocks(SignSeq(values), 40, 0.1)
 
     def test_threshold_above_one_empty(self):
         z = SignSeq(np.resize([1, 0], 1000))

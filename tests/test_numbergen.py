@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +20,17 @@ from chowla_lab.seqcore import square_map
 
 from summatory_oracle import summatory
 from factorize_oracle import factorize
+from traced_memory import traced_peak
 
 
 def is_prime(n: int) -> bool:
     return factorize(n) == [(n, 1)]
+
+
+def prime_squares(limit: int) -> BSet:
+    """{p**2 : p prime <= limit}: mu_b over it is mu up to N = limit."""
+    primes = [p for p in range(2, limit + 1) if is_prime(p)]
+    return BSet(tuple(p * p for p in primes), tuple(primes))
 
 
 def mobius_oracle(n: int) -> int:
@@ -120,7 +126,7 @@ class TestSegments:
     @pytest.mark.parametrize("N,segment", [(4096, s) for s in SMALL_SEGMENTS] + [(65537, 64)])
     def test_against_whole_array_mu_b(self, monkeypatch, N, segment):
         # 4096 = 2^12 is a prime power on a segment edge; 65537 is prime
-        expected = mu_b_prefix(BSet.prime_squares(N), N)
+        expected = mu_b_prefix(prime_squares(N), N)
         monkeypatch.setattr(numbergen, "_SEGMENT", segment)
         assert mobius_prefix(N) == expected
 
@@ -156,13 +162,7 @@ class TestSegments:
         # traced about 18 bytes per symbol, the uint8 accumulator about
         # N + 2 * _SEGMENT
         N = 1 << 23
-        tracemalloc.start()
-        try:
-            sieve(N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < N + 4 * numbergen._SEGMENT
+        assert traced_peak(sieve, N) < N + 4 * numbergen._SEGMENT
 
 
 class TestSummatoryOracle:
@@ -195,16 +195,11 @@ class TestBSet:
         with pytest.raises(ValueError, match="not coprime"):
             BSet.from_squares([4, 16])
 
-    def test_prime_squares(self):
-        b = BSet.prime_squares(10)
-        assert b.a_values == (2, 3, 5, 7)
-        assert b.b_values == (4, 9, 25, 49)
-
 
 class TestMuB:
     def test_prime_squares_reproduce_mobius(self):
         N = 10**5
-        assert mu_b_prefix(BSet.prime_squares(N), N) == mobius_prefix(N)
+        assert mu_b_prefix(prime_squares(N), N) == mobius_prefix(N)
 
     def test_single_square_values(self):
         mb = mu_b_prefix(BSet.from_squares([4]), 6)
@@ -247,7 +242,7 @@ class TestAdmissibility:
     def test_mobius_square_blocks_admissible(self):
         # admissibility of squarefree-indicator windows is forced by definition
         sq = square_map(mobius_prefix(10**6)).values
-        bset = BSet.prime_squares(4)  # prime squares <= 20: {4, 9}
+        bset = BSet.from_squares([4, 9])  # the prime squares <= 20
         rng = np.random.default_rng(1)
         for start in rng.integers(0, 10**6 - 20, size=200):
             assert is_admissible(sq[start : start + 20], bset)
@@ -296,7 +291,7 @@ class TestAdmissibleCount:
             admissible_block_count(31, BSet.from_squares([4]))
 
     def test_entropy_slope_nearly_non_increasing(self):
-        bset = BSet.prime_squares(5)  # squares 4, 9, 25
+        bset = BSet.from_squares([4, 9, 25])
         slopes = [
             math.log2(admissible_block_count(n, bset)) / n for n in range(8, 25)
         ]

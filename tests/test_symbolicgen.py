@@ -26,6 +26,8 @@ from chowla_lab.symbolicgen import (
     sturmian_prefix,
 )
 
+from traced_memory import traced_peak
+
 GOLDEN_DENSITY = (3 - math.sqrt(5)) / 2  # 1/phi^2
 
 
@@ -250,7 +252,7 @@ def recoding_cases(draw):
     random letters, so that acceptable and unacceptable blocks both occur."""
     # 15 and 16 give codes above 2**23, as long windows such as n_block 20 do
     n_block = draw(st.one_of(st.integers(1, 4), st.sampled_from([15, 16])))
-    big_n = n_block * draw(st.integers(2, 6))
+    big_n = n_block * draw(st.integers(1, 6))
     run_letter = draw(st.sampled_from([-1, 0, 1]))
     values = []
     for _ in range(draw(st.integers(2, 10))):
@@ -260,7 +262,12 @@ def recoding_cases(draw):
             values += draw(st.lists(st.integers(-1, 1), min_size=big_n, max_size=big_n))
     values += draw(st.lists(st.integers(-1, 1), max_size=big_n - 1))
     # dyadic epsilons make some thresholds 2**-k, which a window frequency can equal
-    epsilon = draw(st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.25, 0.5, 0.75])))
+    epsilons = [st.floats(0.05, 0.95), st.sampled_from([0.25, 0.5, 0.75])]
+    # above it, heavy_threshold * (N - n_block + 1) < 1: every window is heavy
+    all_heavy = math.log2(len(values) - n_block + 1) / n_block
+    if all_heavy < 0.95:
+        epsilons.append(st.floats(all_heavy, 0.95, exclude_min=True))
+    epsilon = draw(st.one_of(epsilons))
     params = DeterminizeParams(epsilon, n_block, big_n)
     return values, params
 
@@ -306,6 +313,14 @@ class TestDeterminize:
         assert res.distinct_block_count == 1
         body = res.sequence.values[: res.blocks_processed * 100]
         assert np.all(body == u.values[0])
+
+    def test_traced_peak_with_heavy_windows(self):
+        # 13 heavy 12-windows, so the marking pass runs (the uniform prefixes
+        # of the kernel memory tests have none): it rebuilds the window codes
+        # in int32, about 8 B/symbol in all; an int64 rebuild traced 14
+        N = 2**22
+        u = sturmian_prefix(golden_params(), N)
+        assert traced_peak(determinize_step, u, DeterminizeParams(0.5, 12, 96)) < 10 * N
 
     def test_rejects_big_n_exceeding_length(self):
         with pytest.raises(ValueError, match="big_n"):

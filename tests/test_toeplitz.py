@@ -18,6 +18,7 @@ from chowla_lab.toeplitz import (
 )
 
 from owner_oracle import brute_owner, is_initial, non_initial_density_ok
+from traced_memory import traced_peak
 
 
 def random_ref(seed, size):
@@ -169,13 +170,7 @@ class TestToeplitzCorrelation:
         # strided views of z only; building t held N bytes
         N = 2**22
         spec = ToeplitzSpec(q=2, z_ref=random_ref(4, N))
-        tracemalloc.start()
-        try:
-            toeplitz_correlation(spec, N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        assert traced_peak(toeplitz_correlation, spec, N) < 2**20
 
 
 class TestIntervalAnalytics:
