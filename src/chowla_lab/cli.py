@@ -20,7 +20,6 @@ from .correlations import (
     RotationSampler,
     SubshiftSampler,
     ch_battery,
-    chowla_sum,
     davenport_scan,
     sarnak_sum,
 )
@@ -146,7 +145,7 @@ def cmd_chowla(args) -> int:
         raise ValueError(f"--max-lag {args.max_lag} must be below the prefix length {len(z)}")
     n = args.n if args.n is not None else len(z) - args.max_lag
     report = ch_battery(z, args.max_lag, args.max_r, n, args.tol)
-    witness_curve = chowla_sum(z, report.witness, n)
+    witness_curve = next(e.curve for e in report.entries if e.spec == report.witness)
     results = {
         "n": report.n,
         "tol": report.tol,
@@ -319,12 +318,9 @@ def cmd_determinize(args) -> int:
             }
         )
         current = result.sequence
-    write_sqz(args.out, current)
-    try:
-        return emit_report(args, "determinize", {"steps": steps}, ok)
-    except BaseException:  # a failed run leaves no .sqz behind
-        os.remove(args.out)
-        raise
+    code = emit_report(args, "determinize", {"steps": steps}, ok)
+    write_sqz(args.out, current)  # after the report, so a failed report leaves no .sqz
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,10 +434,12 @@ def _report_flags(p: argparse.ArgumentParser, formats=("json",)) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # before any work: a report that fails last would leave the .sqz behind
+        # before any work, which would be lost to a failed write
         for path in (getattr(args, "out", None), getattr(args, "out_report", None)):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"output directory does not exist: {path}")
+            if path and os.path.isdir(path):
+                raise ValueError(f"output path is a directory: {path}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,9 @@ Lag products are evaluated on packed bitplanes of each slice, support
 (z != 0) and sign (z < 0), one pair per shift: the product is nonzero on
 the AND of the shifted supports, and negative where the XOR of the
 exponent-1 factors' signs is set, so every Chowla-type sum is an exact
-integer count.  The orbit-weighted sums multiply the sampler's values by
-the slice's int8 product and add each slice with one float64 np.sum.
+integer count, and one walk of the slices serves all of a battery's specs.
+The orbit-weighted sums multiply the sampler's values by the slice's int8
+product and add each slice with one float64 np.sum.
 """
 
 from __future__ import annotations
@@ -137,13 +138,24 @@ def _signed_counts(planes: dict, shifts: tuple[int, ...]) -> dict[tuple[int, ...
 
 def chowla_sum(z: SignSeq, spec: CorrelationSpec, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of prod_s z^{i_s}(n + a_s), a_0 = 0."""
-    _check_prefix(z, N, spec.max_lag)
-    shifts = (0,) + spec.lags
-    points, total = [], 0
+    return _chowla_curves(z, [spec], N)[0]
+
+
+def _chowla_curves(z: SignSeq, specs: list[CorrelationSpec], N: int) -> list[CorrelationCurve]:
+    """``chowla_sum`` of every spec in one walk of the checkpoint slices.
+    Each slice's bitplanes are built once, for the shifts some spec uses,
+    and each run of specs on one lag set shares its support."""
+    _check_prefix(z, N, max(spec.max_lag for spec in specs))
+    shifts = sorted({0}.union(*(spec.lags for spec in specs)))
+    totals, points = [0] * len(specs), [[] for _ in specs]
     for lo, hi in _slices(N):
-        total += _signed_counts(_bitplanes(z, shifts, lo, hi), shifts)[spec.exponents]
-        points.append((hi, total / hi))
-    return CorrelationCurve(checkpoints=tuple(points))
+        planes = _bitplanes(z, shifts, lo, hi)
+        for lags, group in groupby(enumerate(specs), key=lambda item: item[1].lags):
+            sums = _signed_counts(planes, (0,) + lags)
+            for i, spec in group:
+                totals[i] += sums[spec.exponents]
+                points[i].append((hi, totals[i] / hi))
+    return [CorrelationCurve(checkpoints=tuple(curve)) for curve in points]
 
 
 class OrbitSampler:
@@ -252,7 +264,11 @@ def enumerate_chowla_specs(max_lag: int, max_r: int) -> list[CorrelationSpec]:
 @dataclass(frozen=True)
 class BatteryEntry:
     spec: CorrelationSpec
-    value: float
+    curve: CorrelationCurve
+
+    @property
+    def value(self) -> float:
+        return self.curve.final
 
 
 @dataclass(frozen=True)
@@ -272,20 +288,17 @@ class BatteryReport:
     ch1_witness: CorrelationSpec = field(init=False)
 
     def __post_init__(self):
-        worst = max(self.entries, key=lambda e: abs(e.value))
         ones = [e for e in self.entries if all(i == 1 for i in e.spec.exponents)]
-        worst1 = max(ones, key=lambda e: abs(e.value))
-        object.__setattr__(self, "max_abs", abs(worst.value))
-        object.__setattr__(self, "witness", worst.spec)
-        object.__setattr__(self, "passed", abs(worst.value) < self.tol)
-        object.__setattr__(self, "ch1_max_abs", abs(worst1.value))
-        object.__setattr__(self, "ch1_witness", worst1.spec)
-        object.__setattr__(self, "ch1_passed", abs(worst1.value) < self.tol)
+        for prefix, family in (("", self.entries), ("ch1_", ones)):
+            worst = max(family, key=lambda e: abs(e.value))
+            object.__setattr__(self, prefix + "max_abs", abs(worst.value))
+            object.__setattr__(self, prefix + "witness", worst.spec)
+            object.__setattr__(self, prefix + "passed", abs(worst.value) < self.tol)
 
 
 def ch_battery(z: SignSeq, max_lag: int, max_r: int, N: int, tol: float) -> BatteryReport:
-    """Evaluate every admissible correlation spec at length N and compare
-    the final values against tol.  Deterministic enumeration order."""
+    """Every admissible correlation spec's curve up to N, in enumeration
+    order; the final values are compared against tol."""
     if max_lag < 1 or max_r < 0:
         raise ValueError(f"need max_lag >= 1 and max_r >= 0, got {max_lag}, {max_r}")
     if not (math.isfinite(tol) and tol > 0):
@@ -296,18 +309,8 @@ def ch_battery(z: SignSeq, max_lag: int, max_r: int, N: int, tol: float) -> Batt
         if count > BATTERY_BUDGET:
             raise ValueError(f"battery of at least {count} specs exceeds budget "
                              f"{BATTERY_BUDGET}")
-    reach = max_lag if max_r else 0
-    _check_prefix(z, N, reach)
     specs = enumerate_chowla_specs(max_lag, max_r)
-    totals = dict.fromkeys(specs, 0)
-    for lo, hi in _slices(N):
-        planes = _bitplanes(z, range(reach + 1), lo, hi)
-        # every exponent pattern on a lag set shares its support
-        for lags, group in groupby(specs, key=lambda s: s.lags):
-            sums = _signed_counts(planes, (0,) + lags)
-            for spec in group:
-                totals[spec] += sums[spec.exponents]
-    entries = [BatteryEntry(spec=spec, value=totals[spec] / N) for spec in specs]
+    entries = map(BatteryEntry, specs, _chowla_curves(z, specs, N))
     return BatteryReport(n=N, tol=tol, entries=tuple(entries))
 
 

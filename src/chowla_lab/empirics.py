@@ -13,9 +13,10 @@ letter most significant) that sort like the blocks and are exact up to length
 39 in int64.  ``block_frequencies`` tallies length k alone and reads the
 shorter lengths, and the sign test z^2, off that histogram; the recoding's
 heavy-window kernel, ``positive_frequency_blocks``, keeps the long runs of
-the codes sorted in place.  ``complexity_profile`` re-ranks the keys instead,
-with int32 keys and rank table while 3N + 3 < 2**31 (int64 above): per
-symbol, one byte of digits, four of keys and at most twelve of table.
+the codes sorted in place.  ``_window_ranks``, the distinct-window kernel of
+``complexity_profile`` and ``symbolicgen.sparse_embed``, re-ranks the keys
+instead, with int32 keys and rank table while 3N + 3 < 2**31 (int64 above):
+per symbol, one byte of digits, four of keys and at most twelve of table.
 """
 
 from __future__ import annotations
@@ -106,11 +107,13 @@ class EmpiricalMeasure:
         return self.count(block) / self.denominator(len(block))
 
     def items(self, length: int):
-        """Yield (Block, frequency) for every observed block of the length."""
+        """(Block, frequency) for every observed block of the length, lazily."""
+        if not 1 <= length <= self.max_order:
+            raise ValueError(f"block length {length} outside 1..{self.max_order}")
         codes, counts = self._tables[length]
         denom = self.denominator(length)
-        for code, cnt in zip(codes.tolist(), counts.tolist()):
-            yield code_to_block(code, length), cnt / denom
+        return ((code_to_block(code, length), cnt / denom)
+                for code, cnt in zip(codes.tolist(), counts.tolist()))
 
 
 def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
@@ -174,34 +177,41 @@ MAX_COMPLEXITY_ORDER = 512
 
 
 def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
-    """Exact distinct-window counts for n = 1..n_max.
-
-    Rank refinement: each length's keys from ``_window_codes`` are replaced
-    in place by their dense ranks, so the next key is 3 * (rank of the first
-    n-1 letters) + (last letter + 1) < 3 * p_{n-1}.  Each step scatters the
-    keys into a table of that size, takes its running sum and gathers the
-    ranks back; there is no length cap from code packing.
-    """
+    """Exact distinct-window counts for n = 1..n_max (``_window_ranks``)."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
     N = len(w)
     if n_max > N:
         raise ValueError(f"n_max {n_max} exceeds prefix length {N}")
-    dtype = np.int32 if 3 * N + 3 < 2**31 else np.int64
-    counts = np.empty(n_max, dtype=np.int64)
+    counts = np.fromiter((p for p, _ in _window_ranks(w.values, n_max)), np.int64, n_max)
+    return ComplexityProfile(counts=counts, prefix_length=N)
+
+
+def _window_ranks(values: np.ndarray, n_max: int):
+    """Yield (p_n, ranks) for n = 1..n_max: p_n distinct length-n windows,
+    and ranks[i] the dense rank of values[i : i + n] among them.
+
+    Rank refinement: each length's keys from ``_window_codes`` are replaced
+    in place by their dense ranks, so the next key is 3 * (rank of the first
+    n-1 letters) + (last letter + 1) < 3 * p_{n-1}.  Each step scatters the
+    keys into a table of that size, takes its running sum and gathers the
+    ranks back; there is no length cap from code packing.  ``ranks`` is the
+    key buffer, which the next step overwrites: use or copy it before then.
+    """
+    dtype = np.int32 if 3 * values.size + 3 < 2**31 else np.int64
     p = 1  # p_0: the empty window
-    for n, key in enumerate(_window_codes(w.values, n_max, dtype), start=1):
+    for key in _window_codes(values, n_max, dtype):
         rank = np.zeros(3 * p, dtype=dtype)
         rank[key] = 1
         np.cumsum(rank, out=rank)
-        counts[n - 1] = p = int(rank[-1])
+        p = int(rank[-1])
         rank -= 1
         for lo in range(0, key.size, _CHUNK):  # np.take copies an int32 index to intp
             chunk = key[lo : lo + _CHUNK]
             # keys < rank.size, so "clip" clamps nothing; "raise" buffers a copy
             np.take(rank, chunk, out=chunk, mode="clip")
         del rank  # before the next length's table is made
-    return ComplexityProfile(counts=counts, prefix_length=N)
+        yield p, key
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ so outputs are exact (no probabilistic factoring).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -202,29 +203,14 @@ def admissible_block_count(n: int, bset: BSet) -> int:
     if n > ADMISSIBLE_COUNT_LIMIT:
         raise ValueError(f"n = {n} exceeds exhaustive-search limit {ADMISSIBLE_COUNT_LIMIT}")
     moduli = [b for b in bset.b_values if b <= n]
-    if not moduli:
-        return 2**n
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
+    @functools.cache
     def count(pos: int, states: tuple[int, ...]) -> int:
         if pos == n:
             return 1
-        key = (pos, states)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = count(pos + 1, states)  # letter 0 never violates
-        new_states = []
-        ok = True
-        for b, occupied in zip(moduli, states):
-            occupied |= 1 << (pos % b)
-            if occupied == (1 << b) - 1:
-                ok = False
-                break
-            new_states.append(occupied)
-        if ok:
-            total += count(pos + 1, tuple(new_states))
-        memo[key] = total
-        return total
+        # letter 0 never violates; letter 1 occupies class pos mod b of each b
+        grown = tuple(occupied | 1 << pos % b for b, occupied in zip(moduli, states))
+        fits = all(occupied != (1 << b) - 1 for b, occupied in zip(moduli, grown))
+        return count(pos + 1, states) + (count(pos + 1, grown) if fits else 0)
 
-    return count(0, tuple(0 for _ in moduli))
+    return count(0, (0,) * len(moduli))

@@ -5,7 +5,8 @@ two counterexample codings (a 4-letter pair code and a coin sequence masked
 by its own next term), a non-recurrent doubling word with inflating zero
 blocks, sparse zero-padded embeddings of a reference word's blocks, and the
 heavy-block recoding step used to approximate a sequence by one of low block
-diversity.
+diversity.  Both take their block kernels from ``empirics``: the embedding
+its distinct blocks from ``_window_ranks``, the recoding its heavy windows.
 
 Every generator is a pure function of (params, seed, N): same inputs give a
 byte-identical prefix.  The random source is numpy's PCG64 generator.
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirics import _CHUNK, _CODE_LENGTH_LIMIT, _window_codes, positive_frequency_blocks
+from .empirics import _CHUNK, _CODE_LENGTH_LIMIT, _window_codes, _window_ranks
+from .empirics import positive_frequency_blocks
 from .seqcore import SignSeq, _as_symbol_array
 
 
@@ -179,25 +181,22 @@ def sparse_embed(w: SignSeq, N: int, gap_growth: int) -> SignSeq:
     if N < 1:
         raise ValueError("N must be >= 1")
     out = np.zeros(N, dtype=np.int8)
-    pos = 0
-    d = 4
-    while d <= len(w):
-        blocks = _distinct_windows_in_order(w.values, d)
+    pos, d = 0, 4
+    for n, (_, ranks) in enumerate(_window_ranks(w.values, len(w)), start=1):
+        if n < d:
+            continue
+        first = np.sort(np.unique(ranks, return_index=True)[1])
         pad = max(d, ((gap_growth - 1) * d + 1) // 2)
         unit = d + 2 * pad
-        if pos + unit * len(blocks) > N:
+        if pos + unit * first.size > N:
             break
-        for block in blocks:
-            out[pos + pad : pos + pad + d] = block
+        for i in first.tolist():
+            out[pos + pad : pos + pad + d] = w.values[i : i + d]
             pos += unit
         d *= gap_growth
+        if d > len(w):
+            break
     return SignSeq._wrap(out)
-
-
-def _distinct_windows_in_order(values: np.ndarray, d: int) -> list[np.ndarray]:
-    windows = np.lib.stride_tricks.sliding_window_view(values, d)
-    _, first = np.unique(windows, axis=0, return_index=True)
-    return [windows[i] for i in np.sort(first)]
 
 
 @dataclass(frozen=True)

@@ -276,14 +276,33 @@ class TestDeterminize:
         assert len(read_sqz(out)) == 50_000
 
     def test_failed_report_leaves_no_sqz(self, tmp_path, capsys):
-        # the .sqz is written before the report, which cannot replace a directory
+        # a report that cannot replace a directory neither writes d.sqz nor
+        # replaces an --out that is the input
         z = tmp_path / "u.sqz"
-        run(["generate", "--kind", "mobius", "--n", 1000, "--out", z])
+        run(["generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--n", 1000,
+             "--out", z])
         capsys.readouterr()
-        assert run(["determinize", "--in", z, "--epsilon", 0.1, "--n-block", 2, "--big-n", 4,
-                    "--out", tmp_path / "d.sqz", "--out-report", tmp_path]) == 2
-        assert_one_error_line(capsys)
-        assert list(tmp_path.iterdir()) == [z]
+        before = z.read_bytes()
+        (tmp_path / "rdir").mkdir()
+        for out in (tmp_path / "d.sqz", z):
+            assert run(["determinize", "--in", z, "--epsilon", 0.1, "--n-block", 2,
+                        "--big-n", 4, "--out", out, "--out-report", tmp_path / "rdir"]) == 2
+            assert_one_error_line(capsys)
+            assert sorted(tmp_path.iterdir()) == [tmp_path / "rdir", z]
+            assert z.read_bytes() == before
+
+
+# Each command that writes a file, with the flag that names it.
+OUTPUT_FLAGS = pytest.mark.parametrize("argv, flag", [
+    (["generate", "--kind", "mobius", "--n", 1000], "--out"),
+    (["toeplitz", "build", "--q", 5, "--ref", "{m}"], "--out"),
+    (["chowla", "--in", "{m}", "--max-lag", 2, "--max-r", 1], "--out-report"),
+    (["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 2, "--big-n", 4,
+      "--out", "{tmp}/d.sqz"], "--out-report"),
+    (["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 2, "--big-n", 4,
+      "--out-report", "{tmp}/r.json"], "--out"),
+], ids=["generate-out", "toeplitz-build-out", "chowla-out-report",
+        "determinize-out-report", "determinize-out"])
 
 
 class TestUsageErrors:
@@ -363,22 +382,26 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["generate", "--kind", "mobius", "--n", 1000], "--out"),
-        (["toeplitz", "build", "--q", 5, "--ref", "{m}"], "--out"),
-        (["chowla", "--in", "{m}", "--max-lag", 2, "--max-r", 1], "--out-report"),
-        (["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 2, "--big-n", 4,
-          "--out", "{tmp}/d.sqz"], "--out-report"),
-    ], ids=["generate-out", "toeplitz-build-out", "chowla-out-report",
-            "determinize-out-report"])
+    @OUTPUT_FLAGS
     def test_output_in_a_missing_directory_is_refused_first(self, mobius_file, tmp_path,
                                                             capsys, argv, flag):
-        # refused before any work: determinize wrote d.sqz before its report failed
+        # refused before any work, which a failed write at the end would lose
         missing = tmp_path / "missing" / "out"
         argv = [str(a).format(m=mobius_file, tmp=tmp_path) for a in argv]
         assert run([*argv, flag, missing]) == 2
         assert assert_one_error_line(capsys) == f"error: output directory does not exist: {missing}"
         assert list(tmp_path.iterdir()) == []
+
+    @OUTPUT_FLAGS
+    def test_output_that_is_a_directory_is_refused_first(self, mobius_file, tmp_path,
+                                                         capsys, argv, flag):
+        target = tmp_path / "existing-dir"
+        target.mkdir()
+        argv = [str(a).format(m=mobius_file, tmp=tmp_path) for a in argv]
+        assert run([*argv, flag, target]) == 2
+        assert assert_one_error_line(capsys) == f"error: output path is a directory: {target}"
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
     def test_out_of_memory_is_one_error_line(self, tmp_path):
         # The 10^10-byte sieve output cannot fit under a 3 GiB address-space

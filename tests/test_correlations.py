@@ -182,7 +182,11 @@ class TestBruteForceOracle:
         report = ch_battery(SignSeq(values), 4, 2, N, 0.1)
         assert [e.spec for e in report.entries] == enumerate_chowla_specs(4, 2)
         for e in report.entries:
-            assert e.value == brute_prefix_sums(values, e.spec, N)[N] / N
+            sums = brute_prefix_sums(values, e.spec, N)
+            assert [n for n, _ in e.curve.checkpoints] == checkpoint_bounds(N)
+            for n, value in e.curve.checkpoints:
+                assert value == sums[n] / n
+            assert e.value == sums[N] / N
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

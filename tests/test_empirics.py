@@ -232,6 +232,12 @@ class TestBlockFrequencies:
             block_frequencies(SignSeq([1] * 100), 25)
         with pytest.raises(ValueError, match="10\\*k"):
             block_frequencies(SignSeq([1] * 30), 5)
+        m = block_frequencies(SignSeq([1, 0] * 50), 3)
+        for length in (0, 4):  # items refuses at the call, not at the first item
+            with pytest.raises(ValueError, match=f"block length {length} outside 1..3"):
+                m.items(length)
+        with pytest.raises(ValueError, match="block length 4 outside 1..3"):
+            m.count([1] * 4)
 
 
 class TestPartitionIdentity:

@@ -161,3 +161,13 @@ class TestSqzFormat:
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(ValueError, match="expected 4 symbols"):
             read_sqz(path)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        # the rename onto a directory fails after the temp file is written
+        target = tmp_path / "existing-dir"
+        target.mkdir()
+        with pytest.raises(OSError) as err:
+            write_sqz(target, SignSeq([1, 0, -1]))
+        assert err.value.filename == str(target)
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []

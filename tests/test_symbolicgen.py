@@ -177,7 +177,47 @@ class TestDoublingWord:
             assert blocks_first <= blocks_second, ell
 
 
+def brute_sparse_embed(values, N, g):
+    """Pure-Python embedding: each level's first occurrences from a dict, in
+    the dict's insertion order, padded by max(d, ceil((g-1)d/2)) zeros."""
+    out = np.zeros(N, dtype=np.int8)
+    pos, d = 0, 4
+    while d <= len(values):
+        first = {}
+        for i in range(len(values) - d + 1):
+            first.setdefault(tuple(values[i : i + d]), i)
+        pad = max(d, math.ceil((g - 1) * d / 2))
+        if pos + (d + 2 * pad) * len(first) > N:
+            break
+        for block in first:
+            out[pos + pad : pos + pad + d] = block
+            pos += d + 2 * pad
+        d *= g
+    return out
+
+
 class TestSparseEmbed:
+    @given(st.lists(st.integers(-1, 1), min_size=4, max_size=120), st.integers(1, 4000),
+           st.integers(2, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_brute_force(self, values, N, g):
+        emb = sparse_embed(SignSeq(values), N, g)
+        assert emb.values.tobytes() == brute_sparse_embed(values, N, g).tobytes()
+
+    @pytest.mark.parametrize("values", [[1] * 300, [-1, 0, 1, 1, 0] * 60, [0, 1] * 150],
+                             ids=["constant", "period-5", "period-2"])
+    def test_levels_past_39_letters_match_brute_force(self, values):
+        # g = 2 reaches d = 64 and 128, past the 39 letters a base-3 code holds
+        emb = sparse_embed(SignSeq(values), 10**4, 2)
+        want = brute_sparse_embed(values, 10**4, 2)
+        assert emb.values.tobytes() == want.tobytes()
+        assert np.int8(values[:128]).tobytes() in want.tobytes()  # level 128 was placed
+
+    def test_traced_peak_on_a_constant_reference(self):
+        # one block per level, up to d = 2**14: no window matrix per level
+        w = SignSeq(np.ones(2**14, dtype=np.int8))
+        assert traced_peak(sparse_embed, w, 10**6, 2) < 4 * 10**6
+
     def test_density_bound(self):
         rng = np.random.default_rng(5)
         w = SignSeq(rng.integers(-1, 2, size=5000))
