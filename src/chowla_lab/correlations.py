@@ -234,17 +234,20 @@ def strong_sarnak_sum(
     checkpoint slice, the sampler's values times the int8 product, added
     with one float64 np.sum."""
     _check_prefix(z, N, spec.max_lag)
-    sampler.values(N - 1, N)  # a sampler that cannot reach N refuses before any work
-    points, total = [], 0.0
-    for lo, hi in _slices(N):
-        lagged = np.ones(hi - lo, dtype=np.int8)
-        for a, i in zip((0,) + spec.lags, spec.exponents):
-            lagged *= z.values[lo + a : hi + a] ** i
-        terms = sampler.values(lo, hi)
-        terms *= lagged
-        total += float(np.sum(terms, dtype=np.float64))
-        del terms  # before the next slice's values are made
-        points.append((hi, total / hi))
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is refused
+        sampler.values(N - 1, N)  # a sampler that cannot reach N refuses before any work
+        points, total = [], 0.0
+        for lo, hi in _slices(N):
+            lagged = np.ones(hi - lo, dtype=np.int8)
+            for a, i in zip((0,) + spec.lags, spec.exponents):
+                lagged *= z.values[lo + a : hi + a] ** i
+            terms = sampler.values(lo, hi)
+            terms *= lagged
+            total += float(np.sum(terms, dtype=np.float64))
+            del terms  # before the next slice's values are made
+            if not math.isfinite(total):
+                raise ValueError(f"weighted sum up to n = {hi} is not finite in float64")
+            points.append((hi, total / hi))
     return CorrelationCurve(checkpoints=tuple(points))
 
 

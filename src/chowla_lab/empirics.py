@@ -10,13 +10,14 @@ Window counting conventions: a length-ell block in a prefix of length N has
 denominator N - ell + 1.  ``_window_codes`` alone builds window keys, also for
 ``symbolicgen``'s recoding: big-endian base-3 codes (letter + 1, the first
 letter most significant) that sort like the blocks and are exact up to length
-39 in int64.  ``block_frequencies`` tallies length k alone and reads the
-shorter lengths, and the sign test z^2, off that histogram; the recoding's
-heavy-window kernel, ``positive_frequency_blocks``, keeps the long runs of
-the codes sorted in place.  ``_window_ranks``, the distinct-window kernel of
-``complexity_profile`` and ``symbolicgen.sparse_embed``, re-ranks the keys
-instead, with int32 keys and rank table while 3N + 3 < 2**31 (int64 above):
-per symbol, one byte of digits, four of keys and at most twelve of table.
+39 in int64.  ``block_frequencies`` sorts the length-k codes in place and
+counts their runs: one table, which the shorter lengths and the sign test's
+z^2 are derived from; the recoding's heavy-window kernel,
+``positive_frequency_blocks``, keeps the long runs of the sorted codes.
+``_window_ranks``, the distinct-window kernel of ``complexity_profile`` and
+``symbolicgen.sparse_embed``, re-ranks the keys instead, with int32 keys and
+rank table while 3N + 3 < 2**31 (int64 above): per symbol, one byte of
+digits, four of keys and at most twelve of table.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .seqcore import Block, SignSeq
 
 MAX_FREQUENCY_ORDER = 24
-_DENSE_CODE_LIMIT = 1 << 23  # dense counting up to this code range, by sort above
 _CODE_LENGTH_LIMIT = 39  # 3**39 - 1 < 2**63 <= 3**40 - 1
 _CHUNK = 1 << 20  # terms per chunk where a whole-array call makes N-sized temporaries
 
@@ -75,32 +75,48 @@ def _window_codes(values: np.ndarray, k: int, dtype=None):
 class EmpiricalMeasure:
     """Observed frequencies of all blocks of length <= max_order in a prefix.
 
-    ``freq`` of an unobserved block is 0.  Internally one sorted code array
-    plus counts per length, so memory is proportional to the number of
-    distinct observed blocks.
+    ``freq`` of an unobserved block is 0.  One table is stored, read-only:
+    the sorted int64 codes and counts of the length-max_order blocks, and
+    the last max_order - 1 letters; ``_table`` derives a shorter length.
     """
 
-    __slots__ = ("max_order", "window_count", "_tables")
+    __slots__ = ("max_order", "window_count", "_codes", "_counts", "_tail")
 
-    def __init__(self, max_order: int, window_count: int, tables):
-        self.max_order = max_order
-        self.window_count = window_count
-        self._tables = tables  # {ell: (sorted codes int64, counts int64)}
+    def __init__(self, max_order: int, window_count: int, codes, counts, tail):
+        self.max_order, self.window_count = max_order, window_count
+        self._codes, self._counts, self._tail = codes, counts, tail
+        codes.flags.writeable = counts.flags.writeable = False
 
     def denominator(self, length: int) -> int:
         return self.window_count - length + 1
 
+    def _tail_codes(self, ell: int) -> list[int]:
+        """Codes of the last max_order - ell length-ell windows: none starts a stored one."""
+        return [block_code(self._tail[j : j + ell]) for j in range(self.max_order - ell)]
+
+    def _table(self, ell: int):
+        """Sorted int64 codes and counts of the length-ell blocks: the runs of
+        the stored code // 3**(max_order - ell), plus the last windows."""
+        if not 1 <= ell <= self.max_order:
+            raise ValueError(f"block length {ell} outside 1..{self.max_order}")
+        if ell == self.max_order:
+            return self._codes, self._counts
+        codes, last = self._codes // 3 ** (self.max_order - ell), np.sort(self._tail_codes(ell))
+        i = np.searchsorted(codes, last)
+        codes, counts = np.insert(codes, i, last), np.insert(self._counts, i, 1)
+        runs = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        return codes[runs], np.add.reduceat(counts, runs)
+
     def count(self, block) -> int:
+        """Code c is the run [c, c + 1) * 3**(max_order - ell) of the stored
+        codes, plus its matches among the last windows."""
         letters = (block if isinstance(block, Block) else Block(tuple(block))).letters
         ell = len(letters)
         if not 1 <= ell <= self.max_order:
             raise ValueError(f"block length {ell} outside 1..{self.max_order}")
-        codes, counts = self._tables[ell]
-        code = block_code(letters)
-        i = np.searchsorted(codes, code)
-        if i < codes.size and codes[i] == code:
-            return int(counts[i])
-        return 0
+        code, shift = block_code(letters), 3 ** (self.max_order - ell)
+        lo, hi = np.searchsorted(self._codes, [code * shift, (code + 1) * shift])
+        return int(self._counts[lo:hi].sum()) + self._tail_codes(ell).count(code)
 
     def freq(self, block) -> float:
         block = block if isinstance(block, Block) else Block(tuple(block))
@@ -108,9 +124,7 @@ class EmpiricalMeasure:
 
     def items(self, length: int):
         """(Block, frequency) for every observed block of the length, lazily."""
-        if not 1 <= length <= self.max_order:
-            raise ValueError(f"block length {length} outside 1..{self.max_order}")
-        codes, counts = self._tables[length]
+        codes, counts = self._table(length)
         denom = self.denominator(length)
         return ((code_to_block(code, length), cnt / denom)
                 for code, cnt in zip(codes.tolist(), counts.tolist()))
@@ -120,35 +134,20 @@ def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
     """Overlapping-window frequencies of every block of length <= k.
 
     freq(B) = #{1 <= n <= N-ell+1 : w[n..n+ell-1] = B} / (N-ell+1).
-
-    Only length k is tallied; length ell is the marginal of ell + 1 (code // 3
-    over sorted runs) plus the window at N - ell, which no longer one extends.
     """
     if not 1 <= k <= MAX_FREQUENCY_ORDER:
         raise ValueError(f"k must be in 1..{MAX_FREQUENCY_ORDER}, got {k}")
     if len(w) < 10 * k:
         raise ValueError(f"prefix length {len(w)} < 10*k = {10 * k}")
-    tables = {k: _tally(w.values, k)}
-    for ell in range(k - 1, 0, -1):
-        longer, counts = tables[ell + 1]
-        codes, last = longer // 3, block_code(w.values[-ell:])
-        i = np.searchsorted(codes, last)
-        codes, counts = np.insert(codes, i, last), np.insert(counts, i, 1)
-        runs = np.flatnonzero(np.diff(codes, prepend=-1))
-        tables[ell] = codes[runs], np.add.reduceat(counts, runs)
-    return EmpiricalMeasure(max_order=k, window_count=len(w), tables=tables)
-
-
-def _tally(values: np.ndarray, k: int):
-    """Sorted int64 codes and counts of the observed length-k windows."""
-    *_, codes = _window_codes(values, k)
-    if 3**k > _DENSE_CODE_LIMIT:
-        uniq, counts = np.unique(codes, return_counts=True)
-        return uniq.astype(np.int64), counts.astype(np.int64)
-    bins = np.zeros(3**k, dtype=np.int64)
-    np.add.at(bins, codes, 1)  # np.bincount would copy an int32 index to intp
-    nz = np.flatnonzero(bins)
-    return nz, bins[nz]
+    *views, windows = _window_codes(w.values, k)
+    windows.sort()  # length k alone is tallied, by the runs of its sorted codes
+    starts = np.flatnonzero(windows[1:] != windows[:-1])
+    starts += 1
+    codes = np.empty(starts.size + 1, dtype=np.int64)
+    codes[0], codes[1:] = windows[0], windows[starts]
+    del views, windows  # the window buffer is freed before the counts are made
+    counts = np.diff(starts, prepend=0, append=len(w) - k + 1)
+    return EmpiricalMeasure(k, len(w), codes, counts, tail=w.values[len(w) - k + 1 :].copy())
 
 
 @dataclass(frozen=True)
@@ -275,10 +274,12 @@ def sign_extension_test(
         raise ValueError(f"k must be in 1..{MAX_SIGN_TEST_ORDER}, got {k}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    tables = block_frequencies(z, k)._tables
+    if not (math.isfinite(audit_factor) and audit_factor >= 0):
+        raise ValueError(f"audit_factor must be finite and >= 0, got {audit_factor}")
+    measure = block_frequencies(z, k)
     max_violation, witness, violations, audited = 0.0, None, [], 0
     for ell in range(1, k + 1):
-        codes, counts = tables.pop(ell)  # each length's table is freed once audited
+        codes, counts = measure._table(ell)
         denom = len(z) - ell + 1
         # little-endian support masks, bit j for letter j: they sort squares last letter first
         masks = sum((codes // 3**i % 3 != 1) << (ell - 1 - i) for i in range(ell))
@@ -312,6 +313,7 @@ def sign_extension_test(
         pick = pick[deviation[pick] > tol]
         violations += [(code_to_block(c, ell), d)
                        for c, d in zip(codes[pick].tolist(), deviation[pick].tolist())]
+        del codes, counts, masks, deviation  # before the next length's table is made
     return SignExtensionReport(
         passed=max_violation <= tol,
         max_violation=max_violation,

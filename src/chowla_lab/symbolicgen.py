@@ -222,6 +222,8 @@ class DeterminizeParams:
             raise ValueError(f"big_n {self.big_n} < n_block {self.n_block}")
         if self.big_n % self.n_block != 0:
             raise ValueError(f"big_n {self.big_n} not divisible by n_block {self.n_block}")
+        if self.epsilon * self.big_n >= 1024:  # 2**(epsilon*big_n) overflows float64
+            raise ValueError(f"epsilon*big_n must be < 1024, got {self.epsilon * self.big_n}")
 
     @property
     def heavy_threshold(self) -> float:

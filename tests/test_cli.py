@@ -37,6 +37,10 @@ ERROR_TEXT = {
     "davenport-n-long": "prefix of length 100000 too short: need N = 1000000",
     "sarnak-n-long": "prefix of length 100000 too short: need N = 1000000",
     "chowla-max-lag-long": "--max-lag 100000 must be below the prefix length 100000",
+    "determinize-2^1024": "epsilon*big_n must be < 1024, got 1024.5",
+    "sarnak-pattern-overflow": "is not finite",
+    "sarnak-pattern-overflow-csv": "is not finite",
+    "sarnak-alpha-overflow": "is not finite",
 }
 
 
@@ -338,11 +342,19 @@ class TestUsageErrors:
          "--out", "{tmp}/d.sqz"],
         ["determinize", "--in", "{m}", "--epsilon", 0.1, "--n-block", 4, "--big-n", 8,
          "--steps", 1025, "--out", "{tmp}/d.sqz"],
+        ["determinize", "--in", "{m}", "--epsilon", 0.5, "--n-block", 3, "--big-n", 2049,
+         "--out", "{tmp}/d.sqz"],
         ["sarnak", "--in", "{m}", "--system", "periodic", "--pattern", "1", "--n", 0],
         ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", 0.5, "--n", -3],
         ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", "nan"],
         ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", 0.5, "--x0", "inf"],
         ["sarnak", "--in", "{m}", "--system", "periodic", "--pattern", "1,nan"],
+        ["sarnak", "--in", "{m}", "--system", "periodic", "--pattern", "1e308,1e308",
+         "--out-report", "{tmp}/r.json"],
+        ["sarnak", "--in", "{m}", "--system", "periodic", "--pattern", "1e308,1e308",
+         "--report", "csv", "--out-report", "{tmp}/r.csv"],
+        ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", "1e307",
+         "--out-report", "{tmp}/r.json"],
         ["davenport", "--in", "{m}", "--n", 0],
         ["davenport", "--in", "{m}", "--n", -3],
         ["davenport", "--in", "{m}", "--n", 10**6],
@@ -355,8 +367,10 @@ class TestUsageErrors:
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", 0, "--out", "{tmp}/t.sqz"],
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", -3, "--out", "{tmp}/t.sqz"],
     ], ids=["hat-tol-nan", "hat-tol-inf", "probs-nan", "probs-nan-3", "steps-0",
-            "n-block-40", "steps-1025", "sarnak-n-0", "sarnak-n-neg", "sarnak-alpha-nan",
-            "sarnak-x0-inf", "sarnak-pattern-nan", "davenport-n-0",
+            "n-block-40", "steps-1025", "determinize-2^1024", "sarnak-n-0", "sarnak-n-neg",
+            "sarnak-alpha-nan", "sarnak-x0-inf", "sarnak-pattern-nan",
+            "sarnak-pattern-overflow", "sarnak-pattern-overflow-csv", "sarnak-alpha-overflow",
+            "davenport-n-0",
             "davenport-n-neg", "davenport-n-long", "sarnak-n-long", "chowla-max-lag-long",
             "toeplitz-2^70", "toeplitz-2^70-ref", "toeplitz-10^19",
             "toeplitz-10^19-ref", "toeplitz-build-n-0", "toeplitz-build-n-neg"])

@@ -130,8 +130,8 @@ class TestKernelMemory:
         assert traced_peak(call, uniform_prefix(N)) < 18 * N
 
     # int32 ranks in a table of 3 p_{n-1} entries, heavy codes counted on the
-    # sorted window buffer, the uniforms drawn in chunks, and one int32
-    # length-k tally that the shorter lengths and z^2 are read off
+    # sorted window buffer, the uniforms drawn in chunks, and one length-k
+    # table, sorted in place, that the shorter lengths and z^2 are derived from
     @pytest.mark.parametrize("call,bound", [
         (lambda z: complexity_profile(z, 20), 20),
         (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 18),
@@ -139,8 +139,11 @@ class TestKernelMemory:
          6),
         (lambda z: block_frequencies(z, 12), 8),
         (lambda z: sign_extension_test(z, 12, 0.001), 8),
+        (lambda z: block_frequencies(z, 16), 40),
+        (lambda z: block_frequencies(z, 24), 40),
+        (lambda z: sign_extension_test(z, 16, 0.001), 70),
     ], ids=["complexity-profile", "determinize-n20", "bernoulli", "block-frequencies-k12",
-            "sign-test-k12"])
+            "sign-test-k12", "block-frequencies-k16", "block-frequencies-k24", "sign-test-k16"])
     def test_narrow_kernel_peak_per_symbol(self, call, bound):
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < bound * N
@@ -402,6 +405,10 @@ class TestSignExtension:
     def test_guards(self):
         with pytest.raises(ValueError, match="k must be"):
             sign_extension_test(SignSeq([1] * 400), 17, 0.01)
+        z = SignSeq(np.random.default_rng(0).integers(-1, 2, size=2000))
+        for audit_factor in (float("nan"), float("inf"), -1.0):  # nan and -1 audited like 0
+            with pytest.raises(ValueError, match="audit_factor must be finite and >= 0"):
+                sign_extension_test(z, 3, 0.01, audit_factor)
 
 
 def oracle_report(values, k, tol, audit_factor=2.0):
