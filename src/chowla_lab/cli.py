@@ -59,10 +59,8 @@ def emit_report(args, command: str, results: dict, verdict: bool | None,
     """Write the report to --out-report, or stdout, and return the exit
     code: 1 when the verdict is a fail, 0 on a pass or with no verdict."""
     if args.report == "csv":
-        lines = ["series,n,value"]
-        for name, n, value in curves or []:
-            lines.append(f"{name},{n},{value!r}")
-        text = "\n".join(lines) + "\n"
+        rows = [f"{name},{n},{value!r}\n" for name, n, value in curves or []]
+        text = "".join(["series,n,value\n", *rows])
     else:
         report = {
             "schema": 1,
@@ -84,9 +82,7 @@ def emit_report(args, command: str, results: dict, verdict: bool | None,
 
 def _params(args) -> dict:
     skip = {"func", "out_report"}  # the report's own location is not an input
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
 def _save_sqz(path: str, seq: SignSeq) -> None:
@@ -105,8 +101,7 @@ def _load(path: str) -> SignSeq:
 
 
 def cmd_generate(args) -> int:
-    kind = args.kind
-    n = args.n
+    kind, n = args.kind, args.n
     if kind == "mobius" or (kind == "mu-b" and args.bset == "prime-squares"):
         seq = mobius_prefix(n)  # mu_b over every prime square is mu
     elif kind == "liouville":
@@ -298,8 +293,7 @@ def cmd_determinize(args) -> int:
     # the last pass's epsilon; 2**(steps-1) must convert to a float first
     if not (args.steps <= sys.float_info.max_exp and args.epsilon / 2**(args.steps - 1) > 0):
         raise ValueError(f"--epsilon/2**{args.steps - 1} is not a positive float")
-    u = _load(args.input)
-    current = u
+    current = _load(args.input)
     steps = []
     ok = True
     for i in range(args.steps):
@@ -345,17 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k0", type=int, default=2)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("chowla", help="run the multi-lag autocorrelation battery")
-    p.add_argument("--in", dest="input", required=True)
+    p = _reader(sub, "chowla", cmd_chowla, "run the multi-lag autocorrelation battery",
+                ("json", "csv"))
     p.add_argument("--max-lag", type=int, default=5)
     p.add_argument("--max-r", type=int, default=2)
     p.add_argument("--n", type=int)
     p.add_argument("--tol", type=float, default=0.02)
-    _report_flags(p, ("json", "csv"))
-    p.set_defaults(func=cmd_chowla)
 
-    p = sub.add_parser("sarnak", help="weighted sum against an orbit sampler")
-    p.add_argument("--in", dest="input", required=True)
+    p = _reader(sub, "sarnak", cmd_sarnak, "weighted sum against an orbit sampler",
+                ("json", "csv"))
     p.add_argument("--system", required=True, choices=["rotation", "periodic", "subshift"])
     p.add_argument("--alpha", type=float)
     p.add_argument("--x0", type=float, default=0.0)
@@ -363,30 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", help="comma-separated floats for --system periodic")
     p.add_argument("--weights", help=".sqz file for --system subshift")
     p.add_argument("--n", type=int)
-    _report_flags(p, ("json", "csv"))
-    p.set_defaults(func=cmd_sarnak)
 
-    p = sub.add_parser("davenport", help="twisted-sum maximum over a frequency grid")
-    p.add_argument("--in", dest="input", required=True)
+    p = _reader(sub, "davenport", cmd_davenport, "twisted-sum maximum over a frequency grid",
+                ("json", "csv"))
     p.add_argument("--n", type=int)
     p.add_argument("--grid", type=int, default=1000)
-    _report_flags(p, ("json", "csv"))
-    p.set_defaults(func=cmd_davenport)
 
-    p = sub.add_parser("entropy", help="block complexity profile and entropy estimate")
-    p.add_argument("--in", dest="input", required=True)
+    p = _reader(sub, "entropy", cmd_entropy, "block complexity profile and entropy estimate",
+                ("json", "csv"))
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--n-lo", type=int)
     p.add_argument("--n-hi", type=int)
-    _report_flags(p, ("json", "csv"))
-    p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("hat-test", help="randomized-sign extension audit")
-    p.add_argument("--in", dest="input", required=True)
+    p = _reader(sub, "hat-test", cmd_hat_test, "randomized-sign extension audit")
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--tol", type=float, default=0.01)
-    _report_flags(p)
-    p.set_defaults(func=cmd_hat_test)
 
     p = sub.add_parser("toeplitz", help="Toeplitz construction pipeline")
     tsub = p.add_subparsers(dest="subcommand", required=True)
@@ -412,18 +395,24 @@ def build_parser() -> argparse.ArgumentParser:
     _report_flags(p)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("determinize", help="heavy-block recoding passes")
-    p.add_argument("--in", dest="input", required=True)
+    p = _reader(sub, "determinize", cmd_determinize, "heavy-block recoding passes")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--n-block", type=int, required=True)
     p.add_argument("--big-n", type=int, required=True)
     p.add_argument("--steps", type=int, default=1,
                    help="number of passes; pass i uses epsilon/2**i")
     p.add_argument("--out", required=True)
-    _report_flags(p)
-    p.set_defaults(func=cmd_determinize)
 
     return parser
+
+
+def _reader(sub, name: str, func, help: str, formats=("json",)) -> argparse.ArgumentParser:
+    """A subcommand that reads --in and writes a report."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--in", dest="input", required=True)
+    _report_flags(p, formats)
+    p.set_defaults(func=func)
+    return p
 
 
 def _report_flags(p: argparse.ArgumentParser, formats=("json",)) -> None:

@@ -10,14 +10,12 @@ Window counting conventions: a length-ell block in a prefix of length N has
 denominator N - ell + 1.  ``_window_codes`` alone builds window keys, also for
 ``symbolicgen``'s recoding: big-endian base-3 codes (letter + 1, the first
 letter most significant) that sort like the blocks and are exact up to length
-39 in int64.  ``block_frequencies`` sorts the length-k codes in place and
-counts their runs: one table, which the shorter lengths and the sign test's
-z^2 are derived from; the recoding's heavy-window kernel,
-``positive_frequency_blocks``, keeps the long runs of the sorted codes.
-``_window_ranks``, the distinct-window kernel of ``complexity_profile`` and
-``symbolicgen.sparse_embed``, re-ranks the keys instead, with int32 keys and
-rank table while 3N + 3 < 2**31 (int64 above): per symbol, one byte of
-digits, four of keys and at most twelve of table.
+39 in int64.  ``block_frequencies``, ``complexity_profile`` (up to length 39)
+and the heavy-window kernel ``positive_frequency_blocks`` sort one length's
+codes in place; the first two take each shorter length from the quotients
+by a power of 3, which stay sorted.  ``_window_ranks``, for longer profiles
+and ``symbolicgen.sparse_embed``, re-ranks the keys instead, with int32 keys
+and rank table while 3N + 3 < 2**31 (int64 above).
 """
 
 from __future__ import annotations
@@ -43,11 +41,7 @@ def block_code(letters) -> int:
 
 
 def code_to_block(code: int, length: int) -> Block:
-    letters = []
-    for _ in range(length):
-        code, digit = divmod(code, 3)
-        letters.append(digit - 1)
-    return Block(tuple(letters[::-1]))
+    return Block(tuple(code // 3**i % 3 - 1 for i in reversed(range(length))))
 
 
 def _window_codes(values: np.ndarray, k: int, dtype=None):
@@ -77,35 +71,37 @@ class EmpiricalMeasure:
 
     ``freq`` of an unobserved block is 0.  One table is stored, read-only:
     the sorted int64 codes and counts of the length-max_order blocks, and
-    the last max_order - 1 letters; ``_table`` derives a shorter length.
+    for each length ell the codes of the last max_order - ell windows, which
+    start no stored window; ``_table`` derives a shorter length.
     """
 
-    __slots__ = ("max_order", "window_count", "_codes", "_counts", "_tail")
+    __slots__ = ("max_order", "window_count", "_codes", "_counts", "_last")
 
-    def __init__(self, max_order: int, window_count: int, codes, counts, tail):
+    def __init__(self, max_order: int, window_count: int, codes, counts, last):
         self.max_order, self.window_count = max_order, window_count
-        self._codes, self._counts, self._tail = codes, counts, tail
+        self._codes, self._counts, self._last = codes, counts, last
         codes.flags.writeable = counts.flags.writeable = False
 
     def denominator(self, length: int) -> int:
         return self.window_count - length + 1
 
-    def _tail_codes(self, ell: int) -> list[int]:
-        """Codes of the last max_order - ell length-ell windows: none starts a stored one."""
-        return [block_code(self._tail[j : j + ell]) for j in range(self.max_order - ell)]
-
     def _table(self, ell: int):
         """Sorted int64 codes and counts of the length-ell blocks: the runs of
-        the stored code // 3**(max_order - ell), plus the last windows."""
+        the stored code // 3**(max_order - ell), then the last windows merged in."""
         if not 1 <= ell <= self.max_order:
             raise ValueError(f"block length {ell} outside 1..{self.max_order}")
         if ell == self.max_order:
             return self._codes, self._counts
-        codes, last = self._codes // 3 ** (self.max_order - ell), np.sort(self._tail_codes(ell))
-        i = np.searchsorted(codes, last)
-        codes, counts = np.insert(codes, i, last), np.insert(self._counts, i, 1)
+        codes = self._codes // 3 ** (self.max_order - ell)
         runs = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        return codes[runs], np.add.reduceat(counts, runs)
+        codes, counts = codes[runs], np.add.reduceat(self._counts, runs)
+        del runs  # before the merge copies the table
+        last, extra = np.unique(self._last[ell - 1], return_counts=True)
+        i = np.searchsorted(codes, last)
+        seen = codes.take(i, mode="clip") == last
+        counts[i[seen]] += extra[seen]
+        i, last, extra = i[~seen], last[~seen], extra[~seen]
+        return np.insert(codes, i, last), np.insert(counts, i, extra)
 
     def count(self, block) -> int:
         """Code c is the run [c, c + 1) * 3**(max_order - ell) of the stored
@@ -116,10 +112,9 @@ class EmpiricalMeasure:
             raise ValueError(f"block length {ell} outside 1..{self.max_order}")
         code, shift = block_code(letters), 3 ** (self.max_order - ell)
         lo, hi = np.searchsorted(self._codes, [code * shift, (code + 1) * shift])
-        return int(self._counts[lo:hi].sum()) + self._tail_codes(ell).count(code)
+        return int(self._counts[lo:hi].sum() + np.count_nonzero(self._last[ell - 1] == code))
 
     def freq(self, block) -> float:
-        block = block if isinstance(block, Block) else Block(tuple(block))
         return self.count(block) / self.denominator(len(block))
 
     def items(self, length: int):
@@ -139,15 +134,17 @@ def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
         raise ValueError(f"k must be in 1..{MAX_FREQUENCY_ORDER}, got {k}")
     if len(w) < 10 * k:
         raise ValueError(f"prefix length {len(w)} < 10*k = {10 * k}")
-    *views, windows = _window_codes(w.values, k)
+    last = []
+    for windows in _window_codes(w.values, k):
+        last.append(windows[len(w) - k + 1 :].astype(np.int64))
     windows.sort()  # length k alone is tallied, by the runs of its sorted codes
     starts = np.flatnonzero(windows[1:] != windows[:-1])
     starts += 1
     codes = np.empty(starts.size + 1, dtype=np.int64)
     codes[0], codes[1:] = windows[0], windows[starts]
-    del views, windows  # the window buffer is freed before the counts are made
+    del windows  # the window buffer is freed before the counts are made
     counts = np.diff(starts, prepend=0, append=len(w) - k + 1)
-    return EmpiricalMeasure(k, len(w), codes, counts, tail=w.values[len(w) - k + 1 :].copy())
+    return EmpiricalMeasure(k, len(w), codes, counts, last)
 
 
 @dataclass(frozen=True)
@@ -176,13 +173,31 @@ MAX_COMPLEXITY_ORDER = 512
 
 
 def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
-    """Exact distinct-window counts for n = 1..n_max (``_window_ranks``)."""
+    """Exact distinct-window counts for n = 1..n_max; past length 39 from
+    ``_window_ranks``.  Else the length-n_max codes are sorted once, in place,
+    and floor-divided by 3 between lengths, which keeps them sorted: p_n is 1
+    plus the adjacent entries that differ, plus the distinct codes of the last
+    n_max - n windows, which start no sorted code, missing from the buffer."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
     N = len(w)
     if n_max > N:
         raise ValueError(f"n_max {n_max} exceeds prefix length {N}")
-    counts = np.fromiter((p for p, _ in _window_ranks(w.values, n_max)), np.int64, n_max)
+    if n_max > _CODE_LENGTH_LIMIT:
+        counts = np.fromiter((p for p, _ in _window_ranks(w.values, n_max)), np.int64, n_max)
+        return ComplexityProfile(counts=counts, prefix_length=N)
+    last = []
+    for srt in _window_codes(w.values, n_max):
+        last.append(np.array(sorted(set(srt[N - n_max + 1 :].tolist())), dtype=srt.dtype))
+    srt.sort()
+    counts = np.ones(n_max, dtype=np.int64)
+    for n, key in zip(range(n_max, 0, -1), reversed(last)):
+        if n < n_max:
+            srt //= 3
+        for lo in range(1, srt.size, _CHUNK):  # chunked, with no N-sized temporary
+            hi = min(lo + _CHUNK, srt.size)
+            counts[n - 1] += np.count_nonzero(srt[lo:hi] != srt[lo - 1 : hi - 1])
+        counts[n - 1] += np.count_nonzero(srt.take(np.searchsorted(srt, key), mode="clip") != key)
     return ComplexityProfile(counts=counts, prefix_length=N)
 
 

@@ -9,7 +9,7 @@ diversity.  Both take their block kernels from ``empirics``: the embedding
 its distinct blocks from ``_window_ranks``, the recoding its heavy windows.
 
 Every generator is a pure function of (params, seed, N): same inputs give a
-byte-identical prefix.  The random source is numpy's PCG64 generator.
+byte-identical prefix.  The random source is ``np.random.default_rng`` (PCG64).
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ import numpy as np
 from .empirics import _CHUNK, _CODE_LENGTH_LIMIT, _window_codes, _window_ranks
 from .empirics import positive_frequency_blocks
 from .seqcore import SignSeq, _as_symbol_array
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ def bernoulli_prefix(alphabet, params: BernoulliParams, N: int) -> SignSeq:
         )
     cuts = np.cumsum(np.asarray(params.probabilities, dtype=np.float64))
     cuts[-1] = 1.0
-    rng = _rng(params.seed)
+    rng = np.random.default_rng(params.seed)
     out = np.empty(N, dtype=np.int8)
     for lo in range(0, N, _CHUNK):
         u = rng.random(min(_CHUNK, N - lo))
@@ -122,7 +118,7 @@ def pair_code_prefix(k0: int, seed: int, N: int) -> SignSeq:
         raise ValueError("k0 must be >= 2")
     if N < 1:
         raise ValueError("N must be >= 1")
-    omega = _rng(seed).integers(0, 4, size=N + k0 - 1, dtype=np.int8)
+    omega = np.random.default_rng(seed).integers(0, 4, size=N + k0 - 1, dtype=np.int8)
     lut = np.zeros(16, dtype=np.int8)
     lut[0 * 4 + 1] = lut[1 * 4 + 2] = -1
     lut[0 * 4 + 2] = lut[2 * 4 + 3] = 1
@@ -138,7 +134,7 @@ def masked_coin_prefix(seed: int, N: int) -> SignSeq:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    y = _rng(seed).integers(0, 2, size=N + 1, dtype=np.int8) * 2 - 1
+    y = np.random.default_rng(seed).integers(0, 2, size=N + 1, dtype=np.int8) * 2 - 1
     return SignSeq._wrap(y[:N] * (y[1:] == 1))
 
 

@@ -502,7 +502,9 @@ GOLDEN_REPORTS = {
 # sha256 of each block-statistics output on a generated 20,000-term input,
 # recorded while window codes were little-endian: the hat-test lists three
 # violations in visiting order, entropy takes lengths past 39 through the
-# re-ranked keys, and the first determinize pass finds 13 heavy windows.
+# re-ranked keys, and the first determinize pass finds 13 heavy windows.  The
+# entropy --n-max 20 and 39 reports, recorded while every profile length was
+# re-ranked, pin the sorted-code side of the split at 39.
 BLOCK_REPORTS = {
     "hat-test-coded": (
         ["generate", "--kind", "coded", "--k0", 2, "--seed", 1],
@@ -512,6 +514,14 @@ BLOCK_REPORTS = {
         ["generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--seed", 1],
         ["entropy", "--n-max", 60], 0,
         {"report": "68ca84111ecdef4b56e6a5c7e5c0c9c7f8c861b774e4f24c2f14d7b01087f4b2"}),
+    "entropy-json-n20": (
+        ["generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--seed", 1],
+        ["entropy", "--n-max", 20], 0,
+        {"report": "fa81bbc60d3914b532b917ad847b9453688765961af3a4cae13d0b097e1b308a"}),
+    "entropy-json-n39": (
+        ["generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--seed", 1],
+        ["entropy", "--n-max", 39], 0,
+        {"report": "c1d198d10ab28ab1e4b04c9fd966ae56db70d5408ba8df55bf86a97d88e20f51"}),
     "entropy-csv": (
         ["generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--seed", 1],
         ["entropy", "--n-max", 60, "--report", "csv"], 0,

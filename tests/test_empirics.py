@@ -129,11 +129,15 @@ class TestKernelMemory:
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < 18 * N
 
-    # int32 ranks in a table of 3 p_{n-1} entries, heavy codes counted on the
-    # sorted window buffer, the uniforms drawn in chunks, and one length-k
-    # table, sorted in place, that the shorter lengths and z^2 are derived from
+    # the int64 length-20 codes sorted in place and divided by 3 between
+    # lengths (9.0 B/symbol traced), heavy codes counted on the sorted window
+    # buffer, the uniforms drawn in chunks, and one length-k table, sorted in
+    # place, that the shorter lengths and z^2 are derived from: a derived
+    # length reduces its runs before it merges the last windows (43.7 traced
+    # at length 15); the sign test's k = 16 peak, 57.1, is its np.append
+    # copies of length 15's codes
     @pytest.mark.parametrize("call,bound", [
-        (lambda z: complexity_profile(z, 20), 20),
+        (lambda z: complexity_profile(z, 20), 12),
         (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 18),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
          6),
@@ -141,9 +145,11 @@ class TestKernelMemory:
         (lambda z: sign_extension_test(z, 12, 0.001), 8),
         (lambda z: block_frequencies(z, 16), 40),
         (lambda z: block_frequencies(z, 24), 40),
-        (lambda z: sign_extension_test(z, 16, 0.001), 70),
+        (lambda z: block_frequencies(z, 16)._table(15), 46),
+        (lambda z: sign_extension_test(z, 16, 0.001), 60),
     ], ids=["complexity-profile", "determinize-n20", "bernoulli", "block-frequencies-k12",
-            "sign-test-k12", "block-frequencies-k16", "block-frequencies-k24", "sign-test-k16"])
+            "sign-test-k12", "block-frequencies-k16", "block-frequencies-k24", "table-k16-15",
+            "sign-test-k16"])
     def test_narrow_kernel_peak_per_symbol(self, call, bound):
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < bound * N
@@ -290,6 +296,23 @@ class TestComplexityProfile:
         for n in range(1, 13):
             want = len({values[i : i + n].tobytes() for i in range(401 - n)})
             assert profile.p(n) == want
+
+    @pytest.mark.parametrize("n_max", [1, 2, 19, 20, 39, 40, 201])
+    @pytest.mark.parametrize("values", [[0] * 200 + [1], [1, -1] * 100 + [0], [-1] + [1] * 200],
+                             ids=["last-letter-new", "periodic-then-new", "first-letter-new"])
+    def test_new_window_only_among_the_last(self, values, n_max):
+        # a length-n window containing the odd letter at the end starts no
+        # length-n_max window, so only the last-window search counts it
+        want = [len(window_counts(values, n)) for n in range(1, n_max + 1)]
+        assert complexity_profile(SignSeq(values), n_max).counts.tolist() == want
+
+    @pytest.mark.parametrize("n_max", [19, 20, 39, 40])
+    def test_code_dtype_and_rank_handover(self, n_max):
+        # int32 codes up to 19, int64 from 20; sorted codes up to 39, ranks from 40
+        values = np.random.default_rng(n_max).integers(-1, 2, size=400).tolist()
+        for prefix in (values, values[:n_max]):  # the second has n_max = N
+            want = [len(window_counts(prefix, n)) for n in range(1, n_max + 1)]
+            assert complexity_profile(SignSeq(prefix), n_max).counts.tolist() == want
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunk_edges(self, monkeypatch, chunk):
