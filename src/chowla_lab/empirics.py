@@ -7,15 +7,16 @@ split evenly over the 2^|supp B| sign patterns?), and the positive-frequency
 block set.
 
 Window counting conventions: a length-ell block in a prefix of length N has
-denominator N - ell + 1.  ``_window_codes`` alone builds window keys, also for
-``symbolicgen``'s recoding: big-endian base-3 codes (letter + 1, the first
-letter most significant) that sort like the blocks and are exact up to length
-39 in int64.  ``block_frequencies``, ``complexity_profile`` (up to length 39)
-and the heavy-window kernel ``positive_frequency_blocks`` sort one length's
-codes in place; the first two take each shorter length from the quotients
-by a power of 3, which stay sorted.  ``_window_ranks``, for longer profiles
-and ``symbolicgen.sparse_embed``, re-ranks the keys instead, with int32 keys
-and rank table while 3N + 3 < 2**31 (int64 above).
+denominator N - ell + 1.  ``_window_codes`` alone builds window codes, by
+prefix doubling, also for ``symbolicgen``'s recoding: big-endian base-3 codes
+(letter + 1, the first letter most significant) that sort like the blocks and
+are exact up to length 39 in int64.  ``block_frequencies``,
+``complexity_profile`` (up to length 39) and the heavy-window kernel
+``positive_frequency_blocks`` sort one length's codes in place; the first two
+take each shorter length from the quotients by a power of 3, which stay
+sorted.  ``_window_ranks``, for longer profiles and ``symbolicgen.sparse_embed``,
+extends its keys a letter at a time and re-ranks them, with int32 keys and
+rank table while 3N + 3 < 2**31 (int64 above).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .seqcore import Block, SignSeq
 MAX_FREQUENCY_ORDER = 24
 _CODE_LENGTH_LIMIT = 39  # 3**39 - 1 < 2**63 <= 3**40 - 1
 _CHUNK = 1 << 20  # terms per chunk where a whole-array call makes N-sized temporaries
+_SCRATCH = 1 << 16  # terms per chunk of a window-code doubling pass, cache-sized
 
 
 def block_code(letters) -> int:
@@ -44,26 +46,36 @@ def code_to_block(code: int, length: int) -> Block:
     return Block(tuple(code // 3**i % 3 - 1 for i in reversed(range(length))))
 
 
-def _window_codes(values: np.ndarray, k: int, dtype=None):
-    """Yield the base-3 codes of every length-ell window for ell = 1..k.
+def _window_codes(values: np.ndarray, k: int) -> np.ndarray:
+    """Base-3 codes of the length-k windows: entry i of the N - k + 1 codes
+    is the code of values[i : i + k], int32 while 3**k < 2**31, else int64.
 
-    The array yielded for ell has N - ell + 1 entries; entry i is the code
-    of values[i : i + ell].  It is a view of one ``dtype`` buffer (by default
-    int32 while 3**k < 2**31, else int64), made 3 * key + next letter in
-    place for ell + 1: use, copy or overwrite it before that.
+    Prefix doubling, about log2 k passes: the length-1 codes are values + 1,
+    a pass makes code_2m[i] = code_m[i] * 3**m + code_m[i + m] in place, and
+    each set bit of k below the top then appends one letter, 3 * code +
+    values[i + 2m] + 1.  A pass runs in ascending chunks of ``_SCRATCH``
+    through a scratch buffer, as the second term is read m places on.
     """
     if not 1 <= k <= values.size:
         raise ValueError(f"window length {k} outside 1..{values.size}")
-    if dtype is None:
-        dtype = np.int32 if 3**k < 2**31 else np.int64
-    digits = values + np.int8(1)
-    codes = digits.astype(dtype)
-    yield codes
-    for ell in range(1, k):
-        codes = codes[: digits.size - ell]
-        codes *= 3
-        codes += digits[ell:]
-        yield codes
+    dtype = np.int32 if 3**k < 2**31 else np.int64
+    codes = np.add(values, 1, dtype=dtype)
+    scratch = np.empty(min(_SCRATCH, values.size), dtype=dtype)
+    m = 1
+    for bit in reversed(range(k.bit_length() - 1)):
+        grow = k >> bit & 1
+        size = codes.size - m - grow
+        for lo in range(0, size, _SCRATCH):
+            hi = min(lo + _SCRATCH, size)
+            chunk = codes[lo:hi]
+            np.add(np.multiply(chunk, 3**m, out=scratch[: hi - lo]), codes[lo + m : hi + m], chunk)
+            if grow:
+                chunk *= 3
+                chunk += values[lo + 2 * m : hi + 2 * m]
+                chunk += 1
+        codes = codes[:size]
+        m = 2 * m + grow
+    return codes
 
 
 class EmpiricalMeasure:
@@ -134,9 +146,10 @@ def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
         raise ValueError(f"k must be in 1..{MAX_FREQUENCY_ORDER}, got {k}")
     if len(w) < 10 * k:
         raise ValueError(f"prefix length {len(w)} < 10*k = {10 * k}")
-    last = []
-    for windows in _window_codes(w.values, k):
-        last.append(windows[len(w) - k + 1 :].astype(np.int64))
+    tail = w.values[len(w) - k + 1 :]  # its length-ell windows are the last k - ell
+    last = [_window_codes(tail, ell).astype(np.int64) for ell in range(1, k)]
+    last.append(np.empty(0, dtype=np.int64))
+    windows = _window_codes(w.values, k)
     windows.sort()  # length k alone is tallied, by the runs of its sorted codes
     starts = np.flatnonzero(windows[1:] != windows[:-1])
     starts += 1
@@ -186,12 +199,12 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
     if n_max > _CODE_LENGTH_LIMIT:
         counts = np.fromiter((p for p, _ in _window_ranks(w.values, n_max)), np.int64, n_max)
         return ComplexityProfile(counts=counts, prefix_length=N)
-    last = []
-    for srt in _window_codes(w.values, n_max):
-        last.append(np.array(sorted(set(srt[N - n_max + 1 :].tolist())), dtype=srt.dtype))
+    srt = _window_codes(w.values, n_max)
+    tail = w.values[N - n_max + 1 :]  # its length-n windows are the last n_max - n
+    last = [np.unique(_window_codes(tail, n)).astype(srt.dtype) for n in range(1, n_max)]
     srt.sort()
     counts = np.ones(n_max, dtype=np.int64)
-    for n, key in zip(range(n_max, 0, -1), reversed(last)):
+    for n, key in zip(range(n_max, 0, -1), [srt[:0], *reversed(last)]):
         if n < n_max:
             srt //= 3
         for lo in range(1, srt.size, _CHUNK):  # chunked, with no N-sized temporary
@@ -205,16 +218,20 @@ def _window_ranks(values: np.ndarray, n_max: int):
     """Yield (p_n, ranks) for n = 1..n_max: p_n distinct length-n windows,
     and ranks[i] the dense rank of values[i : i + n] among them.
 
-    Rank refinement: each length's keys from ``_window_codes`` are replaced
-    in place by their dense ranks, so the next key is 3 * (rank of the first
-    n-1 letters) + (last letter + 1) < 3 * p_{n-1}.  Each step scatters the
-    keys into a table of that size, takes its running sum and gathers the
-    ranks back; there is no length cap from code packing.  ``ranks`` is the
+    Rank refinement: each length's keys are replaced in place by their dense
+    ranks, so the next key is 3 * (rank of the first n-1 letters) + (last
+    letter + 1) < 3 * p_{n-1}.  Each step scatters the keys into a table of
+    that size, takes its running sum and gathers the ranks back; there is no
+    length cap from code packing.  ``ranks`` is the
     key buffer, which the next step overwrites: use or copy it before then.
     """
     dtype = np.int32 if 3 * values.size + 3 < 2**31 else np.int64
-    p = 1  # p_0: the empty window
-    for key in _window_codes(values, n_max, dtype):
+    p, key = 1, np.zeros(values.size + 1, dtype=dtype)  # p_0 and the empty windows' ranks
+    for n in range(1, n_max + 1):
+        key = key[:-1]
+        key *= 3
+        key += values[n - 1 :]
+        key += 1
         rank = np.zeros(3 * p, dtype=dtype)
         rank[key] = 1
         np.cumsum(rank, out=rank)
@@ -318,8 +335,9 @@ def sign_extension_test(
             more_masks, more = np.repeat(more_masks, reps), np.repeat(3 * more + 1, reps)
             more[pairs] += np.tile([-1, 1], pairs.size // 2)  # letters -1 and 1
         fresh = codes.take(np.searchsorted(codes, more), mode="clip") != more  # codes are sorted
-        masks, codes = np.append(masks, more_masks[fresh]), np.append(codes, more[fresh])
-        deviation = np.append(deviation, target[more_masks[fresh]])
+        if fresh.any():  # np.append copies even when it adds nothing
+            masks, codes = np.append(masks, more_masks[fresh]), np.append(codes, more[fresh])
+            deviation = np.append(deviation, target[more_masks[fresh]])
         pick = np.flatnonzero((deviation > tol) | new_max & (deviation == top))
         pick = pick[np.lexsort((codes[pick], masks[pick]))]
         if new_max:
@@ -359,7 +377,7 @@ def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> np.ndarra
     t = max(1, int(threshold * size)) if threshold > 0.0 else 1
     while t / size <= threshold:  # ends by t = size, as size / size > threshold
         t += 1
-    *_, srt = _window_codes(w.values, n)
+    srt = _window_codes(w.values, n)
     srt.sort()
     m = size - t + 1
     keep = srt[:m] == srt[t - 1 :]  # entries of a run of at least t ...

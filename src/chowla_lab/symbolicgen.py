@@ -84,9 +84,10 @@ class BernoulliParams:
 def bernoulli_prefix(alphabet, params: BernoulliParams, N: int) -> SignSeq:
     """N i.i.d. draws over ``alphabet`` with the given probabilities.
 
-    Deterministic in (alphabet, params, N): uniforms from the seeded
-    generator are sliced against cumulative probabilities, drawn in chunks
-    that continue one stream, so the bytes equal those of a single draw.
+    Deterministic in (alphabet, params, N): each uniform from the seeded
+    generator takes the symbol after the last cumulative probability it
+    reaches (as ``searchsorted(side="right")``), drawn in chunks that
+    continue one stream, so the bytes equal those of a single draw.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -95,13 +96,13 @@ def bernoulli_prefix(alphabet, params: BernoulliParams, N: int) -> SignSeq:
         raise ValueError(
             f"alphabet size {symbols.size} != probabilities size {len(params.probabilities)}"
         )
-    cuts = np.cumsum(np.asarray(params.probabilities, dtype=np.float64))
-    cuts[-1] = 1.0
+    cuts = np.cumsum(np.asarray(params.probabilities, dtype=np.float64))[:-1].tolist()
     rng = np.random.default_rng(params.seed)
-    out = np.empty(N, dtype=np.int8)
+    out = np.full(N, symbols[0], dtype=np.int8)
     for lo in range(0, N, _CHUNK):
         u = rng.random(min(_CHUNK, N - lo))
-        out[lo : lo + u.size] = symbols[np.searchsorted(cuts, u, side="right")]
+        for cut, symbol in zip(cuts, symbols[1:].tolist()):  # ascending: the last cut <= u wins
+            np.putmask(out[lo : lo + u.size], u >= cut, symbol)
         del u  # before the next chunk is drawn
     return SignSeq._wrap(out)
 
@@ -264,14 +265,14 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
     heavy_codes = positive_frequency_blocks(u, n, params.heavy_threshold)
     good = np.zeros((nblocks, big_n), dtype=bool)  # good[m, j]: window m*big_n + j is heavy
     if heavy_codes.size:  # rebuild the window codes the sort reordered
-        *_, codes = _window_codes(values, n)
+        codes = _window_codes(values, n)
         keys = heavy_codes.astype(codes.dtype, copy=False)
         flat = good.reshape(-1)
         for lo in range(0, min(codes.size, processed), _CHUNK):  # N-sized temporaries otherwise
             chunk = codes[lo : min(lo + _CHUNK, processed)]
             found = keys.take(np.searchsorted(keys, chunk), mode="clip")  # past the end: last key
             flat[lo : lo + chunk.size] = found == chunk
-        del codes, chunk, found, _  # each view of the buffer, before the output copy
+        del codes, chunk, found  # each view of the buffer, before the output copy
     good[:, big_n - n + 1 :] = False  # windows that run past their block
     acceptable = np.count_nonzero(good, axis=1) / big_n >= 1.0 - params.epsilon
     good[~acceptable] = False

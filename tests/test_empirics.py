@@ -65,14 +65,42 @@ class TestWindowCodes:
         ]
         arr = np.array(values, dtype=np.int8)
         for k in range(1, longest + 1):
-            assert [codes.tolist() for codes in _window_codes(arr, k)] == want[:k]
+            assert _window_codes(arr, k).tolist() == want[k - 1]
+
+    @given(st.integers(1, 39), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_length_matches_block_code(self, k, data):
+        values = data.draw(st.lists(st.integers(-1, 1), min_size=k, max_size=200))
+        codes = _window_codes(np.array(values, dtype=np.int8), k)
+        assert codes.tolist() == [block_code(values[i : i + k])
+                                  for i in range(len(values) - k + 1)]
+
+    @pytest.mark.parametrize("k", range(1, 40))
+    def test_one_window_when_n_is_k(self, k):
+        values = np.random.default_rng(k).integers(-1, 2, size=k, dtype=np.int8)
+        assert _window_codes(values, k).tolist() == [block_code(values.tolist())]
 
     def test_longest_code_does_not_overflow(self):
         ones = np.ones(50, dtype=np.int8)
-        *_, codes = _window_codes(ones, 39)
+        codes = _window_codes(ones, 39)
         assert codes.tolist() == [3**39 - 1] * 12
+        assert _window_codes(ones[:39], 39).tolist() == [3**39 - 1]
         with pytest.raises(ValueError, match="overflows 64-bit base-3 packing"):
             DeterminizeParams(0.1, 40, 80)
+
+    @pytest.mark.parametrize("scratch", [1, 3, 16, 64])
+    def test_scratch_chunk_edges(self, monkeypatch, scratch):
+        monkeypatch.setattr(empirics, "_SCRATCH", scratch)
+        values = np.random.default_rng(3).integers(-1, 2, size=300, dtype=np.int8)
+        for k in range(1, 40):
+            assert _window_codes(values, k).tolist() == [
+                block_code(values[i : i + k].tolist()) for i in range(301 - k)]
+
+    def test_dtype_widens_past_length_19(self):
+        values = np.ones(30, dtype=np.int8)
+        assert _window_codes(values, 19).dtype == np.int32  # 3**19 < 2**31 <= 3**20
+        assert _window_codes(values, 20).dtype == np.int64
+        assert _window_codes(values, 20).tolist() == [3**20 - 1] * 11
 
     @given(st.lists(st.integers(-1, 1), min_size=1, max_size=12), st.data())
     @settings(max_examples=50, deadline=None)
@@ -84,9 +112,9 @@ class TestWindowCodes:
 
     def test_length_outside_prefix_rejected(self):
         with pytest.raises(ValueError, match="window length"):
-            next(_window_codes(np.ones(5, dtype=np.int8), 6))
+            _window_codes(np.ones(5, dtype=np.int8), 6)
         with pytest.raises(ValueError, match="window length"):
-            next(_window_codes(np.ones(5, dtype=np.int8), 0))
+            _window_codes(np.ones(5, dtype=np.int8), 0)
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -118,8 +146,9 @@ def uniform_prefix(N):
 
 
 class TestKernelMemory:
-    # one int64 key buffer and the int8 digits beside the input; an int64
-    # digit copy and product temporary made each of these about 25 B/symbol
+    # one window-code buffer beside the input, built by doubling through a
+    # cache-sized scratch; an int64 digit copy and product temporary made
+    # each of these about 25 B/symbol
     @pytest.mark.parametrize("call", [
         lambda z: block_frequencies(z, 12),
         lambda z: sign_extension_test(z, 8, 0.01),
@@ -130,23 +159,24 @@ class TestKernelMemory:
         assert traced_peak(call, uniform_prefix(N)) < 18 * N
 
     # the int64 length-20 codes sorted in place and divided by 3 between
-    # lengths (9.0 B/symbol traced), heavy codes counted on the sorted window
-    # buffer, the uniforms drawn in chunks, and one length-k table, sorted in
-    # place, that the shorter lengths and z^2 are derived from: a derived
-    # length reduces its runs before it merges the last windows (43.7 traced
-    # at length 15); the sign test's k = 16 peak, 57.1, is its np.append
-    # copies of length 15's codes
+    # lengths (8.5 B/symbol traced), heavy codes counted on the sorted window
+    # buffer, the uniforms drawn in chunks and picked by np.putmask, and one
+    # length-k table, sorted in place, that the shorter lengths and z^2 are
+    # derived from: a derived length reduces its runs before it merges the
+    # last windows (43.7 traced at length 15); the sign test's k = 16 peak,
+    # 50.2, is its deviation step at length 15, as np.append runs only when
+    # an unseen pattern is added
     @pytest.mark.parametrize("call,bound", [
-        (lambda z: complexity_profile(z, 20), 12),
+        (lambda z: complexity_profile(z, 20), 8.8),
         (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 18),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
-         6),
+         4),
         (lambda z: block_frequencies(z, 12), 8),
         (lambda z: sign_extension_test(z, 12, 0.001), 8),
         (lambda z: block_frequencies(z, 16), 40),
         (lambda z: block_frequencies(z, 24), 40),
         (lambda z: block_frequencies(z, 16)._table(15), 46),
-        (lambda z: sign_extension_test(z, 16, 0.001), 60),
+        (lambda z: sign_extension_test(z, 16, 0.001), 55),
     ], ids=["complexity-profile", "determinize-n20", "bernoulli", "block-frequencies-k12",
             "sign-test-k12", "block-frequencies-k16", "block-frequencies-k24", "table-k16-15",
             "sign-test-k16"])

@@ -101,6 +101,23 @@ class TestBernoulli:
         got = bernoulli_prefix((-1, 0, 1), BernoulliParams(probs, seed=17), N)
         assert np.array_equal(got.values, want)
 
+    @pytest.mark.parametrize("alphabet,probs", [
+        ((-1, 0, 1), (0.25, 0.5, 0.25)),
+        ((-1, 0, 1), (0.5, 0.0, 0.5)),
+        ((-1, 0, 1), (0.0, 0.0, 1.0)),
+        ((-1, 0, 1), (1.0, 0.0, 0.0)),
+        ((-1, 1), (0.3, 0.7)),
+    ])
+    @pytest.mark.parametrize("N", [1, symbolicgen._CHUNK - 1, symbolicgen._CHUNK + 1])
+    def test_matches_searchsorted_draw(self, alphabet, probs, N):
+        # zero-probability symbols give equal cuts, which side="right" steps past
+        cuts = np.cumsum(probs)
+        cuts[-1] = 1.0
+        u = np.random.default_rng(23).random(N)
+        want = np.array(alphabet, dtype=np.int8)[np.searchsorted(cuts, u, side="right")]
+        got = bernoulli_prefix(alphabet, BernoulliParams(probs, seed=23), N)
+        assert np.array_equal(got.values, want)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="sum"):
             BernoulliParams((0.5, 0.6), seed=0)
