@@ -204,10 +204,11 @@ def cmd_davenport(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    w = _load(args.input)
-    profile = complexity_profile(w, args.n_max)
     n_lo = args.n_lo if args.n_lo is not None else max(1, args.n_max - 4)
     n_hi = args.n_hi if args.n_hi is not None else args.n_max
+    if not 1 <= n_lo < n_hi <= args.n_max:  # before the input is read and profiled
+        raise ValueError(f"need 1 <= n_lo < n_hi <= {args.n_max}, got [{n_lo}, {n_hi}]")
+    profile = complexity_profile(_load(args.input), args.n_max)
     estimate = entropy_estimate(profile, n_lo, n_hi)
     results = {
         "prefix_length": profile.prefix_length,

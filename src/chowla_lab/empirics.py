@@ -8,15 +8,15 @@ block set.
 
 Window counting conventions: a length-ell block in a prefix of length N has
 denominator N - ell + 1.  ``_window_codes`` alone builds window codes, by
-prefix doubling, also for ``symbolicgen``'s recoding: big-endian base-3 codes
+prefix doubling, also for ``symbolicgen``: big-endian base-3 codes
 (letter + 1, the first letter most significant) that sort like the blocks and
 are exact up to length 39 in int64.  ``block_frequencies``,
 ``complexity_profile`` (up to length 39) and the heavy-window kernel
 ``positive_frequency_blocks`` sort one length's codes in place; the first two
 take each shorter length from the quotients by a power of 3, which stay
-sorted.  ``_window_ranks``, for longer profiles and ``symbolicgen.sparse_embed``,
-extends its keys a letter at a time and re-ranks them, with int32 keys and
-rank table while 3N + 3 < 2**31 (int64 above).
+sorted.  No rank kernel is shared: past 39 letters ``complexity_profile``
+refines its own ranks a letter at a time and stops at the first length whose
+windows are all distinct, as every longer one then is too.
 """
 
 from __future__ import annotations
@@ -186,18 +186,37 @@ MAX_COMPLEXITY_ORDER = 512
 
 
 def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
-    """Exact distinct-window counts for n = 1..n_max; past length 39 from
-    ``_window_ranks``.  Else the length-n_max codes are sorted once, in place,
-    and floor-divided by 3 between lengths, which keeps them sorted: p_n is 1
-    plus the adjacent entries that differ, plus the distinct codes of the last
-    n_max - n windows, which start no sorted code, missing from the buffer."""
+    """Exact distinct-window counts for n = 1..n_max.  Up to length 39 the
+    length-n_max codes are sorted once, in place, and floor-divided by 3
+    between lengths, which keeps them sorted: p_n is 1 plus the adjacent
+    entries that differ, plus the distinct codes of the last n_max - n
+    windows, which start no sorted code, missing from the buffer."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
     N = len(w)
     if n_max > N:
         raise ValueError(f"n_max {n_max} exceeds prefix length {N}")
     if n_max > _CODE_LENGTH_LIMIT:
-        counts = np.fromiter((p for p, _ in _window_ranks(w.values, n_max)), np.int64, n_max)
+        counts = N + 1 - np.arange(1, n_max + 1, dtype=np.int64)  # p_n once all are distinct
+        dtype = np.int32 if 3 * N + 3 < 2**31 else np.int64
+        p, key = 1, np.zeros(N + 1, dtype=dtype)  # p_0 and the empty windows' ranks
+        for n in range(1, n_max + 1):
+            key = key[:-1]
+            key *= 3
+            key += w.values[n - 1 :]
+            key += 1
+            rank = np.zeros(3 * p, dtype=dtype)  # 3 * rank + letter + 1 < 3 * p_{n-1}
+            rank[key] = 1
+            np.cumsum(rank, out=rank)
+            counts[n - 1] = p = int(rank[-1])
+            if p == key.size or n == n_max:  # no longer length needs these ranks
+                break
+            rank -= 1
+            for lo in range(0, key.size, _CHUNK):  # np.take copies an int32 index to intp
+                chunk = key[lo : lo + _CHUNK]
+                # keys < rank.size, so "clip" clamps nothing; "raise" buffers a copy
+                np.take(rank, chunk, out=chunk, mode="clip")
+            del rank  # before the next length's table is made
         return ComplexityProfile(counts=counts, prefix_length=N)
     srt = _window_codes(w.values, n_max)
     tail = w.values[N - n_max + 1 :]  # its length-n windows are the last n_max - n
@@ -212,37 +231,6 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
             counts[n - 1] += np.count_nonzero(srt[lo:hi] != srt[lo - 1 : hi - 1])
         counts[n - 1] += np.count_nonzero(srt.take(np.searchsorted(srt, key), mode="clip") != key)
     return ComplexityProfile(counts=counts, prefix_length=N)
-
-
-def _window_ranks(values: np.ndarray, n_max: int):
-    """Yield (p_n, ranks) for n = 1..n_max: p_n distinct length-n windows,
-    and ranks[i] the dense rank of values[i : i + n] among them.
-
-    Rank refinement: each length's keys are replaced in place by their dense
-    ranks, so the next key is 3 * (rank of the first n-1 letters) + (last
-    letter + 1) < 3 * p_{n-1}.  Each step scatters the keys into a table of
-    that size, takes its running sum and gathers the ranks back; there is no
-    length cap from code packing.  ``ranks`` is the
-    key buffer, which the next step overwrites: use or copy it before then.
-    """
-    dtype = np.int32 if 3 * values.size + 3 < 2**31 else np.int64
-    p, key = 1, np.zeros(values.size + 1, dtype=dtype)  # p_0 and the empty windows' ranks
-    for n in range(1, n_max + 1):
-        key = key[:-1]
-        key *= 3
-        key += values[n - 1 :]
-        key += 1
-        rank = np.zeros(3 * p, dtype=dtype)
-        rank[key] = 1
-        np.cumsum(rank, out=rank)
-        p = int(rank[-1])
-        rank -= 1
-        for lo in range(0, key.size, _CHUNK):  # np.take copies an int32 index to intp
-            chunk = key[lo : lo + _CHUNK]
-            # keys < rank.size, so "clip" clamps nothing; "raise" buffers a copy
-            np.take(rank, chunk, out=chunk, mode="clip")
-        del rank  # before the next length's table is made
-        yield p, key
 
 
 @dataclass(frozen=True)

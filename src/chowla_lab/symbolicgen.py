@@ -5,8 +5,10 @@ two counterexample codings (a 4-letter pair code and a coin sequence masked
 by its own next term), a non-recurrent doubling word with inflating zero
 blocks, sparse zero-padded embeddings of a reference word's blocks, and the
 heavy-block recoding step used to approximate a sequence by one of low block
-diversity.  Both take their block kernels from ``empirics``: the embedding
-its distinct blocks from ``_window_ranks``, the recoding its heavy windows.
+diversity.  Both build on ``empirics``' window codes: the recoding takes its
+heavy windows from ``positive_frequency_blocks``.  The embedding dense-ranks
+a level's codes up to 39 letters; a longer level's window at i is the tuple
+of the last level's labels at i, i + d/g, ..., ranked one label at a time.
 
 Every generator is a pure function of (params, seed, N): same inputs give a
 byte-identical prefix.  The random source is ``np.random.default_rng`` (PCG64).
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirics import _CHUNK, _CODE_LENGTH_LIMIT, _window_codes, _window_ranks
-from .empirics import positive_frequency_blocks
+from .empirics import _CHUNK, _CODE_LENGTH_LIMIT, _window_codes, positive_frequency_blocks
 from .seqcore import SignSeq, _as_symbol_array
 
 
@@ -161,6 +162,17 @@ def doubling_word_prefix(N: int) -> SignSeq:
     return SignSeq._wrap(word)
 
 
+def _dense_rank(key: np.ndarray) -> np.ndarray:
+    """Overwrite key with the dense ranks of its entries; return the least
+    index of each distinct value, ascending (a stable sort keeps it first)."""
+    order = np.argsort(key, kind="stable")
+    srt = key[order]
+    new = np.r_[True, srt[1:] != srt[:-1]]
+    key[order] = np.cumsum(new, dtype=srt.dtype, out=srt) - 1
+    del srt  # before the first indices are copied out
+    return np.sort(order[new])
+
+
 def sparse_embed(w: SignSeq, N: int, gap_growth: int) -> SignSeq:
     """Embed every block of ``w`` of lengths 4, 4g, 4g**2, ... into a mostly
     zero prefix of length N (g = gap_growth).
@@ -179,10 +191,18 @@ def sparse_embed(w: SignSeq, N: int, gap_growth: int) -> SignSeq:
         raise ValueError("N must be >= 1")
     out = np.zeros(N, dtype=np.int8)
     pos, d = 0, 4
-    for n, (_, ranks) in enumerate(_window_ranks(w.values, len(w)), start=1):
-        if n < d:
-            continue
-        first = np.sort(np.unique(ranks, return_index=True)[1])
+    while d <= len(w):
+        if d <= _CODE_LENGTH_LIMIT:
+            labels = _window_codes(w.values, d)
+            first = _dense_rank(labels)
+        else:  # prefix doubling (Manber and Myers 1993) from the last level
+            part, size, p = d // gap_growth, len(w) - d + 1, first.size
+            key = labels[:size].astype(np.int64)
+            for j in range(1, gap_growth):  # rank * p + label < size * p fits int64
+                key *= p
+                key += labels[j * part : j * part + size]
+                first = _dense_rank(key)
+            labels = key
         pad = max(d, ((gap_growth - 1) * d + 1) // 2)
         unit = d + 2 * pad
         if pos + unit * first.size > N:
@@ -191,8 +211,6 @@ def sparse_embed(w: SignSeq, N: int, gap_growth: int) -> SignSeq:
             out[pos + pad : pos + pad + d] = w.values[i : i + d]
             pos += unit
         d *= gap_growth
-        if d > len(w):
-            break
     return SignSeq._wrap(out)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import chowla_lab
-from chowla_lab import __version__
+from chowla_lab import __version__, cli
 from chowla_lab.cli import main
 from chowla_lab.numbergen import mobius_prefix
 from chowla_lab.seqcore import read_sqz
@@ -381,6 +381,21 @@ class TestUsageErrors:
         assert ERROR_TEXT.get(request.node.callspec.id, "") in line
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("window, line", [
+        (["--n-max", 1], "need 1 <= n_lo < n_hi <= 1, got [1, 1]"),
+        (["--n-max", 60, "--n-lo", 50, "--n-hi", 45], "need 1 <= n_lo < n_hi <= 60, got [50, 45]"),
+    ], ids=["n-max-1", "n-lo-above-n-hi"])
+    def test_entropy_window_is_refused_before_the_input_is_read(self, tmp_path, capsys,
+                                                                 monkeypatch, window, line):
+        # neither a missing input nor a profile is reached: a 10^7 profile
+        # past 39 letters takes seconds to minutes
+        def profile(*args):
+            raise AssertionError("the profile ran before the window was checked")
+
+        monkeypatch.setattr(cli, "complexity_profile", profile)
+        assert run(["entropy", "--in", tmp_path / "missing.sqz", *window]) == 2
+        assert assert_one_error_line(capsys) == f"error: {line}"
+
     @pytest.mark.parametrize("argv", [
         ["hat-test", "--in", "{m}", "--k", 4],
         ["toeplitz", "analyze", "--q", 2, "--m", 4, "--ell", 2, "--k", 3, "--ref", "{m}"],
@@ -501,8 +516,9 @@ GOLDEN_REPORTS = {
 
 # sha256 of each block-statistics output on a generated 20,000-term input,
 # recorded while window codes were little-endian: the hat-test lists three
-# violations in visiting order, entropy takes lengths past 39 through the
-# re-ranked keys, and the first determinize pass finds 13 heavy windows.  The
+# violations in visiting order, entropy --n-max 60 takes lengths past 39
+# through the re-ranked keys (recorded while every length up to n_max was
+# re-ranked), and the first determinize pass finds 13 heavy windows.  The
 # entropy --n-max 20 and 39 reports, recorded while every profile length was
 # re-ranked, pin the sorted-code side of the split at 39.
 BLOCK_REPORTS = {

@@ -1,6 +1,8 @@
 """Correlation sums, the battery, orbit samplers, the grid scan."""
 
 import math
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from chowla_lab.correlations import (
     sarnak_sum,
     strong_sarnak_sum,
 )
+from chowla_lab.empirics import block_frequencies
 from chowla_lab.numbergen import liouville_prefix, mobius_prefix
 from chowla_lab.seqcore import SignSeq, square_map
 from chowla_lab.symbolicgen import masked_coin_prefix
@@ -382,6 +385,35 @@ class TestBattery:
         z = random_seq(6, 2000)
         report = ch_battery(z, 3, 1, 1500, 0.5)
         assert [e.spec for e in report.entries] == enumerate_chowla_specs(3, 1)
+
+
+class TestFiniteEquivalence:
+    """The paper's equivalence on a prefix: over its N = len(z) - k + 1
+    length-k windows, the battery at max_lag = max_r = k - 1 is the window
+    count table moved to the moment basis, and the sign average the hat-test
+    compares with, g(B) = count_{z^2}(B^2) / 2^|supp B|, has every battery
+    moment 0, as each spec has an exponent 1."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.sampled_from([0.0, 1 / 3, 0.8]),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_battery_moments_of_the_window_counts(self, seed, k, zero_density, data):
+        size = data.draw(st.integers(10 * k, 400))
+        odd = (1 - zero_density) / 2
+        z = SignSeq(np.random.default_rng(seed).choice([-1, 0, 1], size=size,
+                                                       p=[odd, zero_density, odd]))
+        N = size - k + 1
+        measure, squared = block_frequencies(z, k), block_frequencies(square_map(z), k)
+        blocks = list(product((-1, 0, 1), repeat=k))
+        count = {b: measure.count(b) for b in blocks}
+        sign_average = {b: Fraction(squared.count([x * x for x in b]), 2 ** np.count_nonzero(b))
+                        for b in blocks}
+        for entry in ch_battery(z, k - 1, k - 1, N, 0.1).entries:
+            shifts = (0,) + entry.spec.lags
+            moment = {b: math.prod(b[a] ** i for a, i in zip(shifts, entry.spec.exponents))
+                      for b in blocks}
+            assert entry.value == sum(count[b] * moment[b] for b in blocks) / N
+            assert sum(sign_average[b] * moment[b] for b in blocks) == 0
 
 
 class TestDavenport:

@@ -344,6 +344,23 @@ class TestComplexityProfile:
             want = [len(window_counts(prefix, n)) for n in range(1, n_max + 1)]
             assert complexity_profile(SignSeq(prefix), n_max).counts.tolist() == want
 
+    @pytest.mark.parametrize("repeat, n_max", [(20, 60), (39, 60), (40, 60), (None, 200)],
+                             ids=["distinct-from-21", "distinct-from-40", "distinct-from-41",
+                                  "period-7"])
+    def test_all_distinct_stop(self, repeat, n_max):
+        # random letters then a copy of their first `repeat`: every window of
+        # length repeat + 1 is distinct, so the rank walk stops there and
+        # fills the longer counts as N - n + 1; a periodic word never stops
+        if repeat is None:
+            values = [1, 0, -1, -1, 0, 1, 1] * 43
+        else:
+            base = np.random.default_rng(repeat).integers(-1, 2, size=200).tolist()
+            values = base + base[:repeat]
+        want = [len(window_counts(values, n)) for n in range(1, n_max + 1)]
+        distinct = [n for n in range(1, n_max + 1) if want[n - 1] == len(values) - n + 1]
+        assert distinct[:1] == ([] if repeat is None else [repeat + 1])
+        assert complexity_profile(SignSeq(values), n_max).counts.tolist() == want
+
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunk_edges(self, monkeypatch, chunk):
         monkeypatch.setattr(empirics, "_CHUNK", chunk)

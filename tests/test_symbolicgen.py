@@ -221,14 +221,20 @@ class TestSparseEmbed:
         emb = sparse_embed(SignSeq(values), N, g)
         assert emb.values.tobytes() == brute_sparse_embed(values, N, g).tobytes()
 
-    @pytest.mark.parametrize("values", [[1] * 300, [-1, 0, 1, 1, 0] * 60, [0, 1] * 150],
-                             ids=["constant", "period-5", "period-2"])
-    def test_levels_past_39_letters_match_brute_force(self, values):
-        # g = 2 reaches d = 64 and 128, past the 39 letters a base-3 code holds
-        emb = sparse_embed(SignSeq(values), 10**4, 2)
-        want = brute_sparse_embed(values, 10**4, 2)
+    @pytest.mark.parametrize("values, g", [
+        pytest.param(values, g, id=name if g == 2 else f"{name}-g{g}")
+        for name, values in [
+            ("constant", [1] * 300), ("period-5", [-1, 0, 1, 1, 0] * 60), ("period-2", [0, 1] * 150),
+            ("golden-sturmian", sturmian_prefix(golden_params(), 300).values.tolist())]
+        for g in (2, 3, 4, 5)])
+    def test_levels_past_39_letters_match_brute_force(self, values, g):
+        # the top level, 256, 108, 256 or 100 letters, is past the 39 a
+        # base-3 code holds, so its labels are composed from the last level's
+        emb = sparse_embed(SignSeq(values), 2 * 10**5, g)
+        want = brute_sparse_embed(values, 2 * 10**5, g)
         assert emb.values.tobytes() == want.tobytes()
-        assert np.int8(values[:128]).tobytes() in want.tobytes()  # level 128 was placed
+        top = max(d for d in (4 * g**j for j in range(8)) if d <= len(values))
+        assert top > 39 and np.int8(values[:top]).tobytes() in want.tobytes()  # it was placed
 
     def test_traced_peak_on_a_constant_reference(self):
         # one block per level, up to d = 2**14: no window matrix per level
