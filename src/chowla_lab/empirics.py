@@ -12,11 +12,12 @@ prefix doubling, also for ``symbolicgen``: big-endian base-3 codes
 (letter + 1, the first letter most significant) that sort like the blocks and
 are exact up to length 39 in int64.  ``block_frequencies``,
 ``complexity_profile`` (up to length 39) and the heavy-window kernel
-``positive_frequency_blocks`` sort one length's codes in place; the first two
-take each shorter length from the quotients by a power of 3, which stay
-sorted.  No rank kernel is shared: past 39 letters ``complexity_profile``
-refines its own ranks a letter at a time and stops at the first length whose
-windows are all distinct, as every longer one then is too.
+``positive_frequency_blocks`` sort one length's codes once and then only read
+them: the codes d letters shorter are their quotients by 3**d, still sorted,
+so a shorter code c spans the entries in [c, c + 1) * 3**d.  Every pass over
+an N-sized array, here and in ``symbolicgen``, runs in chunks of ``_CHUNK``.
+Past 39 letters ``complexity_profile`` refines its own ranks a letter at a
+time, sharing no rank kernel, and stops once every window is distinct.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .seqcore import Block, SignSeq
 
 MAX_FREQUENCY_ORDER = 24
 _CODE_LENGTH_LIMIT = 39  # 3**39 - 1 < 2**63 <= 3**40 - 1
-_CHUNK = 1 << 20  # terms per chunk where a whole-array call makes N-sized temporaries
-_SCRATCH = 1 << 16  # terms per chunk of a window-code doubling pass, cache-sized
+_CHUNK = 1 << 16  # entries per cache-sized chunk of every pass over an N-sized array
 
 
 def block_code(letters) -> int:
@@ -53,20 +53,20 @@ def _window_codes(values: np.ndarray, k: int) -> np.ndarray:
     Prefix doubling, about log2 k passes: the length-1 codes are values + 1,
     a pass makes code_2m[i] = code_m[i] * 3**m + code_m[i + m] in place, and
     each set bit of k below the top then appends one letter, 3 * code +
-    values[i + 2m] + 1.  A pass runs in ascending chunks of ``_SCRATCH``
+    values[i + 2m] + 1.  A pass runs in ascending chunks of ``_CHUNK``
     through a scratch buffer, as the second term is read m places on.
     """
     if not 1 <= k <= values.size:
         raise ValueError(f"window length {k} outside 1..{values.size}")
     dtype = np.int32 if 3**k < 2**31 else np.int64
     codes = np.add(values, 1, dtype=dtype)
-    scratch = np.empty(min(_SCRATCH, values.size), dtype=dtype)
+    scratch = np.empty(min(_CHUNK, values.size), dtype=dtype)
     m = 1
     for bit in reversed(range(k.bit_length() - 1)):
         grow = k >> bit & 1
         size = codes.size - m - grow
-        for lo in range(0, size, _SCRATCH):
-            hi = min(lo + _SCRATCH, size)
+        for lo in range(0, size, _CHUNK):
+            hi = min(lo + _CHUNK, size)
             chunk = codes[lo:hi]
             np.add(np.multiply(chunk, 3**m, out=scratch[: hi - lo]), codes[lo + m : hi + m], chunk)
             if grow:
@@ -187,10 +187,10 @@ MAX_COMPLEXITY_ORDER = 512
 
 def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
     """Exact distinct-window counts for n = 1..n_max.  Up to length 39 the
-    length-n_max codes are sorted once, in place, and floor-divided by 3
-    between lengths, which keeps them sorted: p_n is 1 plus the adjacent
-    entries that differ, plus the distinct codes of the last n_max - n
-    windows, which start no sorted code, missing from the buffer."""
+    length-n_max codes are sorted once, then only read: a copy of each chunk
+    is floor-divided by 3 down through the lengths and stays sorted, and p_n
+    is 1 plus the adjacent entries that differ, plus the distinct codes c of
+    the last n_max - n windows with no sorted entry in [c, c + 1) * 3**(n_max - n)."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
     N = len(w)
@@ -219,17 +219,18 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
             del rank  # before the next length's table is made
         return ComplexityProfile(counts=counts, prefix_length=N)
     srt = _window_codes(w.values, n_max)
-    tail = w.values[N - n_max + 1 :]  # its length-n windows are the last n_max - n
-    last = [np.unique(_window_codes(tail, n)).astype(srt.dtype) for n in range(1, n_max)]
-    srt.sort()
+    srt.sort()  # read-only from here
     counts = np.ones(n_max, dtype=np.int64)
-    for n, key in zip(range(n_max, 0, -1), [srt[:0], *reversed(last)]):
-        if n < n_max:
-            srt //= 3
-        for lo in range(1, srt.size, _CHUNK):  # chunked, with no N-sized temporary
-            hi = min(lo + _CHUNK, srt.size)
-            counts[n - 1] += np.count_nonzero(srt[lo:hi] != srt[lo - 1 : hi - 1])
-        counts[n - 1] += np.count_nonzero(srt.take(np.searchsorted(srt, key), mode="clip") != key)
+    for lo in range(0, srt.size - 1, _CHUNK):  # each chunk overlaps the last by one entry
+        chunk = srt[lo : lo + _CHUNK + 1].copy()
+        for n in range(n_max, 0, -1):
+            counts[n - 1] += np.count_nonzero(chunk[1:] != chunk[:-1])
+            chunk //= 3
+    tail = w.values[N - n_max + 1 :]  # its length-n windows are the last n_max - n
+    for n in range(1, n_max):
+        key, shift = np.unique(_window_codes(tail, n)).astype(srt.dtype), 3 ** (n_max - n)
+        lo, hi = np.searchsorted(srt, [key * shift, (key + 1) * shift])
+        counts[n - 1] += np.count_nonzero(lo == hi)
     return ComplexityProfile(counts=counts, prefix_length=N)
 
 
@@ -303,8 +304,7 @@ def sign_extension_test(
         denom = len(z) - ell + 1
         # little-endian support masks, bit j for letter j: they sort squares last letter first
         masks = sum((codes // 3**i % 3 != 1) << (ell - 1 - i) for i in range(ell))
-        squared = np.zeros(2**ell, dtype=np.int64)
-        np.add.at(squared, masks, counts)
+        squared = np.bincount(masks, weights=counts, minlength=2**ell)  # exact below 2**53
         support = np.bitwise_count(np.arange(2**ell)).astype(np.int64)
         freq2 = squared / denom
         audit = (squared > 0) & ~(freq2 <= audit_factor * tol)

@@ -60,7 +60,6 @@ class SignSeq:
         if arr.size == 0:
             raise ValueError("a SignSeq must have length >= 1")
         obj = object.__new__(cls)
-        arr = arr if arr.dtype == np.int8 else arr.astype(np.int8)
         arr.setflags(write=False)
         obj._values = arr
         return obj

@@ -90,7 +90,7 @@ class TestWindowCodes:
 
     @pytest.mark.parametrize("scratch", [1, 3, 16, 64])
     def test_scratch_chunk_edges(self, monkeypatch, scratch):
-        monkeypatch.setattr(empirics, "_SCRATCH", scratch)
+        monkeypatch.setattr(empirics, "_CHUNK", scratch)
         values = np.random.default_rng(3).integers(-1, 2, size=300, dtype=np.int8)
         for k in range(1, 40):
             assert _window_codes(values, k).tolist() == [
@@ -363,10 +363,28 @@ class TestComplexityProfile:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunk_edges(self, monkeypatch, chunk):
+        # chunks overlap by one entry; int32 codes up to 19 letters, int64 above
         monkeypatch.setattr(empirics, "_CHUNK", chunk)
         values = np.random.default_rng(4).integers(-1, 2, size=1000).tolist()
-        want = [len(window_counts(values, n)) for n in range(1, 13)]
-        assert complexity_profile(SignSeq(values), 12).counts.tolist() == want
+        for n_max in (12, 19, 20, 39):
+            # 4 * chunk + 1 codes fill four chunks exactly; one more code adds a one-pair chunk
+            for N in (1000, 4 * chunk + n_max, 4 * chunk + n_max + 1):
+                want = [len(window_counts(values[:N], n)) for n in range(1, n_max + 1)]
+                assert complexity_profile(SignSeq(values[:N]), n_max).counts.tolist() == want
+
+    @pytest.mark.parametrize("kind", ["random", "periodic", "golden-sturmian"])
+    def test_sorted_path_matches_rank_walk(self, kind):
+        # n_max 40 takes the rank walk, n_max 39 the sorted codes; at this
+        # scale no brute-force oracle fits in the test time
+        N = 20_000
+        if kind == "random":
+            w = SignSeq(np.random.default_rng(6).integers(-1, 2, size=N, dtype=np.int8))
+        elif kind == "periodic":
+            w = SignSeq(np.resize(np.array([1, 0, -1, -1, 0, 1, 1, 0, 0, -1, 1], np.int8), N))
+        else:
+            w = sturmian_prefix(SturmianParams(alpha=(3 - math.sqrt(5)) / 2), N)
+        walk = complexity_profile(w, 40).counts[:39]
+        assert complexity_profile(w, 39).counts.tolist() == walk.tolist()
 
     def test_constant(self):
         profile = complexity_profile(SignSeq(np.zeros(500, dtype=np.int8)), 20)

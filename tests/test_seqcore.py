@@ -13,6 +13,7 @@ from chowla_lab.seqcore import (
     write_sqz,
 )
 
+import chowla_lab as cl
 from factorize_oracle import factorize
 
 
@@ -171,3 +172,35 @@ class TestSqzFormat:
         assert err.value.filename == str(target)
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
+
+
+def _sqz_round_trip(tmp_path):
+    write_sqz(tmp_path / "z.sqz", SignSeq([1, 0, -1]))
+    return read_sqz(tmp_path / "z.sqz")
+
+
+class TestTrustedWrap:
+    # SignSeq._wrap stores the array it is given without a cast: every
+    # public generator and map must hand it int8 values
+    @pytest.mark.parametrize("make", [
+        lambda _: cl.mobius_prefix(100),
+        lambda _: cl.liouville_prefix(100),
+        lambda _: cl.mu_b_prefix(cl.BSet.from_squares([4, 9]), 100),
+        lambda _: cl.sturmian_prefix(cl.SturmianParams(alpha=(3 - 5**0.5) / 2), 100),
+        lambda _: cl.bernoulli_prefix((-1, 0, 1), cl.BernoulliParams((0.2, 0.3, 0.5), 1), 100),
+        lambda _: cl.pair_code_prefix(3, 1, 100),
+        lambda _: cl.masked_coin_prefix(1, 100),
+        lambda _: cl.doubling_word_prefix(100),
+        lambda _: cl.sparse_embed(cl.mobius_prefix(100), 1000, 2),
+        lambda _: cl.determinize_step(cl.doubling_word_prefix(1000),
+                                      cl.DeterminizeParams(0.5, 3, 48)).sequence,
+        lambda _: cl.build_toeplitz(cl.ToeplitzSpec(q=3, z_ref=cl.mobius_prefix(100)), 100),
+        lambda _: square_map(SignSeq([1, 0, -1])),
+        lambda _: pointwise_product(SignSeq([1, 0, -1]), SignSeq([-1, 1, 1])),
+        lambda _: SignSeq([1, 0, -1]).prefix(2),
+        _sqz_round_trip,
+    ], ids=["mobius", "liouville", "mu_b", "sturmian", "bernoulli", "pair_code",
+            "masked_coin", "doubling_word", "sparse_embed", "determinize_step",
+            "build_toeplitz", "square_map", "pointwise_product", "prefix", "read_sqz"])
+    def test_values_are_int8(self, make, tmp_path):
+        assert make(tmp_path).values.dtype == np.int8

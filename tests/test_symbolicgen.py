@@ -108,7 +108,8 @@ class TestBernoulli:
         ((-1, 0, 1), (1.0, 0.0, 0.0)),
         ((-1, 1), (0.3, 0.7)),
     ])
-    @pytest.mark.parametrize("N", [1, symbolicgen._CHUNK - 1, symbolicgen._CHUNK + 1])
+    # one short of and one past a chunk seam (2**20 = 16 chunks)
+    @pytest.mark.parametrize("N", [1, 16 * symbolicgen._CHUNK - 1, 16 * symbolicgen._CHUNK + 1])
     def test_matches_searchsorted_draw(self, alphabet, probs, N):
         # zero-probability symbols give equal cuts, which side="right" steps past
         cuts = np.cumsum(probs)
