@@ -48,7 +48,6 @@ from .correlations import (
     CorrelationCurve,
     CorrelationSpec,
     DavenportResult,
-    OrbitSampler,
     PeriodicSampler,
     RotationSampler,
     SubshiftSampler,

@@ -16,8 +16,8 @@ Lag products are evaluated on packed bitplanes of each slice, support
 the AND of the shifted supports, and negative where the XOR of the
 exponent-1 factors' signs is set, so every Chowla-type sum is an exact
 integer count, and one walk of the slices serves all of a battery's specs.
-The orbit-weighted sums multiply the sampler's values by the slice's int8
-product and add each slice with one float64 np.sum.
+The orbit-weighted sums multiply the sampler's values in place by each
+factor of the slice's product and add each slice with one float64 np.sum.
 """
 
 from __future__ import annotations
@@ -158,16 +158,8 @@ def _chowla_curves(z: SignSeq, specs: list[CorrelationSpec], N: int) -> list[Cor
     return [CorrelationCurve(checkpoints=tuple(curve)) for curve in points]
 
 
-class OrbitSampler:
-    """Produces the real weight sequence f(T^n x)."""
-
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """f(T^n x) for n = lo+1..hi, as a new float64 array."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class RotationSampler(OrbitSampler):
+class RotationSampler:
     """Circle rotation by alpha observed through cos or sin of the angle."""
 
     alpha: float
@@ -191,7 +183,7 @@ class RotationSampler(OrbitSampler):
 
 
 @dataclass(frozen=True)
-class PeriodicSampler(OrbitSampler):
+class PeriodicSampler:
     """Cyclic repetition of a fixed real pattern; sample(n+P) = sample(n)."""
 
     pattern: tuple[float, ...]
@@ -210,7 +202,7 @@ class PeriodicSampler(OrbitSampler):
 
 
 @dataclass(frozen=True)
-class SubshiftSampler(OrbitSampler):
+class SubshiftSampler:
     """Shift orbit of a stored sequence observed at the first coordinate:
     sample(n) = w(n+1), so w must be one term longer than the sum."""
 
@@ -222,27 +214,27 @@ class SubshiftSampler(OrbitSampler):
         return self.w.values[lo + 1 : hi + 1].astype(np.float64)
 
 
-def sarnak_sum(sampler: OrbitSampler, z: SignSeq, N: int) -> CorrelationCurve:
+def sarnak_sum(sampler, z: SignSeq, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of f(T^n x) z(n)."""
     return strong_sarnak_sum(sampler, z, CorrelationSpec(), N)
 
 
-def strong_sarnak_sum(
-    sampler: OrbitSampler, z: SignSeq, spec: CorrelationSpec, N: int
-) -> CorrelationCurve:
-    """Sarnak-type sum weighted by the full lag/exponent product of z: per
-    checkpoint slice, the sampler's values times the int8 product, added
-    with one float64 np.sum."""
+def strong_sarnak_sum(sampler, z: SignSeq, spec: CorrelationSpec, N: int) -> CorrelationCurve:
+    """Sarnak-type sum weighted by the full lag/exponent product of z.  A
+    sampler's ``values(lo, hi)`` returns f(T^n x) for n = lo+1..hi as a new
+    float64 array; per checkpoint slice, that array is multiplied in place
+    by each factor z(n + a) or |z(n + a)| and added with one float64
+    np.sum.  Every factor is -1, 0 or 1, so each product is exact; a zero
+    may be -0.0, which no total that starts at +0.0 shows."""
     _check_prefix(z, N, spec.max_lag)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is refused
         sampler.values(N - 1, N)  # a sampler that cannot reach N refuses before any work
         points, total = [], 0.0
         for lo, hi in _slices(N):
-            lagged = np.ones(hi - lo, dtype=np.int8)
-            for a, i in zip((0,) + spec.lags, spec.exponents):
-                lagged *= z.values[lo + a : hi + a] ** i
             terms = sampler.values(lo, hi)
-            terms *= lagged
+            for a, i in zip((0,) + spec.lags, spec.exponents):
+                factor = z.values[lo + a : hi + a]
+                terms *= factor if i == 1 else np.abs(factor)
             total += float(np.sum(terms, dtype=np.float64))
             del terms  # before the next slice's values are made
             if not math.isfinite(total):

@@ -188,9 +188,10 @@ MAX_COMPLEXITY_ORDER = 512
 def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
     """Exact distinct-window counts for n = 1..n_max.  Up to length 39 the
     length-n_max codes are sorted once, then only read: a copy of each chunk
-    is floor-divided by 3 down through the lengths and stays sorted, and p_n
-    is 1 plus the adjacent entries that differ, plus the distinct codes c of
-    the last n_max - n windows with no sorted entry in [c, c + 1) * 3**(n_max - n)."""
+    is floor-divided by 3 down through the lengths (int32 from 19 letters on)
+    and stays sorted, and p_n is 1 plus the adjacent entries that differ,
+    plus the distinct codes c of the last n_max - n windows with no sorted
+    entry in [c, c + 1) * 3**(n_max - n)."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
     N = len(w)
@@ -226,6 +227,8 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
         for n in range(n_max, 0, -1):
             counts[n - 1] += np.count_nonzero(chunk[1:] != chunk[:-1])
             chunk //= 3
+            if n == 20:  # 19 letters left: 3**19 < 2**31
+                chunk = chunk.astype(np.int32)
     tail = w.values[N - n_max + 1 :]  # its length-n windows are the last n_max - n
     for n in range(1, n_max):
         key, shift = np.unique(_window_codes(tail, n)).astype(srt.dtype), 3 ** (n_max - n)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 LOG2_3 = math.log2(3.0)
 H_TWO_THIRDS = LOG2_3 - 2.0 / 3.0  # H(2/3)
 
-_BISECTION_STEPS = 200
 _BISECTION_TOL = 1e-12
 
 
@@ -48,15 +47,13 @@ def entropy_inverse(y: float, branch: str) -> float:
     # H increases on [0, 1/2] and decreases on [1/2, 1]
     lower = branch == "lower"
     lo, hi = (0.0, 0.5) if lower else (0.5, 1.0)
-    for _ in range(_BISECTION_STEPS):
+    while hi - lo >= _BISECTION_TOL:  # 39 halvings of the width-1/2 branch
         mid = (lo + hi) / 2.0
         h = binary_entropy(mid)
         if (h < y) if lower else (h > y):
             lo = mid
         else:
             hi = mid
-        if hi - lo < _BISECTION_TOL:
-            break
     return (lo + hi) / 2.0
 
 

@@ -5,10 +5,11 @@ two counterexample codings (a 4-letter pair code and a coin sequence masked
 by its own next term), a non-recurrent doubling word with inflating zero
 blocks, sparse zero-padded embeddings of a reference word's blocks, and the
 heavy-block recoding step used to approximate a sequence by one of low block
-diversity.  Both build on ``empirics``' window codes: the recoding takes its
-heavy windows from ``positive_frequency_blocks``.  The embedding dense-ranks
-a level's codes up to 39 letters; a longer level's window at i is the tuple
-of the last level's labels at i, i + d/g, ..., ranked one label at a time.
+diversity.  The recoding builds on ``empirics``' window codes and takes its
+heavy windows from ``positive_frequency_blocks``; the embedding reads no
+code format.  Its level-d window at i is the tuple of the last level's labels
+at i, i + d/g, ... (level 4: the letters'), composed as key * p + label and
+dense-ranked at the end of the level, and before a key could overflow.
 
 Every generator is a pure function of (params, seed, N): same inputs give a
 byte-identical prefix.  The random source is ``np.random.default_rng`` (PCG64).
@@ -190,19 +191,21 @@ def sparse_embed(w: SignSeq, N: int, gap_growth: int) -> SignSeq:
     if N < 1:
         raise ValueError("N must be >= 1")
     out = np.zeros(N, dtype=np.int8)
+    labels, p, part = np.add(w.values, 1, dtype=np.int32), 3, 1  # the letters' labels
     pos, d = 0, 4
     while d <= len(w):
-        if d <= _CODE_LENGTH_LIMIT:
-            labels = _window_codes(w.values, d)
-            first = _dense_rank(labels)
-        else:  # prefix doubling (Manber and Myers 1993) from the last level
-            part, size, p = d // gap_growth, len(w) - d + 1, first.size
-            key = labels[:size].astype(np.int64)
-            for j in range(1, gap_growth):  # rank * p + label < size * p fits int64
-                key *= p
-                key += labels[j * part : j * part + size]
-                first = _dense_rank(key)
-            labels = key
+        parts, size = d // part, len(w) - d + 1
+        wide = parts * (p - 1).bit_length() > 30  # p**parts may reach 2**31
+        key, bound = labels[:size].astype(np.int64 if wide else np.int32), p
+        for j in range(1, parts):  # each key is below bound
+            if bound * p > 2**63:  # the next key could overflow: rank this one
+                bound = _dense_rank(key).size
+            key *= p
+            key += labels[j * part : j * part + size]
+            bound *= p
+        del labels  # before the level is ranked
+        first = _dense_rank(key)
+        labels, p, part = key, first.size, d
         pad = max(d, ((gap_growth - 1) * d + 1) // 2)
         unit = d + 2 * pad
         if pos + unit * first.size > N:

@@ -336,6 +336,25 @@ class TestStrongSarnakSum:
         b = sarnak_sum(sampler, z, 900)
         assert a.checkpoints == b.checkpoints
 
+    @pytest.mark.parametrize("sampler", [
+        RotationSampler(alpha=0.27, x0=0.11, observable="sin"),
+        PeriodicSampler((1.5, -2.0, 0.0, 0.25, 3.0)),
+        SubshiftSampler(random_seq(6, 10_001))], ids=["rotation", "periodic", "subshift"])
+    @pytest.mark.parametrize("lags, exponents", [
+        ((1,), (2, 1)), ((1, 3), (1, 2, 1)), ((2, 5, 6), (2, 1, 2, 2))])
+    def test_checkpoints_equal_the_int8_product_oracle(self, sampler, lags, exponents):
+        z, N = random_seq(5, 10_006), 10_000
+        want, total, lo = [], 0.0, 0
+        for hi in checkpoint_bounds(N):
+            product = np.ones(hi - lo, dtype=np.int8)
+            for a, i in zip((0,) + lags, exponents):
+                product *= z.values[lo + a : hi + a] ** i
+            total += float(np.sum(sampler.values(lo, hi) * product, dtype=np.float64))
+            want.append((hi, total / hi))
+            lo = hi
+        curve = strong_sarnak_sum(sampler, z, CorrelationSpec(lags, exponents), N)
+        assert curve.checkpoints == tuple(want)
+
     def test_constant_sampler_reduces_to_chowla(self):
         z = random_seq(4, 1000)
         spec = CorrelationSpec((1, 2), (1, 2, 1))

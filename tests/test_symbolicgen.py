@@ -195,6 +195,9 @@ class TestDoublingWord:
             assert blocks_first <= blocks_second, ell
 
 
+X64 = np.random.default_rng(8).integers(0, 2, size=64).tolist()
+
+
 def brute_sparse_embed(values, N, g):
     """Pure-Python embedding: each level's first occurrences from a dict, in
     the dict's insertion order, padded by max(d, ceil((g-1)d/2)) zeros."""
@@ -222,25 +225,35 @@ class TestSparseEmbed:
         emb = sparse_embed(SignSeq(values), N, g)
         assert emb.values.tobytes() == brute_sparse_embed(values, N, g).tobytes()
 
-    @pytest.mark.parametrize("values, g", [
-        pytest.param(values, g, id=name if g == 2 else f"{name}-g{g}")
+    @pytest.mark.parametrize("values, g, N, top", [
+        pytest.param(values, g, 2 * 10**5, top, id=name if g == 2 else f"{name}-g{g}")
         for name, values in [
             ("constant", [1] * 300), ("period-5", [-1, 0, 1, 1, 0] * 60), ("period-2", [0, 1] * 150),
             ("golden-sturmian", sturmian_prefix(golden_params(), 300).values.tolist())]
-        for g in (2, 3, 4, 5)])
-    def test_levels_past_39_letters_match_brute_force(self, values, g):
-        # the top level, 256, 108, 256 or 100 letters, is past the 39 a
-        # base-3 code holds, so its labels are composed from the last level's
-        emb = sparse_embed(SignSeq(values), 2 * 10**5, g)
-        want = brute_sparse_embed(values, 2 * 10**5, g)
+        for g, top in ((2, 256), (3, 108), (4, 256), (5, 100))] + [
+        # level 4g composes g labels of the 81 four-letter blocks, and
+        # 81**10 > 2**63: for g 10 and 12 it is ranked before its tenth part
+        pytest.param(np.random.default_rng(5).integers(-1, 2, size=600).tolist(), g, 4 * 10**5,
+                     4 * g, id=f"uniform-g{g}") for g in (10, 12)] + [
+        # 16 labels of {0,1} blocks, 17 parts: 16**17 > 2**64, so a key that
+        # overflowed would drop the first part and merge the windows at 0 and 68
+        pytest.param([0] * 4 + X64 + [1] * 4 + X64, 17, 2 * 10**5, 68, id="binary-g17")])
+    def test_levels_past_39_letters_match_brute_force(self, values, g, N, top):
+        # the level of ``top`` letters is past the 39 a base-3 code holds
+        emb = sparse_embed(SignSeq(values), N, g)
+        want = brute_sparse_embed(values, N, g)
         assert emb.values.tobytes() == want.tobytes()
-        top = max(d for d in (4 * g**j for j in range(8)) if d <= len(values))
         assert top > 39 and np.int8(values[:top]).tobytes() in want.tobytes()  # it was placed
 
     def test_traced_peak_on_a_constant_reference(self):
         # one block per level, up to d = 2**14: no window matrix per level
         w = SignSeq(np.ones(2**14, dtype=np.int8))
         assert traced_peak(sparse_embed, w, 10**6, 2) < 4 * 10**6
+
+    def test_traced_peak_on_a_golden_sturmian_reference(self):
+        # labels and key of one level beside one dense rank, about 7.5 MB
+        w = sturmian_prefix(golden_params(), 2**18)
+        assert traced_peak(sparse_embed, w, 2 * 10**6, 2) < 10 * 10**6
 
     def test_density_bound(self):
         rng = np.random.default_rng(5)
