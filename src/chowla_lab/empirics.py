@@ -11,13 +11,12 @@ denominator N - ell + 1.  ``_window_codes`` alone builds window codes, by
 prefix doubling, also for ``symbolicgen``: big-endian base-3 codes
 (letter + 1, the first letter most significant) that sort like the blocks and
 are exact up to length 39 in int64.  ``block_frequencies``,
-``complexity_profile`` (up to length 39) and the heavy-window kernel
-``positive_frequency_blocks`` sort one length's codes once and then only read
-them: the codes d letters shorter are their quotients by 3**d, still sorted,
-so a shorter code c spans the entries in [c, c + 1) * 3**d.  Every pass over
-an N-sized array, here and in ``symbolicgen``, runs in chunks of ``_CHUNK``.
-Past 39 letters ``complexity_profile`` refines its own ranks a letter at a
-time, sharing no rank kernel, and stops once every window is distinct.
+``complexity_profile`` and the heavy-window kernel ``positive_frequency_blocks``
+sort one length's codes once and then only read them: the codes d letters
+shorter are their quotients by 3**d, still sorted, so a shorter code c spans
+the entries in [c, c + 1) * 3**d.  Past 39 letters a profile code starts with
+the dense rank of the window's first letters.  Every pass over an N-sized
+array, here and in ``symbolicgen``, runs in chunks of ``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -186,55 +185,54 @@ MAX_COMPLEXITY_ORDER = 512
 
 
 def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
-    """Exact distinct-window counts for n = 1..n_max.  Up to length 39 the
-    length-n_max codes are sorted once, then only read: a copy of each chunk
-    is floor-divided by 3 down through the lengths (int32 from 19 letters on)
-    and stays sorted, and p_n is 1 plus the adjacent entries that differ,
-    plus the distinct codes c of the last n_max - n windows with no sorted
-    entry in [c, c + 1) * 3**(n_max - n)."""
+    """Exact distinct-window counts for n = 1..n_max, in levels: a level codes
+    a window of length done + j, j <= J, as the dense rank (one of p) of its
+    first done letters * 3**j + the base-3 code of the rest, J the most letters
+    (39 at done = 0) with p * 3**J <= 2**63.  It sorts its longest codes once,
+    reads the shorter ones as their quotients by 3, and ranks the distinct
+    ones for the next level; once every window is distinct, p_n = N - n + 1."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
-    N = len(w)
+    N, values = len(w), w.values
     if n_max > N:
         raise ValueError(f"n_max {n_max} exceeds prefix length {N}")
-    if n_max > _CODE_LENGTH_LIMIT:
-        counts = N + 1 - np.arange(1, n_max + 1, dtype=np.int64)  # p_n once all are distinct
-        dtype = np.int32 if 3 * N + 3 < 2**31 else np.int64
-        p, key = 1, np.zeros(N + 1, dtype=dtype)  # p_0 and the empty windows' ranks
-        for n in range(1, n_max + 1):
-            key = key[:-1]
-            key *= 3
-            key += w.values[n - 1 :]
-            key += 1
-            rank = np.zeros(3 * p, dtype=dtype)  # 3 * rank + letter + 1 < 3 * p_{n-1}
-            rank[key] = 1
-            np.cumsum(rank, out=rank)
-            counts[n - 1] = p = int(rank[-1])
-            if p == key.size or n == n_max:  # no longer length needs these ranks
-                break
-            rank -= 1
-            for lo in range(0, key.size, _CHUNK):  # np.take copies an int32 index to intp
-                chunk = key[lo : lo + _CHUNK]
-                # keys < rank.size, so "clip" clamps nothing; "raise" buffers a copy
-                np.take(rank, chunk, out=chunk, mode="clip")
-            del rank  # before the next length's table is made
-        return ComplexityProfile(counts=counts, prefix_length=N)
-    srt = _window_codes(w.values, n_max)
-    srt.sort()  # read-only from here
-    counts = np.ones(n_max, dtype=np.int64)
-    for lo in range(0, srt.size - 1, _CHUNK):  # each chunk overlaps the last by one entry
-        chunk = srt[lo : lo + _CHUNK + 1].copy()
-        for n in range(n_max, 0, -1):
-            counts[n - 1] += np.count_nonzero(chunk[1:] != chunk[:-1])
-            chunk //= 3
-            if n == 20:  # 19 letters left: 3**19 < 2**31
-                chunk = chunk.astype(np.int32)
-    tail = w.values[N - n_max + 1 :]  # its length-n windows are the last n_max - n
-    for n in range(1, n_max):
-        key, shift = np.unique(_window_codes(tail, n)).astype(srt.dtype), 3 ** (n_max - n)
-        lo, hi = np.searchsorted(srt, [key * shift, (key + 1) * shift])
-        counts[n - 1] += np.count_nonzero(lo == hi)
-    return ComplexityProfile(counts=counts, prefix_length=N)
+    def compose(start, j):  # codes of the length done + j windows from start on
+        codes = _window_codes(values[done + start :], j).astype(dtype, copy=False)
+        for lo in range(0, codes.size if done else 0, _CHUNK):
+            chunk = codes[lo : lo + _CHUNK]
+            chunk += rank[start + lo : start + lo + chunk.size] * dtype(3**j)
+        return codes
+    counts = N + 1 - np.arange(1, n_max + 1, dtype=np.int64)  # p_n once all are distinct
+    done, p, rank = 0, 1, None
+    while True:
+        J = min(n_max - done, max(j for j in range(1, 40) if p * 3**j <= 2**63))
+        dtype, size = np.int32 if p * 3**J < 2**31 else np.int64, N - done - J + 1
+        srt = compose(0, J)
+        srt.sort()  # read-only from here
+        counts[done : done + J] = 1
+        for lo in range(0, size - 1, _CHUNK):  # each chunk overlaps the last by one entry
+            chunk = srt[lo : lo + _CHUNK + 1].copy()
+            for j in range(J, 0, -1):
+                counts[done + j - 1] += np.count_nonzero(chunk[1:] != chunk[:-1])
+                chunk //= 3
+                if chunk.itemsize == 8 and p * 3 ** (j - 1) < 2**31:  # the quotients fit
+                    chunk = chunk.astype(np.int32)
+        for j in range(1, J):  # the last J - j windows start no sorted one
+            key, shift = np.unique(compose(size, j)), 3 ** (J - j)
+            lo, hi = np.searchsorted(srt, [key * shift, (key + 1) * shift])
+            counts[done + j - 1] += np.count_nonzero(lo == hi)
+        if done + J == n_max or counts[done + J - 1] == size:
+            return ComplexityProfile(counts=counts, prefix_length=N)
+        keep = np.ones(size, dtype=bool)  # compact the sorted codes to the distinct ones
+        np.not_equal(srt[1:], srt[:-1], out=keep[1:])
+        distinct = srt[keep]
+        del srt, keep  # before the codes are rebuilt in window order
+        codes = compose(0, J)
+        rank = np.empty(size, np.int32 if N < 2**31 else np.int64) if rank is None else rank[:size]
+        for lo in range(0, size, _CHUNK):
+            rank[lo : lo + _CHUNK] = np.searchsorted(distinct, codes[lo : lo + _CHUNK])
+        done, p = done + J, distinct.size
+        del codes, distinct  # before the next level's codes are made
 
 
 @dataclass(frozen=True)

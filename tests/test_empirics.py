@@ -168,6 +168,7 @@ class TestKernelMemory:
     # an unseen pattern is added
     @pytest.mark.parametrize("call,bound", [
         (lambda z: complexity_profile(z, 20), 8.8),
+        (lambda z: complexity_profile(z, 60), 8.8),  # distinct at 39: one level
         (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 18),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
          4),
@@ -177,12 +178,20 @@ class TestKernelMemory:
         (lambda z: block_frequencies(z, 24), 40),
         (lambda z: block_frequencies(z, 16)._table(15), 46),
         (lambda z: sign_extension_test(z, 16, 0.001), 55),
-    ], ids=["complexity-profile", "determinize-n20", "bernoulli", "block-frequencies-k12",
+    ], ids=["complexity-profile", "complexity-profile-60", "determinize-n20", "bernoulli",
+            "block-frequencies-k12",
             "sign-test-k12", "block-frequencies-k16", "block-frequencies-k24", "table-k16-15",
             "sign-test-k16"])
     def test_narrow_kernel_peak_per_symbol(self, call, bound):
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < bound * N
+
+    def test_second_level_peak_per_symbol(self):
+        # a golden Sturmian prefix has 40 windows of length 39, so lengths 40
+        # to 60 take a second level: its int64 codes beside the int32 ranks
+        N = 2**22
+        eta = sturmian_prefix(SturmianParams(alpha=(3 - math.sqrt(5)) / 2), N)
+        assert traced_peak(complexity_profile, eta, 60) < 13 * N
 
 
 def assert_counts_match(values, k):
@@ -298,11 +307,14 @@ class TestPartitionIdentity:
 
 @st.composite
 def profile_inputs(draw):
-    """{-1,0,1} words, periodic words and two-letter words of length 1..300."""
+    """{-1,0,1} words, periodic words, two-letter words and repeated random
+    blocks of 40..150 letters, of length 1..300.  A repeated block keeps p_n
+    in the hundreds past 39 letters, so a second level is bound by p, not 39."""
     length = draw(st.integers(1, 300))
-    kind = draw(st.sampled_from(["three-letter", "periodic", "two-letter"]))
-    if kind == "periodic":
-        pattern = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=12))
+    kind = draw(st.sampled_from(["three-letter", "periodic", "two-letter", "repeated"]))
+    if kind in ("periodic", "repeated"):
+        size = (1, 12) if kind == "periodic" else (40, 150)
+        pattern = draw(st.lists(st.integers(-1, 1), min_size=size[0], max_size=size[1]))
         return (pattern * length)[:length]
     letters = (-1, 0, 1) if kind == "three-letter" else draw(
         st.sampled_from([(-1, 1), (0, 1), (-1, 0)]))
@@ -338,7 +350,8 @@ class TestComplexityProfile:
 
     @pytest.mark.parametrize("n_max", [19, 20, 39, 40])
     def test_code_dtype_and_rank_handover(self, n_max):
-        # int32 codes up to 19, int64 from 20; sorted codes up to 39, ranks from 40
+        # int32 codes up to 19, int64 from 20; one level up to 39, a second
+        # level, its codes led by the length-39 ranks, from 40
         values = np.random.default_rng(n_max).integers(-1, 2, size=400).tolist()
         for prefix in (values, values[:n_max]):  # the second has n_max = N
             want = [len(window_counts(prefix, n)) for n in range(1, n_max + 1)]
@@ -349,8 +362,8 @@ class TestComplexityProfile:
                                   "period-7"])
     def test_all_distinct_stop(self, repeat, n_max):
         # random letters then a copy of their first `repeat`: every window of
-        # length repeat + 1 is distinct, so the rank walk stops there and
-        # fills the longer counts as N - n + 1; a periodic word never stops
+        # length repeat + 1 is distinct, so the level that reaches it stops
+        # and fills the longer counts as N - n + 1; a periodic word never stops
         if repeat is None:
             values = [1, 0, -1, -1, 0, 1, 1] * 43
         else:
@@ -363,19 +376,22 @@ class TestComplexityProfile:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunk_edges(self, monkeypatch, chunk):
-        # chunks overlap by one entry; int32 codes up to 19 letters, int64 above
+        # chunks overlap by one entry; int32 codes up to 19 letters, int64 above;
+        # a 45-letter period takes lengths 40 to 60 in a second level
         monkeypatch.setattr(empirics, "_CHUNK", chunk)
         values = np.random.default_rng(4).integers(-1, 2, size=1000).tolist()
-        for n_max in (12, 19, 20, 39):
+        periodic = (values[:45] * 23)[:1000]
+        for word, n_max in [(values, 12), (values, 19), (values, 20), (values, 39),
+                            (periodic, 60)]:
             # 4 * chunk + 1 codes fill four chunks exactly; one more code adds a one-pair chunk
             for N in (1000, 4 * chunk + n_max, 4 * chunk + n_max + 1):
-                want = [len(window_counts(values[:N], n)) for n in range(1, n_max + 1)]
-                assert complexity_profile(SignSeq(values[:N]), n_max).counts.tolist() == want
+                want = [len(window_counts(word[:N], n)) for n in range(1, n_max + 1)]
+                assert complexity_profile(SignSeq(word[:N]), n_max).counts.tolist() == want
 
     @pytest.mark.parametrize("kind", ["random", "periodic", "golden-sturmian"])
     def test_sorted_path_matches_rank_walk(self, kind):
-        # n_max 40 takes the rank walk, n_max 39 the sorted codes; at this
-        # scale no brute-force oracle fits in the test time
+        # n_max 40 takes a second level, led by the length-39 ranks, n_max 39
+        # one level; at this scale no brute-force oracle fits in the test time
         N = 20_000
         if kind == "random":
             w = SignSeq(np.random.default_rng(6).integers(-1, 2, size=N, dtype=np.int8))

@@ -64,6 +64,19 @@ class TestSturmian:
         with pytest.warns(UserWarning, match="denominator"):
             SturmianParams(alpha=0.5, beta=0.25)
 
+    # one short of and one past a chunk seam, as in TestBernoulli
+    @pytest.mark.parametrize("N", [1, 16 * symbolicgen._CHUNK - 1, 16 * symbolicgen._CHUNK + 1])
+    def test_chunks_match_whole_array_formula(self, N):
+        params = SturmianParams(alpha=GOLDEN_DENSITY, beta=0.3)
+        n = np.arange(1, N + 1, dtype=np.float64)
+        want = (np.mod(n * params.alpha + params.beta, 1.0) >= 1.0 - params.alpha).astype(np.int8)
+        assert sturmian_prefix(params, N).values.tobytes() == want.tobytes()
+
+    def test_traced_peak(self):
+        # the int8 output and one chunk of float64 phases
+        N = 2**22
+        assert traced_peak(sturmian_prefix, golden_params(), N) < 2 * N
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SturmianParams(alpha=1.5)
