@@ -10,7 +10,8 @@ Window counting conventions: a length-ell block in a prefix of length N has
 denominator N - ell + 1.  ``_window_codes`` alone builds window codes, by
 prefix doubling, also for ``symbolicgen``: big-endian base-3 codes
 (letter + 1, the first letter most significant) that sort like the blocks and
-are exact up to length 39 in int64.  ``block_frequencies``,
+are exact up to length 39, in the dtype ``_code_dtype`` picks: int32, uint32
+at length 20, or int64.  ``block_frequencies``,
 ``complexity_profile`` and the heavy-window kernel ``positive_frequency_blocks``
 sort one length's codes once and then only read them: the codes d letters
 shorter are their quotients by 3**d, still sorted, so a shorter code c spans
@@ -45,20 +46,26 @@ def code_to_block(code: int, length: int) -> Block:
     return Block(tuple(code // 3**i % 3 - 1 for i in reversed(range(length))))
 
 
+def _code_dtype(top: int) -> type:
+    """The narrowest of int32, uint32 and int64 that holds the codes 0..top - 1."""
+    return np.int32 if top <= 2**31 else np.uint32 if top <= 2**32 else np.int64
+
+
 def _window_codes(values: np.ndarray, k: int) -> np.ndarray:
     """Base-3 codes of the length-k windows: entry i of the N - k + 1 codes
-    is the code of values[i : i + k], int32 while 3**k < 2**31, else int64.
+    is the code of values[i : i + k], in ``_code_dtype(3**k)``: uint32 at 20.
 
     Prefix doubling, about log2 k passes: the length-1 codes are values + 1,
     a pass makes code_2m[i] = code_m[i] * 3**m + code_m[i + m] in place, and
     each set bit of k below the top then appends one letter, 3 * code +
     values[i + 2m] + 1.  A pass runs in ascending chunks of ``_CHUNK``
-    through a scratch buffer, as the second term is read m places on.
+    through a scratch buffer, as the second term is read m places on.  Letters
+    are added in uint8, where -1 + 1 wraps to 0: int8 does not cast to uint32.
     """
     if not 1 <= k <= values.size:
         raise ValueError(f"window length {k} outside 1..{values.size}")
-    dtype = np.int32 if 3**k < 2**31 else np.int64
-    codes = np.add(values, 1, dtype=dtype)
+    dtype, letters = _code_dtype(3**k), values.view(np.uint8)
+    codes = np.add(letters, np.uint8(1), out=np.empty(values.size, dtype))
     scratch = np.empty(min(_CHUNK, values.size), dtype=dtype)
     m = 1
     for bit in reversed(range(k.bit_length() - 1)):
@@ -70,8 +77,7 @@ def _window_codes(values: np.ndarray, k: int) -> np.ndarray:
             np.add(np.multiply(chunk, 3**m, out=scratch[: hi - lo]), codes[lo + m : hi + m], chunk)
             if grow:
                 chunk *= 3
-                chunk += values[lo + 2 * m : hi + 2 * m]
-                chunk += 1
+                chunk += letters[lo + 2 * m : hi + 2 * m] + np.uint8(1)
         codes = codes[:size]
         m = 2 * m + grow
     return codes
@@ -200,13 +206,13 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
         codes = _window_codes(values[done + start :], j).astype(dtype, copy=False)
         for lo in range(0, codes.size if done else 0, _CHUNK):
             chunk = codes[lo : lo + _CHUNK]
-            chunk += rank[start + lo : start + lo + chunk.size] * dtype(3**j)
+            chunk += rank[start + lo : start + lo + chunk.size].astype(dtype) * dtype(3**j)
         return codes
     counts = N + 1 - np.arange(1, n_max + 1, dtype=np.int64)  # p_n once all are distinct
     done, p, rank = 0, 1, None
     while True:
         J = min(n_max - done, max(j for j in range(1, 40) if p * 3**j <= 2**63))
-        dtype, size = np.int32 if p * 3**J < 2**31 else np.int64, N - done - J + 1
+        dtype, size = _code_dtype(p * 3**J), N - done - J + 1
         srt = compose(0, J)
         srt.sort()  # read-only from here
         counts[done : done + J] = 1
@@ -215,8 +221,7 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
             for j in range(J, 0, -1):
                 counts[done + j - 1] += np.count_nonzero(chunk[1:] != chunk[:-1])
                 chunk //= 3
-                if chunk.itemsize == 8 and p * 3 ** (j - 1) < 2**31:  # the quotients fit
-                    chunk = chunk.astype(np.int32)
+                chunk = chunk.astype(_code_dtype(p * 3 ** (j - 1)), copy=False)  # narrower once they fit
         for j in range(1, J):  # the last J - j windows start no sorted one
             key, shift = np.unique(compose(size, j)), 3 ** (J - j)
             lo, hi = np.searchsorted(srt, [key * shift, (key + 1) * shift])

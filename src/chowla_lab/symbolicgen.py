@@ -48,7 +48,7 @@ class SturmianParams:
                 warnings.warn(
                     f"alpha={self.alpha} is within 1e-12 of a rational with "
                     f"denominator {q} <= 1000; complexity n+1 will not hold",
-                    stacklevel=2,
+                    stacklevel=3,  # past the generated __init__, to its caller
                 )
                 break
 

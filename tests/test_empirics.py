@@ -97,10 +97,12 @@ class TestWindowCodes:
                 block_code(values[i : i + k].tolist()) for i in range(301 - k)]
 
     def test_dtype_widens_past_length_19(self):
+        # 3**19 < 2**31 < 3**20 < 2**32 < 3**21
         values = np.ones(30, dtype=np.int8)
-        assert _window_codes(values, 19).dtype == np.int32  # 3**19 < 2**31 <= 3**20
-        assert _window_codes(values, 20).dtype == np.int64
-        assert _window_codes(values, 20).tolist() == [3**20 - 1] * 11
+        assert _window_codes(values, 19).dtype == np.int32
+        assert _window_codes(values, 20).dtype == np.uint32
+        assert _window_codes(values, 20).tolist() == [3_486_784_400] * 11  # 3**20 - 1
+        assert _window_codes(values, 21).dtype == np.int64
 
     @given(st.lists(st.integers(-1, 1), min_size=1, max_size=12), st.data())
     @settings(max_examples=50, deadline=None)
@@ -140,6 +142,71 @@ class TestWindowCodes:
         assert {code_to_block(c, n).letters for c in got.tolist()} == want
 
 
+def sign_boundary_word(seed, copies=12):
+    """Random letters around copies of the 20-letter blocks coded 2**31 - 1,
+    2**31 and 3**20 - 1: length-20 codes on both sides of int32's sign bit,
+    and the largest one uint32 holds."""
+    rng = np.random.default_rng(seed)
+    blocks = [list(code_to_block(c, 20).letters) for c in (2**31 - 1, 2**31, 3**20 - 1)]
+    values = []
+    for i in range(copies):
+        values += blocks[i % 3] + rng.integers(-1, 2, size=rng.integers(0, 8)).tolist()
+    return values
+
+
+class TestSignBoundary:
+    # 2**31 <= 3**20 - 1 < 2**32: the length-20 codes are uint32, where int32
+    # would wrap the codes from 2**31 up negative and break their order
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_window_codes(self, monkeypatch, chunk):
+        monkeypatch.setattr(empirics, "_CHUNK", chunk)
+        values = sign_boundary_word(chunk)
+        codes = _window_codes(np.array(values, dtype=np.int8), 20)
+        assert codes.dtype == np.uint32
+        assert codes.tolist() == [block_code(values[i : i + 20])
+                                  for i in range(len(values) - 19)]
+        assert {2**31 - 1, 2**31, 3**20 - 1} <= set(codes.tolist())
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_complexity_profile(self, monkeypatch, chunk):
+        monkeypatch.setattr(empirics, "_CHUNK", chunk)
+        values = sign_boundary_word(chunk)
+        want = [len(window_counts(values, n)) for n in range(1, 21)]
+        assert complexity_profile(SignSeq(values), 20).counts.tolist() == want
+
+    @pytest.mark.parametrize("period, n_max", [(2, 58), (7, 57)])
+    def test_profile_level_past_the_sign_bit(self, monkeypatch, period, n_max):
+        # p_39 = period, so the second level takes n_max - 39 letters with
+        # 2**31 < period * 3**J < 2**32: uint32 codes led by the ranks
+        tops = []
+        def code_dtype(top, pick=empirics._code_dtype):
+            tops.append(top)
+            return pick(top)
+        monkeypatch.setattr(empirics, "_code_dtype", code_dtype)
+        values = np.resize([1, -1, 0, 1, -1, 0, 0][:period], 300).tolist()
+        want = [len(window_counts(values, n)) for n in range(1, n_max + 1)]
+        assert complexity_profile(SignSeq(values), n_max).counts.tolist() == want
+        assert period * 3 ** (n_max - 39) in tops
+        assert 2**31 < period * 3 ** (n_max - 39) < 2**32
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.01])
+    def test_positive_frequency_blocks(self, threshold):
+        values = sign_boundary_word(2)
+        total = len(values) - 19
+        want = sorted(block_code(b) for b, c in window_counts(values, 20).items()
+                      if c / total > threshold)
+        assert {2**31 - 1, 2**31, 3**20 - 1} <= set(want)
+        assert positive_frequency_blocks(SignSeq(values), 20, threshold).tolist() == want
+
+    def test_block_frequencies(self):
+        values = sign_boundary_word(3)
+        assert_counts_match(values, 20)
+        measure = block_frequencies(SignSeq(values), 20)
+        for code in (2**31 - 1, 2**31, 3**20 - 1):
+            block = code_to_block(code, 20)
+            assert measure.count(block) == window_counts(values, 20)[block.letters] >= 4
+
+
 def uniform_prefix(N):
     """A uniform {-1,0,1} prefix of length N."""
     return SignSeq(np.random.default_rng(5).integers(-1, 2, size=N, dtype=np.int8))
@@ -158,18 +225,20 @@ class TestKernelMemory:
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < 18 * N
 
-    # the int64 length-20 codes sorted in place and divided by 3 between
-    # lengths (8.5 B/symbol traced), heavy codes counted on the sorted window
-    # buffer, the uniforms drawn in chunks and picked by np.putmask, and one
-    # length-k table, sorted in place, that the shorter lengths and z^2 are
-    # derived from: a derived length reduces its runs before it merges the
-    # last windows (43.7 traced at length 15); the sign test's k = 16 peak,
-    # 50.2, is its deviation step at length 15, as np.append runs only when
-    # an unseen pattern is added
+    # the uint32 length-20 codes sorted in place and divided by 3 between
+    # lengths (4.3 B/symbol traced, 8.3 as int64), heavy codes kept off the
+    # sorted uint32 buffer (5.0, against 9.0) and marked on a uint32 rebuild
+    # beside the block matrix (4.8, against 8.8), the uniforms drawn in
+    # chunks and picked by np.putmask, and one length-k table, sorted in
+    # place, that the shorter lengths and z^2 are derived from: a derived
+    # length reduces its runs before it merges the last windows (43.7 traced
+    # at length 15); the sign test's k = 16 peak, 50.2, is its deviation step
+    # at length 15, as np.append runs only when an unseen pattern is added
     @pytest.mark.parametrize("call,bound", [
-        (lambda z: complexity_profile(z, 20), 8.8),
-        (lambda z: complexity_profile(z, 60), 8.8),  # distinct at 39: one level
-        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 18),
+        (lambda z: complexity_profile(z, 20), 5),
+        (lambda z: complexity_profile(z, 60), 8.8),  # distinct at 39: one int64 level
+        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 5.5),
+        (lambda z: positive_frequency_blocks(z, 20, 1e-6), 5.5),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
          4),
         (lambda z: block_frequencies(z, 12), 8),
@@ -178,7 +247,8 @@ class TestKernelMemory:
         (lambda z: block_frequencies(z, 24), 40),
         (lambda z: block_frequencies(z, 16)._table(15), 46),
         (lambda z: sign_extension_test(z, 16, 0.001), 55),
-    ], ids=["complexity-profile", "complexity-profile-60", "determinize-n20", "bernoulli",
+    ], ids=["complexity-profile", "complexity-profile-60", "determinize-n20",
+            "positive-frequency-n20", "bernoulli",
             "block-frequencies-k12",
             "sign-test-k12", "block-frequencies-k16", "block-frequencies-k24", "table-k16-15",
             "sign-test-k16"])
@@ -350,8 +420,8 @@ class TestComplexityProfile:
 
     @pytest.mark.parametrize("n_max", [19, 20, 39, 40])
     def test_code_dtype_and_rank_handover(self, n_max):
-        # int32 codes up to 19, int64 from 20; one level up to 39, a second
-        # level, its codes led by the length-39 ranks, from 40
+        # int32 codes up to 19, uint32 at 20, int64 from 21; one level up to
+        # 39, a second level, its codes led by the length-39 ranks, from 40
         values = np.random.default_rng(n_max).integers(-1, 2, size=400).tolist()
         for prefix in (values, values[:n_max]):  # the second has n_max = N
             want = [len(window_counts(prefix, n)) for n in range(1, n_max + 1)]
@@ -376,8 +446,9 @@ class TestComplexityProfile:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_chunk_edges(self, monkeypatch, chunk):
-        # chunks overlap by one entry; int32 codes up to 19 letters, int64 above;
-        # a 45-letter period takes lengths 40 to 60 in a second level
+        # chunks overlap by one entry; int32 codes up to 19 letters, uint32 at
+        # 20 and int64 above; a 45-letter period takes lengths 40 to 60 in a
+        # second level
         monkeypatch.setattr(empirics, "_CHUNK", chunk)
         values = np.random.default_rng(4).integers(-1, 2, size=1000).tolist()
         periodic = (values[:45] * 23)[:1000]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from chowla_lab import symbolicgen
 from chowla_lab.correlations import CorrelationSpec, chowla_sum
-from chowla_lab.empirics import complexity_profile
+from chowla_lab.empirics import code_to_block, complexity_profile
 from chowla_lab.seqcore import SignSeq
 from chowla_lab.symbolicgen import (
     BernoulliParams,
@@ -63,6 +63,12 @@ class TestSturmian:
     def test_rational_alpha_warns(self):
         with pytest.warns(UserWarning, match="denominator"):
             SturmianParams(alpha=0.5, beta=0.25)
+
+    def test_warning_names_the_caller(self):
+        # not the dataclass-generated __init__, which has no file ("<string>")
+        with pytest.warns(UserWarning, match="denominator") as record:
+            SturmianParams(alpha=0.5)
+        assert [w.filename for w in record] == [__file__]
 
     # one short of and one past a chunk seam, as in TestBernoulli
     @pytest.mark.parametrize("N", [1, 16 * symbolicgen._CHUNK - 1, 16 * symbolicgen._CHUNK + 1])
@@ -378,6 +384,22 @@ class TestDeterminize:
         with mock.patch.object(symbolicgen, "_CHUNK", chunk):
             res = determinize_step(SignSeq(values), params)
         assert recoding_summary(res) == brute_determinize(values, params)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    def test_codes_past_the_sign_bit(self, chunk):
+        # 60-letter blocks: random, or a 20-letter block coded 2**31 - 1, 2**31
+        # or 3**20 - 1 written three times; the length-20 codes are uint32,
+        # the repeated blocks heavy and the random blocks unacceptable
+        rng = np.random.default_rng(11)
+        blocks = [list(code_to_block(c, 20).letters) * 3 for c in (2**31 - 1, 2**31, 3**20 - 1)]
+        values = []
+        for i in range(24):
+            values += blocks[i % 3] if i % 4 else rng.integers(-1, 2, size=60).tolist()
+        params = DeterminizeParams(0.4, 20, 60)
+        with mock.patch.object(symbolicgen, "_CHUNK", chunk):
+            res = determinize_step(SignSeq(values), params)
+        assert recoding_summary(res) == brute_determinize(values, params)
+        assert res.heavy_block_count > 0 and res.unacceptable_fraction == 0.25
 
     def test_window_at_threshold_is_light(self):
         # (0, 1, 0, 1) fills 2 of the 16 windows, exactly the threshold 2**-3
