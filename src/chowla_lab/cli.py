@@ -100,37 +100,38 @@ def _load(path: str) -> SignSeq:
     return read_sqz(path)
 
 
+def _bernoulli(args) -> SignSeq:
+    probs = _csv(args.probs, float)
+    alphabet = {2: (-1, 1), 3: (-1, 0, 1)}.get(len(probs))
+    if alphabet is None:
+        raise ValueError(f"--probs needs 2 or 3 values, got {len(probs)}")
+    return bernoulli_prefix(alphabet, BernoulliParams(tuple(probs), args.seed), args.n)
+
+
+# Each --kind and --system: the option it needs, or None, and what it makes.
+# An entry names its generator at call time, so a rebound module attribute
+# (perfbench --trace 1 wraps them) is the one called.
+_KINDS = {
+    "mobius": (None, lambda a: mobius_prefix(a.n)),
+    "liouville": (None, lambda a: liouville_prefix(a.n)),
+    # mu_b over every prime square is mu
+    "mu-b": ("bset", lambda a: mobius_prefix(a.n) if a.bset == "prime-squares"
+             else mu_b_prefix(BSet.from_squares(_csv(a.bset, int)), a.n)),
+    "sturmian": ("alpha", lambda a: sturmian_prefix(SturmianParams(a.alpha, a.beta), a.n)),
+    "bernoulli": ("probs", lambda a: _bernoulli(a)),
+    "coded": (None, lambda a: pair_code_prefix(a.k0, a.seed, a.n)),
+    "squares-needed": (None, lambda a: masked_coin_prefix(a.seed, a.n)),
+    "example-aa": (None, lambda a: doubling_word_prefix(a.n)),
+}
+_SYSTEMS = {
+    "rotation": ("alpha", lambda a: RotationSampler(alpha=a.alpha, x0=a.x0, observable=a.f)),
+    "periodic": ("pattern", lambda a: PeriodicSampler(pattern=tuple(_csv(a.pattern, float)))),
+    "subshift": ("weights", lambda a: SubshiftSampler(w=_load(a.weights))),
+}
+
+
 def cmd_generate(args) -> int:
-    kind, n = args.kind, args.n
-    if kind == "mobius" or (kind == "mu-b" and args.bset == "prime-squares"):
-        seq = mobius_prefix(n)  # mu_b over every prime square is mu
-    elif kind == "liouville":
-        seq = liouville_prefix(n)
-    elif kind == "mu-b":
-        if args.bset is None:
-            raise ValueError("--bset is required for --kind mu-b")
-        seq = mu_b_prefix(BSet.from_squares(_csv(args.bset, int)), n)
-    elif kind == "sturmian":
-        if args.alpha is None:
-            raise ValueError("--alpha is required for --kind sturmian")
-        seq = sturmian_prefix(SturmianParams(alpha=args.alpha, beta=args.beta), n)
-    elif kind == "bernoulli":
-        if args.probs is None:
-            raise ValueError("--probs is required for --kind bernoulli")
-        probs = _csv(args.probs, float)
-        alphabet = {2: (-1, 1), 3: (-1, 0, 1)}.get(len(probs))
-        if alphabet is None:
-            raise ValueError(f"--probs needs 2 or 3 values, got {len(probs)}")
-        seq = bernoulli_prefix(alphabet, BernoulliParams(tuple(probs), args.seed), n)
-    elif kind == "coded":
-        seq = pair_code_prefix(args.k0, args.seed, n)
-    elif kind == "squares-needed":
-        seq = masked_coin_prefix(args.seed, n)
-    elif kind == "example-aa":
-        seq = doubling_word_prefix(n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown kind {kind}")
-    _save_sqz(args.out, seq)
+    _save_sqz(args.out, _KINDS[args.kind][1](args))
     return 0
 
 
@@ -161,23 +162,9 @@ def cmd_chowla(args) -> int:
     return emit_report(args, "chowla", results, report.passed, curves)
 
 
-def _build_sampler(args):
-    if args.system == "rotation":
-        if args.alpha is None:
-            raise ValueError("--alpha is required for --system rotation")
-        return RotationSampler(alpha=args.alpha, x0=args.x0, observable=args.f)
-    if args.system == "periodic":
-        if args.pattern is None:
-            raise ValueError("--pattern is required for --system periodic")
-        return PeriodicSampler(pattern=tuple(_csv(args.pattern, float)))
-    if args.weights is None:
-        raise ValueError("--weights is required for --system subshift")
-    return SubshiftSampler(w=_load(args.weights))
-
-
 def cmd_sarnak(args) -> int:
     z = _load(args.input)
-    sampler = _build_sampler(args)
+    sampler = _SYSTEMS[args.system][1](args)
     n = args.n if args.n is not None else (len(z) if args.system != "subshift" else len(z) - 1)
     curve = sarnak_sum(sampler, z, n)
     results = {
@@ -326,10 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a sequence prefix into an .sqz file")
-    p.add_argument("--kind", required=True, choices=[
-        "mobius", "liouville", "mu-b", "sturmian", "bernoulli",
-        "coded", "squares-needed", "example-aa",
-    ])
+    p.add_argument("--kind", required=True, choices=list(_KINDS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bset", help="comma-separated squares, or 'prime-squares'")
@@ -349,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _reader(sub, "sarnak", cmd_sarnak, "weighted sum against an orbit sampler",
                 ("json", "csv"))
-    p.add_argument("--system", required=True, choices=["rotation", "periodic", "subshift"])
+    p.add_argument("--system", required=True, choices=list(_SYSTEMS))
     p.add_argument("--alpha", type=float)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--f", choices=["cos", "sin"], default="cos")
@@ -430,6 +414,11 @@ def main(argv=None) -> int:
                 raise ValueError(f"output directory does not exist: {path}")
             if path and os.path.isdir(path):
                 raise ValueError(f"output path is a directory: {path}")
+        for option, table in (("kind", _KINDS), ("system", _SYSTEMS)):  # before any input is read
+            value = getattr(args, option, None)
+            needs = value and table[value][0]
+            if needs and getattr(args, needs) is None:
+                raise ValueError(f"--{needs} is required for --{option} {value}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

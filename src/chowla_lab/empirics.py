@@ -156,12 +156,14 @@ def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
     last.append(np.empty(0, dtype=np.int64))
     windows = _window_codes(w.values, k)
     windows.sort()  # length k alone is tallied, by the runs of its sorted codes
-    starts = np.flatnonzero(windows[1:] != windows[:-1])
-    starts += 1
-    codes = np.empty(starts.size + 1, dtype=np.int64)
-    codes[0], codes[1:] = windows[0], windows[starts]
+    starts = [np.zeros(1, dtype=np.intp)]
+    for lo in range(1, windows.size, _CHUNK):
+        hi = min(lo + _CHUNK, windows.size)
+        starts.append(lo + np.flatnonzero(windows[lo:hi] != windows[lo - 1 : hi - 1]))
+    starts = np.concatenate(starts)
+    codes = windows[starts].astype(np.int64)
     del windows  # the window buffer is freed before the counts are made
-    counts = np.diff(starts, prepend=0, append=len(w) - k + 1)
+    counts = np.diff(starts, append=len(w) - k + 1)
     return EmpiricalMeasure(k, len(w), codes, counts, last)
 
 

@@ -182,10 +182,6 @@ def interval_analytics(spec: ToeplitzSpec, m: int, ell: int, K: int) -> Interval
 
     good_count = int(np.count_nonzero(good))
     mask = tuple(int(i) for i in np.flatnonzero(pattern)) if good_count else ()
-    try:
-        bound = float(q) ** -(qm - m - L)
-    except OverflowError:
-        bound = 0.0
     return IntervalReport(
         q=q,
         m=m,
@@ -194,7 +190,7 @@ def interval_analytics(spec: ToeplitzSpec, m: int, ell: int, K: int) -> Interval
         K=K,
         good_count=good_count,
         non_good_fraction=(K - good_count) / K,
-        non_good_bound=bound,
+        non_good_bound=float(q) ** -(qm - m - L),  # qm - m - L >= 0: 0.0 at worst
         # q^(ell-j) points of A_j per tail for each initial j <= ell, none for j > ell
         type1_count_expected=sum(L // step for _, step in _progressions(q, L)),
         type1_counts_equal=True,

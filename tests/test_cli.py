@@ -41,6 +41,14 @@ ERROR_TEXT = {
     "sarnak-pattern-overflow": "is not finite",
     "sarnak-pattern-overflow-csv": "is not finite",
     "sarnak-alpha-overflow": "is not finite",
+    "mu-b-no-bset": "--bset is required for --kind mu-b",
+    "sturmian-no-alpha": "--alpha is required for --kind sturmian",
+    "bernoulli-no-probs": "--probs is required for --kind bernoulli",
+    "probs-1": "--probs needs 2 or 3 values, got 1",
+    "probs-4": "--probs needs 2 or 3 values, got 4",
+    "rotation-no-alpha": "--alpha is required for --system rotation",
+    "periodic-no-pattern": "--pattern is required for --system periodic",
+    "subshift-no-weights": "--weights is required for --system subshift",
 }
 
 
@@ -91,6 +99,33 @@ class TestGenerate:
     def test_missing_parameter_is_usage_error(self, tmp_path):
         out = tmp_path / "z.sqz"
         assert run(["generate", "--kind", "sturmian", "--n", 100, "--out", out]) == 2
+
+
+class TestChoiceTables:
+    def test_entries_call_generators_by_name(self, mobius_file, tmp_path, monkeypatch,
+                                             capsys):
+        # perfbench --trace 1 wraps a generator by rebinding its module
+        # attribute: a table entry holding the function object would escape it
+        calls = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("mobius_prefix", "bernoulli_prefix", "RotationSampler"):
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        assert run(["generate", "--kind", "mobius", "--n", 100, "--out", tmp_path / "m.sqz"]) == 0
+        assert run(["generate", "--kind", "bernoulli", "--probs", "0.5,0.5", "--n", 100,
+                    "--out", tmp_path / "b.sqz"]) == 0
+        assert run(["sarnak", "--in", mobius_file, "--system", "rotation", "--alpha", 0.5]) == 0
+        assert calls == ["mobius_prefix", "bernoulli_prefix", "RotationSampler"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            run(["generate", "--help"])
+        assert ("--kind {mobius,liouville,mu-b,sturmian,bernoulli,coded,squares-needed,"
+                "example-aa}") in capsys.readouterr().out
 
 
 class TestChowla:
@@ -366,6 +401,17 @@ class TestUsageErrors:
         ["toeplitz", "analyze", "--q", 10, "--m", 19, "--ell", 1, "--k", 1, "--ref", "{m}"],
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", 0, "--out", "{tmp}/t.sqz"],
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", -3, "--out", "{tmp}/t.sqz"],
+        ["generate", "--kind", "mu-b", "--n", 100, "--out", "{tmp}/b.sqz"],
+        ["generate", "--kind", "sturmian", "--n", 100, "--out", "{tmp}/b.sqz"],
+        ["generate", "--kind", "bernoulli", "--n", 100, "--out", "{tmp}/b.sqz"],
+        ["generate", "--kind", "bernoulli", "--probs", "0.5", "--n", 100,
+         "--out", "{tmp}/b.sqz"],
+        ["generate", "--kind", "bernoulli", "--probs", "0.25,0.25,0.25,0.25", "--n", 100,
+         "--out", "{tmp}/b.sqz"],
+        # refused before the (missing) input is read
+        ["sarnak", "--in", "{tmp}/missing.sqz", "--system", "rotation"],
+        ["sarnak", "--in", "{tmp}/missing.sqz", "--system", "periodic"],
+        ["sarnak", "--in", "{tmp}/missing.sqz", "--system", "subshift"],
     ], ids=["hat-tol-nan", "hat-tol-inf", "probs-nan", "probs-nan-3", "steps-0",
             "n-block-40", "steps-1025", "determinize-2^1024", "sarnak-n-0", "sarnak-n-neg",
             "sarnak-alpha-nan", "sarnak-x0-inf", "sarnak-pattern-nan",
@@ -373,7 +419,9 @@ class TestUsageErrors:
             "davenport-n-0",
             "davenport-n-neg", "davenport-n-long", "sarnak-n-long", "chowla-max-lag-long",
             "toeplitz-2^70", "toeplitz-2^70-ref", "toeplitz-10^19",
-            "toeplitz-10^19-ref", "toeplitz-build-n-0", "toeplitz-build-n-neg"])
+            "toeplitz-10^19-ref", "toeplitz-build-n-0", "toeplitz-build-n-neg",
+            "mu-b-no-bset", "sturmian-no-alpha", "bernoulli-no-probs", "probs-1", "probs-4",
+            "rotation-no-alpha", "periodic-no-pattern", "subshift-no-weights"])
     def test_bad_input_is_one_error_line(self, mobius_file, tmp_path, capsys, request, argv):
         argv = [str(a).format(m=mobius_file, tmp=tmp_path) for a in argv]
         assert run(argv) == 2

@@ -241,6 +241,7 @@ class TestKernelMemory:
         (lambda z: positive_frequency_blocks(z, 20, 1e-6), 5.5),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
          4),
+        (lambda z: block_frequencies(z, 8), 4.5),
         (lambda z: block_frequencies(z, 12), 8),
         (lambda z: sign_extension_test(z, 12, 0.001), 8),
         (lambda z: block_frequencies(z, 16), 40),
@@ -248,7 +249,7 @@ class TestKernelMemory:
         (lambda z: block_frequencies(z, 16)._table(15), 46),
         (lambda z: sign_extension_test(z, 16, 0.001), 55),
     ], ids=["complexity-profile", "complexity-profile-60", "determinize-n20",
-            "positive-frequency-n20", "bernoulli",
+            "positive-frequency-n20", "bernoulli", "block-frequencies-k8",
             "block-frequencies-k12",
             "sign-test-k12", "block-frequencies-k16", "block-frequencies-k24", "table-k16-15",
             "sign-test-k16"])
@@ -329,6 +330,15 @@ class TestBlockFrequencies:
     @pytest.mark.parametrize("k", [15, 16, 24])
     def test_sorted_tally_matches_counter(self, k):
         assert_counts_match(np.random.default_rng(k).integers(-1, 2, size=600).tolist(), k)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_run_starts_across_chunks(self, monkeypatch, chunk):
+        # 29..36 windows: the last chunk of the run-start pass takes every
+        # length from 1 to 7
+        monkeypatch.setattr(empirics, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for n in range(31, 39):
+            assert_counts_match(rng.integers(-1, 2, size=n).tolist(), 3)
 
     @pytest.mark.parametrize("k", [2, 5, 14, 15, 24])
     def test_last_windows_counted(self, k):

@@ -196,6 +196,15 @@ class TestIntervalAnalytics:
         with pytest.raises(ValueError, match="ell < m"):
             interval_analytics(spec, m=2, ell=2, K=10)
 
+    # q^m - m - q^ell >= 0 for q >= 2 and 1 <= ell < m, so the bound can
+    # underflow to 0.0 but not overflow; 0 is reached at q 2, m 2, ell 1
+    @pytest.mark.parametrize("q, m, ell, K, bound", [
+        (2, 2, 1, 3, 1.0), (2, 4, 1, 3, 2.0**-10), (5, 26, 2, 1, 0.0),
+    ])
+    def test_non_good_bound(self, q, m, ell, K, bound):
+        rep = interval_analytics(ToeplitzSpec(q=q, z_ref=SignSeq([0])), m, ell, K)
+        assert rep.non_good_bound == float(q) ** -(q**m - m - q**ell) == bound
+
     def test_deep_progressions_hit_every_qh_th_interval_once(self):
         # A_j* for initial j = m+h meets every q^h-th interval, one point each
         q, m, K = 2, 3, 200
