@@ -25,8 +25,8 @@ from .correlations import (
 )
 from .empirics import complexity_profile, entropy_estimate, sign_extension_test
 from .entbounds import EntropyPair, audit_entropy_pair
-from .numbergen import BSet, liouville_prefix, mobius_prefix, mu_b_prefix
-from .seqcore import SignSeq, _atomic_write, read_sqz, write_sqz
+from .numbergen import BSet, _sign_sieve, mu_b_prefix
+from .seqcore import SignSeq, _SqzFile, _atomic_write, _write_sqz_chunks, read_sqz, write_sqz
 from .symbolicgen import (
     BernoulliParams,
     DeterminizeParams,
@@ -40,7 +40,7 @@ from .symbolicgen import (
 )
 from .toeplitz import (
     ToeplitzSpec,
-    build_toeplitz,
+    _toeplitz_chunks,
     interval_analytics,
     toeplitz_correlation,
     toeplitz_entropy_lower_bound,
@@ -74,7 +74,7 @@ def emit_report(args, command: str, results: dict, verdict: bool | None,
             report["verdict"] = "pass" if verdict else "fail"
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out_report:
-        _atomic_write(args.out_report, text.encode("utf-8"))
+        _atomic_write(args.out_report, (text.encode("utf-8"),))
     else:
         sys.stdout.write(text)
     return 0 if verdict is None or verdict else 1
@@ -85,19 +85,21 @@ def _params(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-def _save_sqz(path: str, seq: SignSeq) -> None:
-    write_sqz(path, seq)
-    print(f"{path}: {os.path.getsize(path)} bytes, {len(seq)} symbols")
+def _save_sqz(path: str, n: int, chunks) -> None:
+    _write_sqz_chunks(path, n, chunks)
+    print(f"{path}: {os.path.getsize(path)} bytes, {n} symbols")
 
 
 def _csv(text: str, cast) -> list:
     return [cast(v) for v in text.split(",") if v.strip()]
 
 
-def _load(path: str) -> SignSeq:
+def _load(path: str, stream: bool = False):
+    """The SignSeq in ``path``, or with ``stream`` the opened file, which
+    commands that need one chunk at a time read as they go."""
     if not os.path.exists(path):
         raise ValueError(f"input file does not exist: {path}")
-    return read_sqz(path)
+    return _SqzFile(path) if stream else read_sqz(path)
 
 
 def _bernoulli(args) -> SignSeq:
@@ -110,12 +112,13 @@ def _bernoulli(args) -> SignSeq:
 
 # Each --kind and --system: the option it needs, or None, and what it makes.
 # An entry names its generator at call time, so a rebound module attribute
-# (perfbench --trace 1 wraps them) is the one called.
+# (perfbench --trace 1 wraps them) is the one called.  A kind makes a
+# SignSeq, or the sieve's segments, which are written as they are made.
 _KINDS = {
-    "mobius": (None, lambda a: mobius_prefix(a.n)),
-    "liouville": (None, lambda a: liouville_prefix(a.n)),
+    "mobius": (None, lambda a: _sign_sieve(a.n, squarefree=True)),
+    "liouville": (None, lambda a: _sign_sieve(a.n, squarefree=False)),
     # mu_b over every prime square is mu
-    "mu-b": ("bset", lambda a: mobius_prefix(a.n) if a.bset == "prime-squares"
+    "mu-b": ("bset", lambda a: _sign_sieve(a.n, squarefree=True) if a.bset == "prime-squares"
              else mu_b_prefix(BSet.from_squares(_csv(a.bset, int)), a.n)),
     "sturmian": ("alpha", lambda a: sturmian_prefix(SturmianParams(a.alpha, a.beta), a.n)),
     "bernoulli": ("probs", lambda a: _bernoulli(a)),
@@ -131,7 +134,8 @@ _SYSTEMS = {
 
 
 def cmd_generate(args) -> int:
-    _save_sqz(args.out, _KINDS[args.kind][1](args))
+    made = _KINDS[args.kind][1](args)
+    _save_sqz(args.out, args.n, (made.values,) if isinstance(made, SignSeq) else made)
     return 0
 
 
@@ -177,7 +181,7 @@ def cmd_sarnak(args) -> int:
 
 
 def cmd_davenport(args) -> int:
-    z = _load(args.input)
+    z = _load(args.input, stream=True)
     n = args.n if args.n is not None else len(z)
     result = davenport_scan(z, n, args.grid)
     results = {
@@ -225,10 +229,9 @@ def cmd_hat_test(args) -> int:
 
 
 def cmd_toeplitz_build(args) -> int:
-    ref = _load(args.ref)
+    ref = _load(args.ref, stream=True)
     n = args.n if args.n is not None else len(ref)
-    t = build_toeplitz(ToeplitzSpec(q=args.q, z_ref=ref), n)
-    _save_sqz(args.out, t)
+    _save_sqz(args.out, n, _toeplitz_chunks(ToeplitzSpec(q=args.q, z_ref=ref), n))
     return 0
 
 

@@ -9,7 +9,8 @@ twisted exponential sums over a rational frequency grid.
 Every sum reports a curve of partial values at ten evenly spaced checkpoint
 lengths, so decay is visible, not just the final value.  Every sum over n
 walks those ten checkpoint slices, so beside the prefix it holds O(N/10)
-memory.
+memory; the Davenport scan walks each slice in chunks, reading a .sqz as
+it goes, so ``davenport`` holds O(_CHUNK + grid) memory and no prefix.
 
 Lag products are evaluated on packed bitplanes of each slice, support
 (z != 0) and sign (z < 0), one pair per shift: the product is nonzero on
@@ -28,7 +29,7 @@ from itertools import combinations, groupby, product
 
 import numpy as np
 
-from .seqcore import SignSeq
+from .seqcore import SignSeq, _chunks
 
 BATTERY_BUDGET = 100_000
 
@@ -319,30 +320,38 @@ class DavenportResult:
     grid: int
 
 
-def davenport_scan(z: SignSeq, N: int, grid: int) -> DavenportResult:
+def davenport_scan(z, N: int, grid: int) -> DavenportResult:
     """max over theta = j/grid of |(1/N') sum_{n<=N'} e^(2 pi i n theta) z(n)|
-    at each checkpoint N'.
+    at each checkpoint N', for a SignSeq or an opened .sqz (``seqcore._SqzFile``).
 
     theta ranges over the rational grid, so the sum depends on n only
     through n mod grid; exact integer residue-class sums are accumulated
-    per checkpoint slice and a size-``grid`` inverse DFT evaluates all
-    theta at once, which is exact to rounding and equivalent to direct
-    evaluation.
+    chunk by chunk within each checkpoint slice, and at each checkpoint a
+    size-``grid`` inverse DFT evaluates all theta at once, which is exact to
+    rounding and equivalent to direct evaluation.  The sums are exact, so
+    where the chunks fall does not change a bit of the result.
     """
     if grid < 100:
         raise ValueError(f"grid must be >= 100, got {grid}")
     _check_prefix(z, N, 0)
+    checkpoints = [hi for _, hi in _slices(N)]
     bucket = np.zeros(grid, dtype=np.int64)
     curve = []
-    for lo, hi in _slices(N):
-        # z(lo+1..hi) laid out from column (lo+1) mod grid of zero-padded rows
-        # of length grid, so column c sums the terms with n = c (mod grid)
-        start = (lo + 1) % grid
-        rows = np.pad(z.values[lo:hi], (start, -(start + hi - lo) % grid))
-        bucket += rows.reshape(-1, grid).sum(axis=0, dtype=np.int64)
-        mags = np.abs(np.fft.ifft(bucket) * grid) / hi
-        j = int(np.argmax(mags))
-        curve.append((hi, float(mags[j])))
+    lo = 0  # terms summed so far
+    for chunk in _chunks(z, N):
+        while chunk.size:
+            hi = checkpoints[len(curve)]
+            part, chunk = chunk[: hi - lo], chunk[hi - lo :]
+            # z(lo+1..lo+len(part)) laid out from column (lo+1) mod grid of
+            # zero-padded rows of length grid: column c sums n = c (mod grid)
+            start = (lo + 1) % grid
+            rows = np.pad(part, (start, -(start + part.size) % grid))
+            bucket += rows.reshape(-1, grid).sum(axis=0, dtype=np.int64)
+            lo += part.size
+            if lo == hi:
+                mags = np.abs(np.fft.ifft(bucket) * grid) / hi
+                j = int(np.argmax(mags))
+                curve.append((hi, float(mags[j])))
     return DavenportResult(
         max_value=curve[-1][1], argmax_theta=j / grid, curve=tuple(curve), grid=grid
     )

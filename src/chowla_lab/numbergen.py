@@ -16,9 +16,13 @@ uint8 accumulator: each sieved prime power q = p**k (mu: only q = p) adds
 the odd weight c_p = 2*floor(3*log2 p) + 1 at the multiples of q.  Bit 0 of
 the sum is the parity of the sieved prime factors, and the sum decides
 whether one prime factor above sqrt(N) remains: it does exactly when the sum
-is below 5*floor(log2 n) (proof in ``_sign_sieve``).  Memory: the N-byte int8
-output plus about 2*_SEGMENT bytes.  Every step is exact integer arithmetic,
-so outputs are exact (no probabilistic factoring).
+is below 5*floor(log2 n) (proof in ``_sign_sieve``).  The sieve yields one
+finished segment at a time: ``generate --kind mobius`` or ``liouville`` (and
+``mu-b`` over the prime squares) writes each segment to the .sqz as it is
+made, in about 3*_SEGMENT bytes whatever N is, while ``mobius_prefix`` and
+``liouville_prefix`` copy the segments into their N-byte int8 output.  Every
+step is exact integer arithmetic, so outputs are exact (no probabilistic
+factoring).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import SignSeq, _as_symbol_array
+from .seqcore import SignSeq, _as_symbol_array, _fill
 
 
 def _primes_upto(limit: int) -> np.ndarray:
@@ -47,9 +51,11 @@ def _primes_upto(limit: int) -> np.ndarray:
 _SEGMENT = 1 << 20  # terms per sieve segment
 
 
-def _sign_sieve(N: int, squarefree: bool) -> SignSeq:
+def _sign_sieve(N: int, squarefree: bool):
     """lambda(1..N), or mu(1..N) when ``squarefree`` is set, by a segmented
-    sieve of Eratosthenes over the primes p <= sqrt(N).
+    sieve of Eratosthenes over the primes p <= sqrt(N), as an iterator over
+    the int8 segments; N is checked at the call, and each segment's buffer
+    is reused by the next.
 
     Per segment, each prime power q = p**k <= n adds c_p = 2*floor(3*log2 p)
     + 1 to a uint8 ``acc`` at the multiples of q (mu: only q = p, and the
@@ -67,44 +73,50 @@ def _sign_sieve(N: int, squarefree: bool) -> SignSeq:
 
     The flip is therefore ``acc < 5k``, one comparison per dyadic piece
     [2**k, 2**(k+1)) of the segment.  acc(n) <= 7*log2 n stays below 256
-    while N < 2**36; larger N is refused.  Memory: N bytes plus 2*_SEGMENT.
+    while N < 2**36; larger N is refused.  Memory: 3*_SEGMENT bytes.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if N >= 1 << 36:
         raise ValueError(f"N = {N} is too large for the sieve: need N < 2**36")
-    out = np.ones(N, dtype=np.int8)  # out[i] is term i + 1
     weights = [(p, 2 * (p**3).bit_length() - 1) for p in map(int, _primes_upto(math.isqrt(N)))]
-    for lo in range(1, N + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, N + 1)
-        seg = out[lo - 1 : hi - 1]
-        acc = np.zeros(hi - lo, dtype=np.uint8)
-        for p, c in weights:
-            q = p
-            while q < hi:
-                first = (-lo) % q
-                if squarefree and q > p:
-                    seg[first::q] = 0
-                    break
-                acc[first::q] += c
-                q *= p
-        for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
-            piece = acc[max(lo, 1 << k) - lo : min(hi, 2 << k) - lo]  # n in [2**k, 2**(k+1))
-            piece ^= piece < 5 * k  # a prime above sqrt(N) flips bit 0
-        acc &= seg.view(np.uint8)  # seg is 0 or 1 here: keep bit 0 where it is 1
-        acc <<= 1
-        seg -= acc.view(np.int8)  # 1 - 2 = -1 where the parity is odd
-    return SignSeq._wrap(out)
+
+    def segments():
+        size = min(_SEGMENT, N)
+        seg_buffer, acc_buffer = np.empty(size, dtype=np.int8), np.empty(size, dtype=np.uint8)
+        for lo in range(1, N + 1, _SEGMENT):
+            hi = min(lo + _SEGMENT, N + 1)
+            seg, acc = seg_buffer[: hi - lo], acc_buffer[: hi - lo]  # seg[i] is term lo + i
+            seg.fill(1)
+            acc.fill(0)
+            for p, c in weights:
+                q = p
+                while q < hi:
+                    first = (-lo) % q
+                    if squarefree and q > p:
+                        seg[first::q] = 0
+                        break
+                    acc[first::q] += c
+                    q *= p
+            for k in range(lo.bit_length() - 1, (hi - 1).bit_length()):
+                piece = acc[max(lo, 1 << k) - lo : min(hi, 2 << k) - lo]  # n in [2**k, 2**(k+1))
+                piece ^= piece < 5 * k  # a prime above sqrt(N) flips bit 0
+            acc &= seg.view(np.uint8)  # seg is 0 or 1 here: keep bit 0 where it is 1
+            acc <<= 1
+            seg -= acc.view(np.int8)  # 1 - 2 = -1 where the parity is odd
+            yield seg
+
+    return segments()
 
 
 def mobius_prefix(N: int) -> SignSeq:
     """The Mobius function mu(1..N), in N bytes plus O(_SEGMENT)."""
-    return _sign_sieve(N, squarefree=True)
+    return _fill(N, _sign_sieve(N, squarefree=True))
 
 
 def liouville_prefix(N: int) -> SignSeq:
     """The Liouville function lambda(1..N), values in {-1, 1}."""
-    return _sign_sieve(N, squarefree=False)
+    return _fill(N, _sign_sieve(N, squarefree=False))
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,15 @@ def _as_symbol_array(values) -> np.ndarray:
     ok |= arr == 1
     ok |= arr == -1
     if not ok.all():
-        pos = int(np.argmin(ok))
-        raise ValueError(f"symbol out of alphabet {{-1,0,1}} at position {pos + 1}: {arr[pos]}")
+        raise _alphabet_error(arr, ok)
     return arr.astype(np.int8, copy=True)
+
+
+def _alphabet_error(arr: np.ndarray, ok: np.ndarray, offset: int = 0) -> ValueError:
+    """The error for the first False of ``ok``; arr[0] is term offset + 1."""
+    pos = int(np.argmin(ok))
+    return ValueError(f"symbol out of alphabet {{-1,0,1}} at position {offset + pos + 1}: "
+                      f"{arr[pos]}")
 
 
 class SignSeq:
@@ -133,9 +139,10 @@ def pointwise_product(a: SignSeq, b: SignSeq) -> SignSeq:
     return SignSeq._wrap(a.values * b.values)
 
 
-def _atomic_write(path, *chunks) -> None:
+def _atomic_write(path, chunks) -> None:
     """Write the bytes-like ``chunks`` in order to ``path`` through a temp
-    file and a rename; the temp file is removed if either step fails."""
+    file and a rename; the temp file is removed if anything fails, also an
+    error raised while the chunks are made."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
@@ -149,26 +156,109 @@ def _atomic_write(path, *chunks) -> None:
             os.remove(tmp)
 
 
+def _write_sqz_chunks(path, n: int, chunks) -> None:
+    """Write the header for n symbols, then the int8 ``chunks``, atomically;
+    ValueError, and no file, unless the chunks add up to n."""
+
+    def framed():
+        yield SQZ_HEADER.pack(SQZ_MAGIC, n)
+        written = 0
+        for chunk in chunks:
+            written += chunk.size
+            if written > n:
+                break
+            yield chunk
+        if written != n:
+            raise ValueError(f"{path}: the chunks do not add up to the header's {n} symbols")
+
+    _atomic_write(path, framed())
+
+
 def write_sqz(path, seq: SignSeq) -> None:
     """Write the binary prefix format: b"SQZ1", u64-le length, one int8 per symbol.
 
     The write is atomic (temp file + rename).
     """
-    _atomic_write(path, SQZ_HEADER.pack(SQZ_MAGIC, len(seq)), seq.values)
+    _write_sqz_chunks(path, len(seq), (seq.values,))
+
+
+_CHUNK = 1 << 20  # terms per chunk of a streamed .sqz or SignSeq
+
+
+class _SqzFile:
+    """A .sqz file whose magic, and header length against its size, are
+    checked on opening; ``len()`` is its length, and iterating reads its
+    terms in validated int8 chunks of at most ``_CHUNK``."""
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            header = fh.read(SQZ_HEADER.size)
+            if len(header) != SQZ_HEADER.size:
+                raise ValueError(f"{path}: truncated header")
+            magic, length = SQZ_HEADER.unpack(header)
+            if magic != SQZ_MAGIC:
+                raise ValueError(f"{path}: bad magic {magic!r}, expected {SQZ_MAGIC!r}")
+            found = os.fstat(fh.fileno()).st_size - SQZ_HEADER.size
+        if found != length:
+            raise ValueError(f"{path}: expected {length} symbols, found {found} bytes")
+        self.path, self.length = path, length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def chunks(self, out=None):
+        """Each chunk is read into the matching slice of ``out`` when it is
+        given (``len()`` bytes), else into a fresh array."""
+        with open(self.path, "rb") as fh:
+            fh.seek(SQZ_HEADER.size)
+            for lo in range(0, self.length, _CHUNK):
+                count = min(_CHUNK, self.length - lo)
+                chunk = np.empty(count, np.int8) if out is None else out[lo : lo + count]
+                found = fh.readinto(chunk)
+                if found != count:  # the file shrank after it was opened
+                    raise ValueError(f"{self.path}: expected {self.length} symbols, "
+                                     f"found {lo + found} bytes")
+                # min and max allocate nothing
+                if chunk.min() < -1 or chunk.max() > 1:
+                    raise _alphabet_error(chunk, (chunk >= -1) & (chunk <= 1), lo)
+                yield chunk
+
+    __iter__ = chunks
+
+
+def _chunks(z, n: int):
+    """The first n terms of a SignSeq (views) or an _SqzFile (reads) as
+    consecutive int8 chunks; a file is read to its end, so that a bad byte
+    past n is still refused."""
+    if isinstance(z, SignSeq):
+        return (z.values[lo : min(lo + _CHUNK, n)] for lo in range(0, n, _CHUNK))
+
+    def first():
+        left = n
+        for chunk in z:
+            if left > 0:
+                yield chunk[:left]
+            left -= chunk.size
+
+    return first()
+
+
+def _fill(n: int, chunks) -> SignSeq:
+    """The SignSeq of n terms that consecutive int8 ``chunks`` hold."""
+    out = np.empty(n, dtype=np.int8)
+    lo = 0
+    for chunk in chunks:
+        out[lo : lo + chunk.size] = chunk
+        lo += chunk.size
+    return SignSeq._wrap(out)
 
 
 def read_sqz(path) -> SignSeq:
     """Read a prefix written by :func:`write_sqz`, validating magic and length."""
-    with open(path, "rb") as fh:
-        header = fh.read(SQZ_HEADER.size)
-        if len(header) != SQZ_HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, length = SQZ_HEADER.unpack(header)
-        if magic != SQZ_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {SQZ_MAGIC!r}")
-        values = np.fromfile(fh, dtype=np.int8)
-    if values.size != length:
-        raise ValueError(f"{path}: expected {length} symbols, found {values.size} bytes")
-    # min and max allocate nothing; SignSeq names the first bad byte of a bad file
-    ok = values.size and values.min() >= -1 and values.max() <= 1
-    return SignSeq._wrap(values) if ok else SignSeq(values)
+    source = _SqzFile(path)
+    # read into the result, not into fresh chunks and a copy: at 10^7 that
+    # raised the later peak of hat-test --k 12 by about 1 MB
+    out = np.empty(len(source), dtype=np.int8)
+    for _ in source.chunks(out):
+        pass
+    return SignSeq._wrap(out)

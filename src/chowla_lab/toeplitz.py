@@ -11,6 +11,10 @@ intervals ((k)q^m, (k+1)q^m] yields entropy lower bounds.
 Only j with q^j <= N can own any position <= N other than j itself, so
 every function here works from the at most floor(log_q N) such initial
 progressions; only classify_initials expands them into an owner table.
+A term of t depends only on its own reference term and on z(j) for those
+j, so t is made one chunk at a time: ``toeplitz build`` streams the
+reference file to the output file in O(_CHUNK) memory, and build_toeplitz
+fills its N-byte result from the same chunks.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import SignSeq
+from .seqcore import SignSeq, _chunks, _fill
 
 CLASSIFY_LIMIT = 200_000_000
 # tail length bound: reports list each type-1 tail offset as a Python int
@@ -68,16 +72,39 @@ def classify_initials(q: int, N: int) -> np.ndarray:
     return owner
 
 
-def build_toeplitz(spec: ToeplitzSpec, N: int) -> SignSeq:
-    """t(n) = z(n) for initial n, else z(j) for the owning initial j."""
+def _toeplitz_chunks(spec: ToeplitzSpec, N: int):
+    """t(1..N) as consecutive int8 chunks, one per chunk of the reference (a
+    SignSeq or an opened .sqz); N is checked at the call.
+
+    A position n is initial, so t(n) = z(n), or lies on the progression of
+    the one initial j < n that owns it, so t(n) = z(j): each chunk is a copy
+    of the reference's, with z(j) written onto every A_j position in it.
+    z(j) is taken from the chunk that holds j, which comes first."""
     if len(spec.z_ref) < N:
         raise ValueError(f"reference length {len(spec.z_ref)} < N = {N}")
     progressions = _progressions(spec.q, N)
-    t = spec.z_ref.values[:N].copy()
-    for j, step in progressions:
-        # j is initial, so no progression writes t[j - 1]
-        t[j - 1 + step :: step] = t[j - 1]
-    return SignSeq._wrap(t)
+
+    def chunks():
+        initial = {}  # j -> z(j), once its chunk is reached
+        lo = 0  # the chunk holds t(lo+1..lo+size)
+        for chunk in _chunks(spec.z_ref, N):
+            t = chunk.copy()
+            hi = lo + t.size
+            for j, step in progressions:
+                if lo < j <= hi:
+                    initial[j] = t[j - 1 - lo]  # j is initial: no earlier A_i wrote it
+                first = max(j + step, lo + 1 + (j - lo - 1) % step)  # first n > lo of A_j, n > j
+                if first <= hi:
+                    t[first - 1 - lo :: step] = initial[j]
+            lo = hi
+            yield t
+
+    return chunks()
+
+
+def build_toeplitz(spec: ToeplitzSpec, N: int) -> SignSeq:
+    """t(n) = z(n) for initial n, else z(j) for the owning initial j."""
+    return _fill(N, _toeplitz_chunks(spec, N))
 
 
 @dataclass(frozen=True)

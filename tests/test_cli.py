@@ -13,11 +13,15 @@ import numpy as np
 import pytest
 
 import chowla_lab
-from chowla_lab import __version__, cli
+from chowla_lab import __version__, cli, numbergen, seqcore
 from chowla_lab.cli import main
-from chowla_lab.numbergen import mobius_prefix
-from chowla_lab.seqcore import read_sqz
+from chowla_lab.correlations import davenport_scan
+from chowla_lab.numbergen import liouville_prefix, mobius_prefix
+from chowla_lab.seqcore import SignSeq, read_sqz, write_sqz
 from chowla_lab.toeplitz import ToeplitzSpec, build_toeplitz
+
+from owner_oracle import brute_owner
+from traced_memory import traced_peak
 
 
 def run(args):
@@ -114,13 +118,14 @@ class TestChoiceTables:
                 return real(*args, **kwargs)
             return call
 
-        for name in ("mobius_prefix", "bernoulli_prefix", "RotationSampler"):
+        # generate --kind mobius streams the sieve's segments, not mobius_prefix
+        for name in ("_sign_sieve", "bernoulli_prefix", "RotationSampler"):
             monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
         assert run(["generate", "--kind", "mobius", "--n", 100, "--out", tmp_path / "m.sqz"]) == 0
         assert run(["generate", "--kind", "bernoulli", "--probs", "0.5,0.5", "--n", 100,
                     "--out", tmp_path / "b.sqz"]) == 0
         assert run(["sarnak", "--in", mobius_file, "--system", "rotation", "--alpha", 0.5]) == 0
-        assert calls == ["mobius_prefix", "bernoulli_prefix", "RotationSampler"]
+        assert calls == ["_sign_sieve", "bernoulli_prefix", "RotationSampler"]
         capsys.readouterr()
         with pytest.raises(SystemExit):
             run(["generate", "--help"])
@@ -481,8 +486,9 @@ class TestUsageErrors:
         assert list(target.iterdir()) == []
 
     def test_out_of_memory_is_one_error_line(self, tmp_path):
-        # The 10^10-byte sieve output cannot fit under a 3 GiB address-space
-        # cap, which applies to the child process only.
+        # The 10^10-term doubling word, which is built whole before it is
+        # written, cannot fit under a 3 GiB address-space cap, which applies
+        # to the child process only.  (The sieve kinds stream their output.)
         resource = pytest.importorskip("resource")
 
         def cap_address_space():
@@ -490,7 +496,7 @@ class TestUsageErrors:
 
         env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-m", "chowla_lab.cli", "generate", "--kind", "mobius",
+            [sys.executable, "-m", "chowla_lab.cli", "generate", "--kind", "example-aa",
              "--n", str(10**10), "--out", "m.sqz"],
             cwd=tmp_path, env=env, capture_output=True, text=True,
             preexec_fn=cap_address_space, timeout=120,
@@ -498,6 +504,31 @@ class TestUsageErrors:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_streamed_write_is_one_error_line(self, tmp_path):
+        # The sieve writes each segment as it is made: a 10^10-term file
+        # outgrows a 64 MiB file-size cap (Python ignores SIGXFSZ, so the
+        # write fails with EFBIG), and the partial temp file is removed.  The
+        # address-space cap keeps a sieve that builds its whole output from
+        # taking 10 GB.
+        resource = pytest.importorskip("resource")
+
+        def cap_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (64 << 20, 64 << 20))
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowla_lab.cli", "generate", "--kind", "mobius",
+             "--n", str(10**10), "--out", "m.sqz"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            preexec_fn=cap_file_size, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "m.sqz" in lines[0]
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
@@ -537,6 +568,106 @@ class TestUsageErrors:
         assert_one_error_line(capsys)
         assert list(tmp_path.glob("*.tmp*")) == []
         assert list(target.iterdir()) == []
+
+
+def ternary_file(path, seed, size):
+    z = SignSeq(np.random.default_rng(seed).integers(-1, 2, size=size))
+    write_sqz(path, z)
+    return z
+
+
+class TestStreaming:
+    """generate (mu, lambda), davenport and toeplitz build read and write
+    .sqz files one chunk at a time: the same bytes wherever the chunks fall."""
+
+    CHUNKS = [1, 7, 64]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("kind, prefix", [("mobius", mobius_prefix),
+                                              ("liouville", liouville_prefix)])
+    def test_generate_equals_the_prefix(self, tmp_path, monkeypatch, capsys, chunk, kind,
+                                        prefix):
+        expected = prefix(3001)
+        monkeypatch.setattr(numbergen, "_SEGMENT", chunk)
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        assert run(["generate", "--kind", kind, "--n", 3001, "--out", tmp_path / "z.sqz"]) == 0
+        assert read_sqz(tmp_path / "z.sqz") == expected
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("n", [None, 1234])
+    def test_davenport_equals_the_in_memory_scan(self, tmp_path, monkeypatch, capsys, chunk, n):
+        z = ternary_file(tmp_path / "z.sqz", 5, 3001)
+        expected = davenport_scan(z, n or len(z), 100)
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        n_flag = ["--n", n] if n else []
+        assert run(["davenport", "--in", tmp_path / "z.sqz", "--grid", 100, *n_flag]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["curve"] == [{"n": k, "value": v} for k, v in expected.curve]
+        assert results["max_value"] == expected.max_value
+        assert results["argmax_theta"] == expected.argmax_theta
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("q, n", [(2, None), (3, 1234), (5, None)])
+    def test_toeplitz_build_equals_the_owner_oracle(self, tmp_path, monkeypatch, capsys,
+                                                    chunk, q, n):
+        ref = ternary_file(tmp_path / "ref.sqz", q, 3001)
+        N = n or len(ref)
+        owner = brute_owner(q, N)
+        expected = build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N)
+        assert expected.values.tolist() == [ref[owner[k]] for k in range(1, N + 1)]
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        assert build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N) == expected
+        n_flag = ["--n", n] if n else []
+        assert run(["toeplitz", "build", "--q", q, "--ref", tmp_path / "ref.sqz", *n_flag,
+                    "--out", tmp_path / "t.sqz"]) == 0
+        assert read_sqz(tmp_path / "t.sqz") == expected
+
+    @pytest.mark.parametrize("damage", ["bad-byte", "truncated", "extra-bytes"])
+    @pytest.mark.parametrize("argv", [
+        ["davenport", "--in", "{ref}", "--grid", 100],
+        ["davenport", "--in", "{ref}", "--grid", 100, "--n", 100],
+        ["toeplitz", "build", "--q", 5, "--ref", "{ref}", "--out", "{tmp}/t.sqz"],
+        ["toeplitz", "build", "--q", 5, "--ref", "{ref}", "--n", 100, "--out", "{tmp}/t.sqz"],
+    ], ids=["davenport", "davenport-n", "toeplitz-build", "toeplitz-build-n"])
+    def test_bad_input_in_mid_stream(self, tmp_path, capsys, damage, argv):
+        # a bad byte two chunks past the first (and past --n) is found as the
+        # file is read, a size that disagrees with the header before any
+        # work; either way no --out and no temp file is left
+        N = 2 * seqcore._CHUNK + 1000
+        size = {"bad-byte": N, "truncated": N - 2, "extra-bytes": N + 3}[damage]
+        payload = np.zeros(size, dtype=np.int8)
+        if damage == "bad-byte":
+            payload[2 * seqcore._CHUNK + 500] = 5
+        ref = tmp_path / "ref.sqz"
+        ref.write_bytes(b"SQZ1" + N.to_bytes(8, "little") + payload.tobytes())
+        argv = [str(a).format(ref=ref, tmp=tmp_path) for a in argv]
+        assert run(argv) == 2
+        line = assert_one_error_line(capsys)
+        if damage == "bad-byte":
+            position = 2 * seqcore._CHUNK + 501
+            assert line == f"error: symbol out of alphabet {{-1,0,1}} at position {position}: 5"
+        else:
+            assert line == f"error: {ref}: expected {N} symbols, found {size} bytes"
+        assert list(tmp_path.iterdir()) == [ref]
+
+    @pytest.fixture(scope="class")
+    def mobius_2_24(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("big") / "m.sqz"
+        assert run(["generate", "--kind", "mobius", "--n", 1 << 24, "--out", path]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--kind", "mobius", "--n", 1 << 24, "--out", "{tmp}/g.sqz"],
+        ["davenport", "--in", "{m}", "--grid", 1000],
+        ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--out", "{tmp}/t.sqz"],
+    ], ids=["generate", "davenport", "toeplitz-build"])
+    def test_traced_peak_does_not_grow_with_n(self, mobius_2_24, tmp_path, capsys, argv):
+        # one bound fixed in advance, 0.5 B/symbol at N = 2^24, where holding
+        # the whole prefix traced 1.1-1.2 B/symbol (toeplitz build: 2.0)
+        N = 1 << 24
+        argv = [str(a).format(m=mobius_2_24, tmp=tmp_path) for a in argv]
+        assert traced_peak(main, argv) < N // 2
+        capsys.readouterr()
 
 
 # sha256 of each report on the first 10^5 Mobius terms at N = 99,993, which

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from chowla_lab import seqcore
 from chowla_lab.seqcore import (
     Block,
     SignSeq,
+    _write_sqz_chunks,
     pointwise_product,
     read_sqz,
     square_map,
@@ -154,6 +156,23 @@ class TestSqzFormat:
         with pytest.raises(ValueError,
                            match=rf"symbol out of alphabet \{{-1,0,1\}} at position 3: {symbol}$"):
             read_sqz(path)
+
+    def test_bad_byte_past_the_first_chunk_names_its_term(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(seqcore, "_CHUNK", 2)
+        path = tmp_path / "bad.sqz"
+        path.write_bytes(b"SQZ1" + (5).to_bytes(8, "little") + bytes([1, 0, 255, 1, 7]))
+        with pytest.raises(ValueError,
+                           match=rf"symbol out of alphabet \{{-1,0,1\}} at position 5: 7$"):
+            read_sqz(path)
+
+    @pytest.mark.parametrize("sizes", [[2, 3], [2, 3, 2]], ids=["one-short", "one-long"])
+    def test_chunks_that_miss_the_header_length_leave_no_file(self, tmp_path, sizes):
+        # the header is written first, so the count is checked as the chunks come
+        path = tmp_path / "z.sqz"
+        chunks = (np.ones(k, dtype=np.int8) for k in sizes)
+        with pytest.raises(ValueError, match="do not add up to the header's 6 symbols"):
+            _write_sqz_chunks(path, 6, chunks)
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncation_rejected(self, tmp_path):
         z = SignSeq([1, -1, 0, 1])
