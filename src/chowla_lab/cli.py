@@ -140,7 +140,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_chowla(args) -> int:
-    z = _load(args.input)
+    z = _load(args.input, stream=True)
     if args.n is None and args.max_lag >= len(z):
         raise ValueError(f"--max-lag {args.max_lag} must be below the prefix length {len(z)}")
     n = args.n if args.n is not None else len(z) - args.max_lag
@@ -215,7 +215,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_hat_test(args) -> int:
-    z = _load(args.input)
+    z = _load(args.input, stream=True)
     report = sign_extension_test(z, args.k, args.tol)
     results = {
         "max_violation": report.max_violation,

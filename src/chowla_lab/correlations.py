@@ -7,29 +7,30 @@ Sarnak-type sums and their strong form), and the Davenport-style maximum of
 twisted exponential sums over a rational frequency grid.
 
 Every sum reports a curve of partial values at ten evenly spaced checkpoint
-lengths, so decay is visible, not just the final value.  Every sum over n
-walks those ten checkpoint slices, so beside the prefix it holds O(N/10)
-memory; the Davenport scan walks each slice in chunks, reading a .sqz as
-it goes, so ``davenport`` holds O(_CHUNK + grid) memory and no prefix.
+lengths, so decay is visible, not just the final value.  The Chowla-type
+sums and the Davenport scan are exact integer sums over the chunks that
+``seqcore._windows`` walks, split at the checkpoints, of a SignSeq or of a
+.sqz read as it goes: beside the grid, or the battery's int64 table of
+running totals (checkpoints x specs), they hold O(_CHUNK) memory.
 
-Lag products are evaluated on packed bitplanes of each slice, support
+Lag products are evaluated on packed bitplanes of each chunk, support
 (z != 0) and sign (z < 0), one pair per shift: the product is nonzero on
 the AND of the shifted supports, and negative where the XOR of the
-exponent-1 factors' signs is set, so every Chowla-type sum is an exact
-integer count, and one walk of the slices serves all of a battery's specs.
-The orbit-weighted sums multiply the sampler's values in place by each
-factor of the slice's product and add each slice with one float64 np.sum.
+exponent-1 factors' signs is set, so one walk serves all of a battery's
+specs.  The orbit-weighted sums walk a prefix's checkpoint slices, O(N/10)
+beside it, multiplying the sampler's values in place by each factor of
+the slice's product and adding each slice with one float64 np.sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby, pairwise, product
 
 import numpy as np
 
-from .seqcore import SignSeq, _chunks
+from .seqcore import SignSeq, _windows
 
 BATTERY_BUDGET = 100_000
 
@@ -81,15 +82,9 @@ class CorrelationCurve:
 _CHECKPOINTS = 10
 
 
-def _slices(N: int):
-    """The checkpoint slices (lo, hi) of n = 1..N: hi runs over the distinct
-    checkpoints max(1, jN/10), j = 1..10, and lo is the one before (0 first)."""
-    lo = 0
-    for j in range(1, _CHECKPOINTS + 1):
-        hi = max(1, (j * N) // _CHECKPOINTS)
-        if hi > lo:
-            yield lo, hi
-            lo = hi
+def _checkpoints(N: int) -> tuple[int, ...]:
+    """The distinct checkpoints max(1, jN/10), j = 1..10, ascending."""
+    return tuple(sorted({max(1, j * N // _CHECKPOINTS) for j in range(1, _CHECKPOINTS + 1)}))
 
 
 def _check_prefix(z: SignSeq, N: int, max_lag: int) -> None:
@@ -100,63 +95,67 @@ def _check_prefix(z: SignSeq, N: int, max_lag: int) -> None:
         raise ValueError(f"prefix of length {len(z)} too short: need {need}")
 
 
-def _bitplanes(z: SignSeq, shifts, lo: int, hi: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Support (z != 0) and sign (z < 0) bitplanes of z shifted by each a in
-    ``shifts`` over the slice n = lo+1..hi: bit n-lo-1 of plane a is term
-    n + a, packed little-endian into uint64 words whose spare bits are zero."""
-    values = z.values[lo : hi + max(shifts)]
+def _bitplanes(values: np.ndarray, shifts) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Support (!= 0) and sign (< 0) bitplanes of ``values`` shifted by each a
+    in ``shifts``: bit i < values.size - max(shifts) of plane a is values[i + a],
+    packed little-endian into uint64 words whose spare bits are zero."""
+    size = values.size - max(shifts)
 
     def pack(bits: np.ndarray) -> np.ndarray:
         packed = np.packbits(bits, bitorder="little")
         return np.pad(packed, (0, -packed.size % 8)).view(np.uint64)
 
     support, sign = values != 0, values < 0
-    return {a: (pack(support[a : a + hi - lo]), pack(sign[a : a + hi - lo])) for a in shifts}
+    return {a: (pack(support[a : a + size]), pack(sign[a : a + size])) for a in shifts}
 
 
 def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum(dtype=np.int64))
 
 
-def _signed_counts(planes: dict, shifts: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """The exact sum over the slice of prod_s z^{i_s}(n + a_s), keyed by the
-    exponents (i_s), for every exponent pattern on ``shifts``: the product is
-    nonzero on the joint support S, and negative where the exponent-1
-    factors' signs XOR to 1.  The sign planes restricted to S are XORed in
-    Gray-code order, so each pattern costs one XOR and one popcount."""
+def _signed_counts(planes: dict, shifts: tuple[int, ...]) -> list[int]:
+    """The exact sum over the planes' terms of prod_s z^{i_s}(n + a_s) for each
+    exponent pattern on ``shifts``, at the index with bit s set where i_s = 1:
+    the product is nonzero on the joint support S, and negative where the
+    exponent-1 factors' signs XOR to 1.  The sign planes restricted to S are
+    XORed in Gray-code order, so each pattern costs one XOR and one popcount."""
     support = np.bitwise_and.reduce([planes[a][0] for a in shifts])
     nonzero = _popcount(support)
     signs = [planes[a][1] & support for a in shifts]
     negative = np.zeros_like(support)
-    sums = {(2,) * len(shifts): nonzero}
+    sums = [nonzero] * 2 ** len(shifts)
     for step in range(1, 2 ** len(shifts)):
         negative ^= signs[(step & -step).bit_length() - 1]
-        ones = step ^ (step >> 1)  # bit k set: factor k has exponent 1
-        exponents = tuple(2 - (ones >> k & 1) for k in range(len(shifts)))
-        sums[exponents] = nonzero - 2 * _popcount(negative)
+        sums[step ^ (step >> 1)] = nonzero - 2 * _popcount(negative)
     return sums
 
 
 def chowla_sum(z: SignSeq, spec: CorrelationSpec, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of prod_s z^{i_s}(n + a_s), a_0 = 0."""
-    return _chowla_curves(z, [spec], N)[0]
+    return BatteryEntry(spec, *_chowla_totals(z, [spec], N), 0).curve
 
 
-def _chowla_curves(z: SignSeq, specs: list[CorrelationSpec], N: int) -> list[CorrelationCurve]:
-    """``chowla_sum`` of every spec in one walk of the checkpoint slices.
-    Each slice's bitplanes are built once, for the shifts some spec uses,
-    and each run of specs on one lag set shares its support."""
-    _check_prefix(z, N, max(spec.max_lag for spec in specs))
+def _chowla_totals(z, specs: list[CorrelationSpec], N: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The checkpoints and the int64 (checkpoints x specs) table of exact
+    running sums, in one walk of the windows of length max lag + 1: each
+    buffer's bitplanes are built once, for the shifts some spec uses, and
+    each run of specs on one lag set shares its support."""
+    width = max(spec.max_lag for spec in specs)
+    _check_prefix(z, N, width)
     shifts = sorted({0}.union(*(spec.lags for spec in specs)))
-    totals, points = [0] * len(specs), [[] for _ in specs]
-    for lo, hi in _slices(N):
-        planes = _bitplanes(z, shifts, lo, hi)
+    his = _checkpoints(N)
+    ones = [sum(2**s for s, i in enumerate(spec.exponents) if i == 1) for spec in specs]
+    running, totals = [0] * len(specs), np.empty((len(his), len(specs)), dtype=np.int64)
+    for end, buf in _windows(z, width + 1, his):
+        planes = _bitplanes(buf, shifts)
         for lags, group in groupby(enumerate(specs), key=lambda item: item[1].lags):
             sums = _signed_counts(planes, (0,) + lags)
-            for i, spec in group:
-                totals[i] += sums[spec.exponents]
-                points[i].append((hi, totals[i] / hi))
-    return [CorrelationCurve(checkpoints=tuple(curve)) for curve in points]
+            for i, _ in group:
+                running[i] += sums[ones[i]]
+        del planes  # before the next buffer's are made
+        if end in his:
+            totals[his.index(end)] = running
+    return his, totals
 
 
 @dataclass(frozen=True)
@@ -231,7 +230,7 @@ def strong_sarnak_sum(sampler, z: SignSeq, spec: CorrelationSpec, N: int) -> Cor
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is refused
         sampler.values(N - 1, N)  # a sampler that cannot reach N refuses before any work
         points, total = [], 0.0
-        for lo, hi in _slices(N):
+        for lo, hi in pairwise((0, *_checkpoints(N))):
             terms = sampler.values(lo, hi)
             for a, i in zip((0,) + spec.lags, spec.exponents):
                 factor = z.values[lo + a : hi + a]
@@ -257,14 +256,23 @@ def enumerate_chowla_specs(max_lag: int, max_r: int) -> list[CorrelationSpec]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class BatteryEntry:
+    """A spec and its curve, read on access from its column of the battery's totals."""
+
     spec: CorrelationSpec
-    curve: CorrelationCurve
+    _his: tuple[int, ...]
+    _totals: np.ndarray
+    _column: int
+
+    @property
+    def curve(self) -> CorrelationCurve:  # Python ints: each total / hi is correctly rounded
+        totals = self._totals[:, self._column].tolist()
+        return CorrelationCurve(tuple((hi, t / hi) for hi, t in zip(self._his, totals)))
 
     @property
     def value(self) -> float:
-        return self.curve.final
+        return int(self._totals[-1, self._column]) / self._his[-1]
 
 
 @dataclass(frozen=True)
@@ -292,9 +300,9 @@ class BatteryReport:
             object.__setattr__(self, prefix + "passed", abs(worst.value) < self.tol)
 
 
-def ch_battery(z: SignSeq, max_lag: int, max_r: int, N: int, tol: float) -> BatteryReport:
-    """Every admissible correlation spec's curve up to N, in enumeration
-    order; the final values are compared against tol."""
+def ch_battery(z, max_lag: int, max_r: int, N: int, tol: float) -> BatteryReport:
+    """Every admissible spec's curve up to N on a SignSeq or an _SqzFile, in
+    enumeration order; the final values are compared against tol."""
     if max_lag < 1 or max_r < 0:
         raise ValueError(f"need max_lag >= 1 and max_r >= 0, got {max_lag}, {max_r}")
     if not (math.isfinite(tol) and tol > 0):
@@ -306,7 +314,8 @@ def ch_battery(z: SignSeq, max_lag: int, max_r: int, N: int, tol: float) -> Batt
             raise ValueError(f"battery of at least {count} specs exceeds budget "
                              f"{BATTERY_BUDGET}")
     specs = enumerate_chowla_specs(max_lag, max_r)
-    entries = map(BatteryEntry, specs, _chowla_curves(z, specs, N))
+    his, totals = _chowla_totals(z, specs, N)
+    entries = (BatteryEntry(spec, his, totals, i) for i, spec in enumerate(specs))
     return BatteryReport(n=N, tol=tol, entries=tuple(entries))
 
 
@@ -334,24 +343,18 @@ def davenport_scan(z, N: int, grid: int) -> DavenportResult:
     if grid < 100:
         raise ValueError(f"grid must be >= 100, got {grid}")
     _check_prefix(z, N, 0)
-    checkpoints = [hi for _, hi in _slices(N)]
+    checkpoints = _checkpoints(N)
     bucket = np.zeros(grid, dtype=np.int64)
     curve = []
-    lo = 0  # terms summed so far
-    for chunk in _chunks(z, N):
-        while chunk.size:
-            hi = checkpoints[len(curve)]
-            part, chunk = chunk[: hi - lo], chunk[hi - lo :]
-            # z(lo+1..lo+len(part)) laid out from column (lo+1) mod grid of
-            # zero-padded rows of length grid: column c sums n = c (mod grid)
-            start = (lo + 1) % grid
-            rows = np.pad(part, (start, -(start + part.size) % grid))
-            bucket += rows.reshape(-1, grid).sum(axis=0, dtype=np.int64)
-            lo += part.size
-            if lo == hi:
-                mags = np.abs(np.fft.ifft(bucket) * grid) / hi
-                j = int(np.argmax(mags))
-                curve.append((hi, float(mags[j])))
+    for hi, part in _windows(z, 1, checkpoints):
+        # zero-padded rows of length grid, term n in column n mod grid
+        start = (hi - part.size + 1) % grid
+        rows = np.pad(part, (start, -(start + part.size) % grid))
+        bucket += rows.reshape(-1, grid).sum(axis=0, dtype=np.int64)
+        if hi == checkpoints[len(curve)]:
+            mags = np.abs(np.fft.ifft(bucket) * grid) / hi
+            j = int(np.argmax(mags))
+            curve.append((hi, float(mags[j])))
     return DavenportResult(
         max_value=curve[-1][1], argmax_theta=j / grid, curve=tuple(curve), grid=grid
     )

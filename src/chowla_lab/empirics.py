@@ -11,13 +11,15 @@ denominator N - ell + 1.  ``_window_codes`` alone builds window codes, by
 prefix doubling, also for ``symbolicgen``: big-endian base-3 codes
 (letter + 1, the first letter most significant) that sort like the blocks and
 are exact up to length 39, in the dtype ``_code_dtype`` picks: int32, uint32
-at length 20, or int64.  ``block_frequencies``,
-``complexity_profile`` and the heavy-window kernel ``positive_frequency_blocks``
-sort one length's codes once and then only read them: the codes d letters
-shorter are their quotients by 3**d, still sorted, so a shorter code c spans
-the entries in [c, c + 1) * 3**d.  Past 39 letters a profile code starts with
-the dense rank of the window's first letters.  Every pass over an N-sized
-array, here and in ``symbolicgen``, runs in chunks of ``_CHUNK``.
+at length 20, or int64.  ``block_frequencies`` counts its 3**k <= min(N,
+2**23) codes in a dense table as ``seqcore._windows`` walks a SignSeq or a
+.sqz; it sorts more codes, as ``complexity_profile`` and the heavy-window
+kernel ``positive_frequency_blocks`` do, once, and then only reads them: the
+codes d letters shorter are their quotients by 3**d, still sorted, so a
+shorter code c spans the entries in [c, c + 1) * 3**d.  Past 39 letters a
+profile code starts with the dense rank of the window's first letters.
+Every pass over an N-sized array, here and in ``symbolicgen``, runs in
+chunks of ``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import Block, SignSeq
+from .seqcore import Block, SignSeq, _fill, _windows
 
 MAX_FREQUENCY_ORDER = 24
 _CODE_LENGTH_LIMIT = 39  # 3**39 - 1 < 2**63 <= 3**40 - 1
 _CHUNK = 1 << 16  # entries per cache-sized chunk of every pass over an N-sized array
+_DENSE_CODES = 2**23  # block_frequencies counts length k in a dense table up to 3**k codes
 
 
 def block_code(letters) -> int:
@@ -142,29 +145,40 @@ class EmpiricalMeasure:
                 for code, cnt in zip(codes.tolist(), counts.tolist()))
 
 
-def block_frequencies(w: SignSeq, k: int) -> EmpiricalMeasure:
-    """Overlapping-window frequencies of every block of length <= k.
+def block_frequencies(w, k: int) -> EmpiricalMeasure:
+    """Overlapping-window frequencies of every block of length <= k in a
+    SignSeq or an _SqzFile; length k alone is tallied, in a dense table while
+    3**k <= min(N, _DENSE_CODES) (np.add.at makes no 3**k temporary).
 
     freq(B) = #{1 <= n <= N-ell+1 : w[n..n+ell-1] = B} / (N-ell+1).
     """
     if not 1 <= k <= MAX_FREQUENCY_ORDER:
         raise ValueError(f"k must be in 1..{MAX_FREQUENCY_ORDER}, got {k}")
-    if len(w) < 10 * k:
-        raise ValueError(f"prefix length {len(w)} < 10*k = {10 * k}")
-    tail = w.values[len(w) - k + 1 :]  # its length-ell windows are the last k - ell
+    if (N := len(w)) < 10 * k:
+        raise ValueError(f"prefix length {N} < 10*k = {10 * k}")
+    if 3**k <= min(N, _DENSE_CODES):
+        table = np.zeros(3**k, dtype=np.int64)
+        for _, buf in _windows(w, k, (N - k + 1,)):
+            for lo in range(0, buf.size - k + 1, _CHUNK):
+                np.add.at(table, _window_codes(buf[lo : lo + _CHUNK + k - 1], k), 1)
+        codes = np.flatnonzero(table)
+        counts = table[codes]
+    else:
+        buf = w.values if isinstance(w, SignSeq) else _fill(N, w).values
+        windows = _window_codes(buf, k)
+        windows.sort()
+        starts = [np.zeros(1, dtype=np.intp)]
+        for lo in range(1, windows.size, _CHUNK):
+            hi = min(lo + _CHUNK, windows.size)
+            starts.append(lo + np.flatnonzero(windows[lo:hi] != windows[lo - 1 : hi - 1]))
+        starts = np.concatenate(starts)
+        codes = windows[starts].astype(np.int64)
+        del windows  # the window buffer is freed before the counts are made
+        counts = np.diff(starts, append=N - k + 1)
+    tail = buf[buf.size - k + 1 :]  # its length-ell windows are the last k - ell
     last = [_window_codes(tail, ell).astype(np.int64) for ell in range(1, k)]
     last.append(np.empty(0, dtype=np.int64))
-    windows = _window_codes(w.values, k)
-    windows.sort()  # length k alone is tallied, by the runs of its sorted codes
-    starts = [np.zeros(1, dtype=np.intp)]
-    for lo in range(1, windows.size, _CHUNK):
-        hi = min(lo + _CHUNK, windows.size)
-        starts.append(lo + np.flatnonzero(windows[lo:hi] != windows[lo - 1 : hi - 1]))
-    starts = np.concatenate(starts)
-    codes = windows[starts].astype(np.int64)
-    del windows  # the window buffer is freed before the counts are made
-    counts = np.diff(starts, append=len(w) - k + 1)
-    return EmpiricalMeasure(k, len(w), codes, counts, last)
+    return EmpiricalMeasure(k, N, codes, counts, last)
 
 
 @dataclass(frozen=True)
@@ -284,7 +298,7 @@ AUDIT_FACTOR = 2.0
 
 
 def sign_extension_test(
-    z: SignSeq, k: int, tol: float, audit_factor: float = AUDIT_FACTOR
+    z, k: int, tol: float, audit_factor: float = AUDIT_FACTOR
 ) -> SignExtensionReport:
     """Check whether z distributes signs independently over the support of
     its squared word: for every block B of length <= k whose squared block

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,8 +128,10 @@ class Block:
         return len(self.letters)
 
 
-def square_map(z: SignSeq) -> SignSeq:
-    """Coordinatewise square: result[n] = z[n]**2, values in {0,1}."""
+def square_map(z) -> SignSeq:
+    """Coordinatewise square of a SignSeq or an _SqzFile: z[n]**2 in {0,1}."""
+    if isinstance(z, _SqzFile):
+        return _fill(len(z), (chunk * chunk for chunk in z))
     return SignSeq._wrap(z.values * z.values)
 
 
@@ -188,17 +191,19 @@ _CHUNK = 1 << 20  # terms per chunk of a streamed .sqz or SignSeq
 class _SqzFile:
     """A .sqz file whose magic, and header length against its size, are
     checked on opening; ``len()`` is its length, and iterating reads its
-    terms in validated int8 chunks of at most ``_CHUNK``."""
+    terms in validated int8 chunks of at most ``_CHUNK``, also once its path
+    is removed: the file stays open until the object is collected."""
 
     def __init__(self, path):
-        with open(path, "rb") as fh:
-            header = fh.read(SQZ_HEADER.size)
-            if len(header) != SQZ_HEADER.size:
-                raise ValueError(f"{path}: truncated header")
-            magic, length = SQZ_HEADER.unpack(header)
-            if magic != SQZ_MAGIC:
-                raise ValueError(f"{path}: bad magic {magic!r}, expected {SQZ_MAGIC!r}")
-            found = os.fstat(fh.fileno()).st_size - SQZ_HEADER.size
+        self._fh = fh = open(path, "rb")
+        weakref.finalize(self, fh.close)
+        header = fh.read(SQZ_HEADER.size)
+        if len(header) != SQZ_HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        magic, length = SQZ_HEADER.unpack(header)
+        if magic != SQZ_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {SQZ_MAGIC!r}")
+        found = os.fstat(fh.fileno()).st_size - SQZ_HEADER.size
         if found != length:
             raise ValueError(f"{path}: expected {length} symbols, found {found} bytes")
         self.path, self.length = path, length
@@ -209,38 +214,40 @@ class _SqzFile:
     def chunks(self, out=None):
         """Each chunk is read into the matching slice of ``out`` when it is
         given (``len()`` bytes), else into a fresh array."""
-        with open(self.path, "rb") as fh:
-            fh.seek(SQZ_HEADER.size)
-            for lo in range(0, self.length, _CHUNK):
-                count = min(_CHUNK, self.length - lo)
-                chunk = np.empty(count, np.int8) if out is None else out[lo : lo + count]
-                found = fh.readinto(chunk)
-                if found != count:  # the file shrank after it was opened
-                    raise ValueError(f"{self.path}: expected {self.length} symbols, "
-                                     f"found {lo + found} bytes")
-                # min and max allocate nothing
-                if chunk.min() < -1 or chunk.max() > 1:
-                    raise _alphabet_error(chunk, (chunk >= -1) & (chunk <= 1), lo)
-                yield chunk
+        for lo in range(0, self.length, _CHUNK):
+            count = min(_CHUNK, self.length - lo)
+            chunk = np.empty(count, np.int8) if out is None else out[lo : lo + count]
+            self._fh.seek(SQZ_HEADER.size + lo)  # per chunk: iterations may interleave
+            found = self._fh.readinto(chunk)
+            if found != count:  # the file shrank after it was opened
+                raise ValueError(f"{self.path}: expected {self.length} symbols, "
+                                 f"found {lo + found} bytes")
+            # min and max allocate nothing
+            if chunk.min() < -1 or chunk.max() > 1:
+                raise _alphabet_error(chunk, (chunk >= -1) & (chunk <= 1), lo)
+            yield chunk
 
     __iter__ = chunks
 
 
-def _chunks(z, n: int):
-    """The first n terms of a SignSeq (views) or an _SqzFile (reads) as
-    consecutive int8 chunks; a file is read to its end, so that a bad byte
-    past n is still refused."""
-    if isinstance(z, SignSeq):
-        return (z.values[lo : min(lo + _CHUNK, n)] for lo in range(0, n, _CHUNK))
-
-    def first():
-        left = n
-        for chunk in z:
-            if left > 0:
-                yield chunk[:left]
-            left -= chunk.size
-
-    return first()
+def _windows(source, k: int, stops):
+    """(end, buf) pairs that walk the length-k windows of a SignSeq or an
+    _SqzFile up to the last of the ascending ``stops``: buf holds the terms of
+    the at most ``_CHUNK`` windows that start at terms end - (buf.size - k)
+    through end, every stop is some end, and the k - 1 shared letters carry
+    over.  A file is read to its end, so a bad byte past the stops is refused."""
+    left, j, end, buf = stops[-1] + k - 1, 0, 0, np.empty(0, dtype=np.int8)
+    chunks = source if isinstance(source, _SqzFile) else (
+        source.values[lo : lo + _CHUNK] for lo in range(0, left, _CHUNK))
+    for chunk in chunks:
+        chunk, left = chunk[: max(left, 0)], left - chunk.size
+        buf = np.concatenate((buf, chunk)) if buf.size else chunk
+        while buf.size >= k:
+            count = min(buf.size - k + 1, stops[j] - end, _CHUNK)
+            end += count
+            j += end == stops[j]
+            yield end, buf[: count + k - 1]
+            buf = buf[count:]
 
 
 def _fill(n: int, chunks) -> SignSeq:
@@ -256,8 +263,7 @@ def _fill(n: int, chunks) -> SignSeq:
 def read_sqz(path) -> SignSeq:
     """Read a prefix written by :func:`write_sqz`, validating magic and length."""
     source = _SqzFile(path)
-    # read into the result, not into fresh chunks and a copy: at 10^7 that
-    # raised the later peak of hat-test --k 12 by about 1 MB
+    # into the result: fresh chunks and a copy raised later peaks by a chunk
     out = np.empty(len(source), dtype=np.int8)
     for _ in source.chunks(out):
         pass

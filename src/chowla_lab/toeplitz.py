@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import SignSeq, _chunks, _fill
+from .seqcore import SignSeq, _fill, _windows
 
 CLASSIFY_LIMIT = 200_000_000
 # tail length bound: reports list each type-1 tail offset as a Python int
@@ -86,17 +86,14 @@ def _toeplitz_chunks(spec: ToeplitzSpec, N: int):
 
     def chunks():
         initial = {}  # j -> z(j), once its chunk is reached
-        lo = 0  # the chunk holds t(lo+1..lo+size)
-        for chunk in _chunks(spec.z_ref, N):
-            t = chunk.copy()
-            hi = lo + t.size
+        for hi, chunk in _windows(spec.z_ref, 1, (N,)):  # the chunk holds t(lo+1..hi)
+            t, lo = chunk.copy(), hi - chunk.size
             for j, step in progressions:
                 if lo < j <= hi:
                     initial[j] = t[j - 1 - lo]  # j is initial: no earlier A_i wrote it
                 first = max(j + step, lo + 1 + (j - lo - 1) % step)  # first n > lo of A_j, n > j
                 if first <= hi:
                     t[first - 1 - lo :: step] = initial[j]
-            lo = hi
             yield t
 
     return chunks()

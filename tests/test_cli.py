@@ -15,7 +15,8 @@ import pytest
 import chowla_lab
 from chowla_lab import __version__, cli, numbergen, seqcore
 from chowla_lab.cli import main
-from chowla_lab.correlations import davenport_scan
+from chowla_lab.correlations import ch_battery, davenport_scan
+from chowla_lab.empirics import sign_extension_test
 from chowla_lab.numbergen import liouville_prefix, mobius_prefix
 from chowla_lab.seqcore import SignSeq, read_sqz, write_sqz
 from chowla_lab.toeplitz import ToeplitzSpec, build_toeplitz
@@ -577,8 +578,10 @@ def ternary_file(path, seed, size):
 
 
 class TestStreaming:
-    """generate (mu, lambda), davenport and toeplitz build read and write
-    .sqz files one chunk at a time: the same bytes wherever the chunks fall."""
+    """generate (mu, lambda), chowla, davenport, hat-test and toeplitz build
+    read and write .sqz files one chunk at a time: the same bytes wherever
+    the chunks fall, also where a chunk is shorter than a window or holds a
+    checkpoint."""
 
     CHUNKS = [1, 7, 64]
 
@@ -607,6 +610,38 @@ class TestStreaming:
         assert results["argmax_theta"] == expected.argmax_theta
 
     @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("n", [None, 1234])
+    def test_chowla_equals_the_in_memory_battery(self, tmp_path, monkeypatch, capsys, chunk, n):
+        z = ternary_file(tmp_path / "z.sqz", 5, 3001)
+        expected = ch_battery(z, 4, 2, n or len(z) - 4, 0.02)
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        n_flag = ["--n", n] if n else []
+        argv = ["chowla", "--in", tmp_path / "z.sqz", "--max-lag", 4, "--max-r", 2, *n_flag]
+        assert run(argv) == (0 if expected.passed else 1)
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["entries"] == [{"spec": e.spec.label(), "value": e.value}
+                                      for e in expected.entries]
+        witness = next(e.curve for e in expected.entries if e.spec == expected.witness)
+        assert results["witness_curve"] == [{"n": k, "value": v} for k, v in witness.checkpoints]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_hat_test_equals_the_in_memory_sign_test(self, tmp_path, monkeypatch, capsys,
+                                                     chunk, k):
+        # k 3 walks the file into a dense table, k 8 (3**8 > N) reads it whole
+        z = ternary_file(tmp_path / "z.sqz", 5, 3001)
+        expected = sign_extension_test(z, k, 0.01)
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        argv = ["hat-test", "--in", tmp_path / "z.sqz", "--k", k, "--tol", 0.01]
+        assert run(argv) == (0 if expected.passed else 1)
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["max_violation"] == expected.max_violation
+        assert results["witness"] == list(expected.witness.letters)
+        assert results["audited_blocks"] == expected.audited_blocks
+        assert results["violations"] == [{"block": list(b.letters), "deviation": d}
+                                         for b, d in expected.violations]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("q, n", [(2, None), (3, 1234), (5, None)])
     def test_toeplitz_build_equals_the_owner_oracle(self, tmp_path, monkeypatch, capsys,
                                                     chunk, q, n):
@@ -628,7 +663,11 @@ class TestStreaming:
         ["davenport", "--in", "{ref}", "--grid", 100, "--n", 100],
         ["toeplitz", "build", "--q", 5, "--ref", "{ref}", "--out", "{tmp}/t.sqz"],
         ["toeplitz", "build", "--q", 5, "--ref", "{ref}", "--n", 100, "--out", "{tmp}/t.sqz"],
-    ], ids=["davenport", "davenport-n", "toeplitz-build", "toeplitz-build-n"])
+        ["chowla", "--in", "{ref}", "--max-lag", 2, "--max-r", 1],
+        ["chowla", "--in", "{ref}", "--max-lag", 2, "--max-r", 1, "--n", 100],
+        ["hat-test", "--in", "{ref}", "--k", 4],
+    ], ids=["davenport", "davenport-n", "toeplitz-build", "toeplitz-build-n", "chowla",
+            "chowla-n", "hat-test"])
     def test_bad_input_in_mid_stream(self, tmp_path, capsys, damage, argv):
         # a bad byte two chunks past the first (and past --n) is found as the
         # file is read, a size that disagrees with the header before any
@@ -660,10 +699,13 @@ class TestStreaming:
         ["generate", "--kind", "mobius", "--n", 1 << 24, "--out", "{tmp}/g.sqz"],
         ["davenport", "--in", "{m}", "--grid", 1000],
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--out", "{tmp}/t.sqz"],
-    ], ids=["generate", "davenport", "toeplitz-build"])
+        ["chowla", "--in", "{m}", "--max-lag", 6, "--max-r", 3],
+        ["hat-test", "--in", "{m}", "--k", 12, "--tol", 0.001],
+    ], ids=["generate", "davenport", "toeplitz-build", "chowla", "hat-test"])
     def test_traced_peak_does_not_grow_with_n(self, mobius_2_24, tmp_path, capsys, argv):
         # one bound fixed in advance, 0.5 B/symbol at N = 2^24, where holding
-        # the whole prefix traced 1.1-1.2 B/symbol (toeplitz build: 2.0)
+        # the whole prefix traced 1.1-1.2 B/symbol (toeplitz build: 2.0,
+        # chowla 1.6, hat-test --k 12 5.1); a dense k = 12 table is 4.25 MB
         N = 1 << 24
         argv = [str(a).format(m=mobius_2_24, tmp=tmp_path) for a in argv]
         assert traced_peak(main, argv) < N // 2

@@ -20,7 +20,7 @@ from chowla_lab.correlations import (
     sarnak_sum,
     strong_sarnak_sum,
 )
-from chowla_lab.empirics import block_frequencies
+from chowla_lab.empirics import block_frequencies, code_to_block
 from chowla_lab.numbergen import liouville_prefix, mobius_prefix
 from chowla_lab.seqcore import SignSeq, square_map
 from chowla_lab.symbolicgen import masked_coin_prefix
@@ -433,6 +433,27 @@ class TestFiniteEquivalence:
                       for b in blocks}
             assert entry.value == sum(count[b] * moment[b] for b in blocks) / N
             assert sum(sign_average[b] * moment[b] for b in blocks) == 0
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 4),
+           st.sampled_from([0.0, 1 / 3, 0.8]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_battery_totals_are_moments_of_the_window_table(self, seed, max_lag, max_r,
+                                                           zero_density, data):
+        # the int64 running total of every spec equals, as an integer, the
+        # sum over the length max_lag + 1 window table of count(B) times
+        # prod_j B_j^{e_j}, e_j the spec's exponent at lag j (0 if unused)
+        k = max_lag + 1
+        N = data.draw(st.integers(max(1, 10 * k - max_lag), 600), label="N")
+        odd = (1 - zero_density) / 2
+        z = SignSeq(np.random.default_rng(seed).choice([-1, 0, 1], size=N + max_lag,
+                                                       p=[odd, zero_density, odd]))
+        codes, counts = block_frequencies(z, k)._table(k)
+        table = [(code_to_block(c, k).letters, n) for c, n in zip(codes.tolist(), counts.tolist())]
+        for entry in ch_battery(z, max_lag, max_r, N, 0.1).entries:
+            e = dict(zip((0,) + entry.spec.lags, entry.spec.exponents))
+            want = sum(n * math.prod(b[j] ** e.get(j, 0) for j in range(k)) for b, n in table)
+            assert int(entry._totals[-1, entry._column]) == want
 
 
 class TestDavenport:

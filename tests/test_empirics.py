@@ -1,6 +1,7 @@
 """Block statistics: frequencies, complexity, the sign-extension audit."""
 
 import contextlib
+import itertools
 import math
 import signal
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chowla_lab import empirics
+from chowla_lab.correlations import ch_battery
 from chowla_lab.empirics import (
     Block,
     SignExtensionReport,
@@ -233,7 +235,11 @@ class TestKernelMemory:
     # place, that the shorter lengths and z^2 are derived from: a derived
     # length reduces its runs before it merges the last windows (43.7 traced
     # at length 15); the sign test's k = 16 peak, 50.2, is its deviation step
-    # at length 15, as np.append runs only when an unseen pattern is added
+    # at length 15, as np.append runs only when an unseen pattern is added.
+    # Up to 3**k <= N the length-k windows go into a dense int64 table as the
+    # prefix is walked in chunks (0.51 B/symbol traced at k 8, 3.29 at k 12,
+    # and the k 12 sign test 5.10; sorting every window code traced 4.06,
+    # 6.53 and 6.53): each of those three bounds is its traced value + 5 %
     @pytest.mark.parametrize("call,bound", [
         (lambda z: complexity_profile(z, 20), 5),
         (lambda z: complexity_profile(z, 60), 8.8),  # distinct at 39: one int64 level
@@ -241,9 +247,9 @@ class TestKernelMemory:
         (lambda z: positive_frequency_blocks(z, 20, 1e-6), 5.5),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
          4),
-        (lambda z: block_frequencies(z, 8), 4.5),
-        (lambda z: block_frequencies(z, 12), 8),
-        (lambda z: sign_extension_test(z, 12, 0.001), 8),
+        (lambda z: block_frequencies(z, 8), 0.54),
+        (lambda z: block_frequencies(z, 12), 3.46),
+        (lambda z: sign_extension_test(z, 12, 0.001), 5.36),
         (lambda z: block_frequencies(z, 16), 40),
         (lambda z: block_frequencies(z, 24), 40),
         (lambda z: block_frequencies(z, 16)._table(15), 46),
@@ -256,6 +262,13 @@ class TestKernelMemory:
     def test_narrow_kernel_peak_per_symbol(self, call, bound):
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < bound * N
+
+    def test_battery_curves_are_one_table(self):
+        # 69,040 specs at N = 10^4: each entry reads its curve from one int64
+        # (checkpoints x specs) table of running totals; this traced 30.3 MB
+        # (bound: + 5 %), where a tuple curve per entry traced 102.2 MB
+        z = uniform_prefix(10**4 + 12)
+        assert traced_peak(ch_battery, z, 12, 5, 10**4, 0.1) < 31_850_000
 
     def test_second_level_peak_per_symbol(self):
         # a golden Sturmian prefix has 40 windows of length 39, so lengths 40
@@ -330,6 +343,29 @@ class TestBlockFrequencies:
     @pytest.mark.parametrize("k", [15, 16, 24])
     def test_sorted_tally_matches_counter(self, k):
         assert_counts_match(np.random.default_rng(k).integers(-1, 2, size=600).tolist(), k)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("n, k", [(3**7 - 1, 7), (3**7, 7), (3**7 + 1, 7), (3**7 - 1, 6)])
+    def test_dense_and_sorted_tables_agree(self, monkeypatch, chunk, n, k):
+        # block_frequencies counts length k in a dense table only while
+        # 3**k <= min(N, _DENSE_CODES); _DENSE_CODES = 0 forces the sorted
+        # path, and both must give every table and count of the oracle
+        monkeypatch.setattr(empirics, "_CHUNK", chunk)
+        values = np.random.default_rng(n + k).integers(-1, 2, size=n)
+        w = SignSeq(values)
+        default = block_frequencies(w, k)
+        monkeypatch.setattr(empirics, "_DENSE_CODES", 0)
+        srt = block_frequencies(w, k)
+        blocks = [b for ell in range(1, k + 1) for b in itertools.product((-1, 0, 1), repeat=ell)]
+        for ell in range(1, k + 1):
+            for got, want in zip(default._table(ell), srt._table(ell)):
+                assert got.dtype == want.dtype == np.int64
+                assert got.tolist() == want.tolist()
+            oracle = window_counts(values.tolist(), ell)
+            assert {code_to_block(c, ell).letters: int(n) for c, n in
+                    zip(*(a.tolist() for a in srt._table(ell)))} == oracle
+        for b in blocks:
+            assert default.count(b) == srt.count(b)
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_run_starts_across_chunks(self, monkeypatch, chunk):

@@ -1,8 +1,11 @@
 """Core types: prefixes, blocks, the square and product maps, the file format."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chowla_lab import seqcore
 from chowla_lab.seqcore import (
@@ -196,6 +199,43 @@ class TestSqzFormat:
 def _sqz_round_trip(tmp_path):
     write_sqz(tmp_path / "z.sqz", SignSeq([1, 0, -1]))
     return read_sqz(tmp_path / "z.sqz")
+
+
+class TestWindows:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_window_once_up_to_the_last_stop(self, data):
+        # chunks shorter than k, stops inside a chunk, and a last stop before
+        # the last window, after which nothing is yielded but a file is read
+        values = data.draw(st.lists(st.integers(-1, 1), min_size=1, max_size=80))
+        k = data.draw(st.integers(1, len(values)))
+        stops = sorted(data.draw(st.sets(st.integers(1, len(values) - k + 1), min_size=1)))
+        chunk = data.draw(st.sampled_from([1, 2, 7, 64]))
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(seqcore, "_CHUNK", chunk)
+            write_sqz(os.path.join(tmp, "z.sqz"), SignSeq(values))
+            for source in (SignSeq(values), seqcore._SqzFile(os.path.join(tmp, "z.sqz"))):
+                starts, ends = [], []
+                for end, buf in seqcore._windows(source, k, stops):
+                    first = end - (buf.size - k)  # the buffer's first window starts here
+                    assert 1 <= first <= end and end - first < chunk
+                    assert buf.tolist() == values[first - 1 : end + k - 1]
+                    starts += range(first, end + 1)
+                    ends.append(end)
+                assert starts == list(range(1, stops[-1] + 1))
+                assert set(stops) <= set(ends)
+
+    def test_opened_file_is_read_after_its_path_is_removed(self, tmp_path, monkeypatch):
+        # hat-test hands its opened input to the sign test, and a caller may
+        # read it again (square_map) once the file's directory is cleared
+        z = SignSeq(np.random.default_rng(3).integers(-1, 2, size=3001))
+        write_sqz(tmp_path / "z.sqz", z)
+        monkeypatch.setattr(seqcore, "_CHUNK", 7)
+        source = seqcore._SqzFile(tmp_path / "z.sqz")
+        (tmp_path / "z.sqz").unlink()
+        assert seqcore._fill(len(source), source) == z
+        squared = square_map(source)
+        assert squared == square_map(z) and squared.values.dtype == np.int8
 
 
 class TestTrustedWrap:
