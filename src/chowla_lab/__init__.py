@@ -62,7 +62,6 @@ from .toeplitz import (
     CorrelationBound,
     EntropyLowerBound,
     IntervalReport,
-    ToeplitzSpec,
     build_toeplitz,
     classify_initials,
     interval_analytics,

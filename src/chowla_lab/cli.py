@@ -39,7 +39,6 @@ from .symbolicgen import (
     sturmian_prefix,
 )
 from .toeplitz import (
-    ToeplitzSpec,
     _toeplitz_chunks,
     interval_analytics,
     toeplitz_correlation,
@@ -112,19 +111,19 @@ def _bernoulli(args) -> SignSeq:
 
 # Each --kind and --system: the option it needs, or None, and what it makes.
 # An entry names its generator at call time, so a rebound module attribute
-# (perfbench --trace 1 wraps them) is the one called.  A kind makes a
-# SignSeq, or the sieve's segments, which are written as they are made.
+# (perfbench --trace 1 wraps them) is the one called.  A kind makes the int8
+# chunks that are written: a SignSeq's, or the sieve's segments as they are made.
 _KINDS = {
     "mobius": (None, lambda a: _sign_sieve(a.n, squarefree=True)),
     "liouville": (None, lambda a: _sign_sieve(a.n, squarefree=False)),
     # mu_b over every prime square is mu
     "mu-b": ("bset", lambda a: _sign_sieve(a.n, squarefree=True) if a.bset == "prime-squares"
-             else mu_b_prefix(BSet.from_squares(_csv(a.bset, int)), a.n)),
-    "sturmian": ("alpha", lambda a: sturmian_prefix(SturmianParams(a.alpha, a.beta), a.n)),
-    "bernoulli": ("probs", lambda a: _bernoulli(a)),
-    "coded": (None, lambda a: pair_code_prefix(a.k0, a.seed, a.n)),
-    "squares-needed": (None, lambda a: masked_coin_prefix(a.seed, a.n)),
-    "example-aa": (None, lambda a: doubling_word_prefix(a.n)),
+             else mu_b_prefix(BSet.from_squares(_csv(a.bset, int)), a.n).chunks()),
+    "sturmian": ("alpha", lambda a: sturmian_prefix(SturmianParams(a.alpha, a.beta), a.n).chunks()),
+    "bernoulli": ("probs", lambda a: _bernoulli(a).chunks()),
+    "coded": (None, lambda a: pair_code_prefix(a.k0, a.seed, a.n).chunks()),
+    "squares-needed": (None, lambda a: masked_coin_prefix(a.seed, a.n).chunks()),
+    "example-aa": (None, lambda a: doubling_word_prefix(a.n).chunks()),
 }
 _SYSTEMS = {
     "rotation": ("alpha", lambda a: RotationSampler(alpha=a.alpha, x0=a.x0, observable=a.f)),
@@ -134,8 +133,7 @@ _SYSTEMS = {
 
 
 def cmd_generate(args) -> int:
-    made = _KINDS[args.kind][1](args)
-    _save_sqz(args.out, args.n, (made.values,) if isinstance(made, SignSeq) else made)
+    _save_sqz(args.out, args.n, _KINDS[args.kind][1](args))
     return 0
 
 
@@ -231,14 +229,13 @@ def cmd_hat_test(args) -> int:
 def cmd_toeplitz_build(args) -> int:
     ref = _load(args.ref, stream=True)
     n = args.n if args.n is not None else len(ref)
-    _save_sqz(args.out, n, _toeplitz_chunks(ToeplitzSpec(q=args.q, z_ref=ref), n))
+    _save_sqz(args.out, n, _toeplitz_chunks(ref, args.q, n))
     return 0
 
 
 def cmd_toeplitz_analyze(args) -> int:
     ref = _load(args.ref) if args.ref else None
-    spec = ToeplitzSpec(q=args.q, z_ref=ref if ref is not None else SignSeq([0]))
-    report = interval_analytics(spec, args.m, args.ell, args.k)
+    report = interval_analytics(args.q, args.m, args.ell, args.k)
     results = {
         "L": report.L,
         "good_count": report.good_count,
@@ -255,8 +252,8 @@ def cmd_toeplitz_analyze(args) -> int:
     if ref is not None:
         needed = args.k * args.q**args.m
         if len(ref) >= needed:
-            bound = toeplitz_entropy_lower_bound(spec, args.m, args.ell, args.k)
-            corr = toeplitz_correlation(spec, needed)
+            bound = toeplitz_entropy_lower_bound(ref, args.q, args.m, args.ell, args.k)
+            corr = toeplitz_correlation(ref, args.q, needed)
             results["entropy_lower_bound"] = bound.estimate
             results["distinct_blocks"] = bound.distinct_blocks
             results["correlation"] = corr.value

@@ -90,16 +90,16 @@ class EmpiricalMeasure:
     """Observed frequencies of all blocks of length <= max_order in a prefix.
 
     ``freq`` of an unobserved block is 0.  One table is stored, read-only:
-    the sorted int64 codes and counts of the length-max_order blocks, and
-    for each length ell the codes of the last max_order - ell windows, which
-    start no stored window; ``_table`` derives a shorter length.
+    the sorted int64 codes and counts of the length-max_order blocks, and a
+    copy of the last max_order - 1 letters, whose length-ell windows start
+    no stored window; ``_table`` derives a shorter length.
     """
 
-    __slots__ = ("max_order", "window_count", "_codes", "_counts", "_last")
+    __slots__ = ("max_order", "window_count", "_codes", "_counts", "_tail")
 
-    def __init__(self, max_order: int, window_count: int, codes, counts, last):
+    def __init__(self, max_order: int, window_count: int, codes, counts, tail):
         self.max_order, self.window_count = max_order, window_count
-        self._codes, self._counts, self._last = codes, counts, last
+        self._codes, self._counts, self._tail = codes, counts, tail.copy()
         codes.flags.writeable = counts.flags.writeable = False
 
     def denominator(self, length: int) -> int:
@@ -116,7 +116,7 @@ class EmpiricalMeasure:
         runs = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
         codes, counts = codes[runs], np.add.reduceat(self._counts, runs)
         del runs  # before the merge copies the table
-        last, extra = np.unique(self._last[ell - 1], return_counts=True)
+        last, extra = np.unique(_window_codes(self._tail, ell), return_counts=True)
         i = np.searchsorted(codes, last)
         seen = codes.take(i, mode="clip") == last
         counts[i[seen]] += extra[seen]
@@ -132,7 +132,10 @@ class EmpiricalMeasure:
             raise ValueError(f"block length {ell} outside 1..{self.max_order}")
         code, shift = block_code(letters), 3 ** (self.max_order - ell)
         lo, hi = np.searchsorted(self._codes, [code * shift, (code + 1) * shift])
-        return int(self._counts[lo:hi].sum() + np.count_nonzero(self._last[ell - 1] == code))
+        count = self._counts[lo:hi].sum()
+        if ell < self.max_order:
+            count += np.count_nonzero(_window_codes(self._tail, ell) == code)
+        return int(count)
 
     def freq(self, block) -> float:
         return self.count(block) / self.denominator(len(block))
@@ -164,7 +167,7 @@ def block_frequencies(w, k: int) -> EmpiricalMeasure:
         codes = np.flatnonzero(table)
         counts = table[codes]
     else:
-        buf = w.values if isinstance(w, SignSeq) else _fill(N, w).values
+        buf = w.values if isinstance(w, SignSeq) else _fill(N, w.chunks()).values
         windows = _window_codes(buf, k)
         windows.sort()
         starts = [np.zeros(1, dtype=np.intp)]
@@ -175,10 +178,7 @@ def block_frequencies(w, k: int) -> EmpiricalMeasure:
         codes = windows[starts].astype(np.int64)
         del windows  # the window buffer is freed before the counts are made
         counts = np.diff(starts, append=N - k + 1)
-    tail = buf[buf.size - k + 1 :]  # its length-ell windows are the last k - ell
-    last = [_window_codes(tail, ell).astype(np.int64) for ell in range(1, k)]
-    last.append(np.empty(0, dtype=np.int64))
-    return EmpiricalMeasure(k, N, codes, counts, last)
+    return EmpiricalMeasure(k, N, codes, counts, buf[buf.size - k + 1 :])
 
 
 @dataclass(frozen=True)

@@ -54,12 +54,8 @@ class SignSeq:
 
     __slots__ = ("_values",)
 
-    def __init__(self, values):
-        arr = _as_symbol_array(values)
-        if arr.size == 0:
-            raise ValueError("a SignSeq must have length >= 1")
-        arr.setflags(write=False)
-        self._values = arr
+    def __init__(self, values):  # a validated int8 copy, then the trusted constructor's checks
+        self._values = SignSeq._wrap(_as_symbol_array(values))._values
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "SignSeq":
@@ -84,6 +80,18 @@ class SignSeq:
             raise IndexError(f"index {n} outside 1..{self._values.size}")
         return int(self._values[n - 1])
 
+    # iteration would otherwise call __getitem__ from 0 and stop at once
+    def __iter__(self):
+        return map(int, self._values)
+
+    def __reversed__(self):
+        return map(int, self._values[::-1])
+
+    def chunks(self):
+        """The terms in read-only int8 views of at most ``_CHUNK``, as from a .sqz."""
+        for lo in range(0, self._values.size, _CHUNK):
+            yield self._values[lo : lo + _CHUNK]
+
     def prefix(self, n: int) -> "SignSeq":
         if not 1 <= n <= len(self):
             raise ValueError(f"prefix length {n} outside 1..{len(self)}")
@@ -92,9 +100,7 @@ class SignSeq:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignSeq):
             return NotImplemented
-        return self._values.shape == other._values.shape and bool(
-            np.array_equal(self._values, other._values)
-        )
+        return bool(np.array_equal(self._values, other._values))  # unequal shapes are unequal
 
     __hash__ = None
 
@@ -129,10 +135,12 @@ class Block:
 
 
 def square_map(z) -> SignSeq:
-    """Coordinatewise square of a SignSeq or an _SqzFile: z[n]**2 in {0,1}."""
-    if isinstance(z, _SqzFile):
-        return _fill(len(z), (chunk * chunk for chunk in z))
-    return SignSeq._wrap(z.values * z.values)
+    """z[n]**2 in {0,1} for a SignSeq or an _SqzFile, squared chunk by chunk into the output."""
+    out, lo = np.empty(len(z), dtype=np.int8), 0
+    for chunk in z.chunks():
+        np.multiply(chunk, chunk, out=out[lo : lo + chunk.size])
+        lo += chunk.size
+    return SignSeq._wrap(out)
 
 
 def pointwise_product(a: SignSeq, b: SignSeq) -> SignSeq:
@@ -190,7 +198,7 @@ _CHUNK = 1 << 20  # terms per chunk of a streamed .sqz or SignSeq
 
 class _SqzFile:
     """A .sqz file whose magic, and header length against its size, are
-    checked on opening; ``len()`` is its length, and iterating reads its
+    checked on opening; ``len()`` is its length, and ``chunks()`` reads its
     terms in validated int8 chunks of at most ``_CHUNK``, also once its path
     is removed: the file stays open until the object is collected."""
 
@@ -227,8 +235,6 @@ class _SqzFile:
                 raise _alphabet_error(chunk, (chunk >= -1) & (chunk <= 1), lo)
             yield chunk
 
-    __iter__ = chunks
-
 
 def _windows(source, k: int, stops):
     """(end, buf) pairs that walk the length-k windows of a SignSeq or an
@@ -237,9 +243,7 @@ def _windows(source, k: int, stops):
     through end, every stop is some end, and the k - 1 shared letters carry
     over.  A file is read to its end, so a bad byte past the stops is refused."""
     left, j, end, buf = stops[-1] + k - 1, 0, 0, np.empty(0, dtype=np.int8)
-    chunks = source if isinstance(source, _SqzFile) else (
-        source.values[lo : lo + _CHUNK] for lo in range(0, left, _CHUNK))
-    for chunk in chunks:
+    for chunk in source.chunks():
         chunk, left = chunk[: max(left, 0)], left - chunk.size
         buf = np.concatenate((buf, chunk)) if buf.size else chunk
         while buf.size >= k:

@@ -287,15 +287,12 @@ def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult
 
     heavy_codes = positive_frequency_blocks(u, n, params.heavy_threshold)
     good = np.zeros((nblocks, big_n), dtype=bool)  # good[m, j]: window m*big_n + j is heavy
-    if heavy_codes.size:  # rebuild the window codes the sort reordered
-        codes = _window_codes(values, n)
-        keys = heavy_codes.astype(codes.dtype, copy=False)
+    if heavy_codes.size:  # window codes again, a piece at a time: the sort reordered them
         flat = good.reshape(-1)
-        for lo in range(0, min(codes.size, processed), _CHUNK):  # N-sized temporaries otherwise
-            chunk = codes[lo : min(lo + _CHUNK, processed)]
-            found = keys.take(np.searchsorted(keys, chunk), mode="clip")  # past the end: last key
-            flat[lo : lo + chunk.size] = found == chunk
-        del codes, chunk, found  # each view of the buffer, before the output copy
+        for lo in range(0, min(len(u) - n + 1, processed), _CHUNK):
+            chunk = _window_codes(values[lo : min(lo + _CHUNK, processed) + n - 1], n)
+            found = heavy_codes.take(np.searchsorted(heavy_codes, chunk), mode="clip")
+            flat[lo : lo + chunk.size] = found == chunk  # a clipped index past the end: no match
     good[:, big_n - n + 1 :] = False  # windows that run past their block
     acceptable = np.count_nonzero(good, axis=1) / big_n >= 1.0 - params.epsilon
     good[~acceptable] = False

@@ -15,6 +15,9 @@ A term of t depends only on its own reference term and on z(j) for those
 j, so t is made one chunk at a time: ``toeplitz build`` streams the
 reference file to the output file in O(_CHUNK) memory, and build_toeplitz
 fills its N-byte result from the same chunks.
+
+A function takes the reference z first, then q, as every kernel takes its
+prefix; q >= 2 is checked in _progressions only, 1 <= ell < m in _tail_classes.
 """
 
 from __future__ import annotations
@@ -31,23 +34,11 @@ CLASSIFY_LIMIT = 200_000_000
 _TAIL_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class ToeplitzSpec:
-    """Progression base q >= 2 and the reference sequence the values copy."""
-
-    q: int
-    z_ref: SignSeq
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"q must be >= 2, got {self.q}")
-
-
 def _progressions(q: int, N: int) -> list[tuple[int, int]]:
     """(j, q^j) for every initial j with q^j <= N, in increasing j: j is
     initial when it lies in no progression of an earlier initial i."""
     if q < 2 or N < 1:
-        raise ValueError(f"need q >= 2 and N >= 1, got q={q}, N={N}")
+        raise ValueError(f"q must be >= 2, got {q}" if q < 2 else f"N must be >= 1, got {N}")
     found = []
     j = 1
     step = q
@@ -72,21 +63,21 @@ def classify_initials(q: int, N: int) -> np.ndarray:
     return owner
 
 
-def _toeplitz_chunks(spec: ToeplitzSpec, N: int):
-    """t(1..N) as consecutive int8 chunks, one per chunk of the reference (a
-    SignSeq or an opened .sqz); N is checked at the call.
+def _toeplitz_chunks(z_ref, q: int, N: int):
+    """t(1..N) as consecutive int8 chunks, one per chunk of the reference
+    z_ref (a SignSeq or an opened .sqz); q and N are checked at the call.
 
     A position n is initial, so t(n) = z(n), or lies on the progression of
     the one initial j < n that owns it, so t(n) = z(j): each chunk is a copy
     of the reference's, with z(j) written onto every A_j position in it.
     z(j) is taken from the chunk that holds j, which comes first."""
-    if len(spec.z_ref) < N:
-        raise ValueError(f"reference length {len(spec.z_ref)} < N = {N}")
-    progressions = _progressions(spec.q, N)
+    progressions = _progressions(q, N)
+    if len(z_ref) < N:
+        raise ValueError(f"reference length {len(z_ref)} < N = {N}")
 
     def chunks():
         initial = {}  # j -> z(j), once its chunk is reached
-        for hi, chunk in _windows(spec.z_ref, 1, (N,)):  # the chunk holds t(lo+1..hi)
+        for hi, chunk in _windows(z_ref, 1, (N,)):  # the chunk holds t(lo+1..hi)
             t, lo = chunk.copy(), hi - chunk.size
             for j, step in progressions:
                 if lo < j <= hi:
@@ -99,9 +90,9 @@ def _toeplitz_chunks(spec: ToeplitzSpec, N: int):
     return chunks()
 
 
-def build_toeplitz(spec: ToeplitzSpec, N: int) -> SignSeq:
+def build_toeplitz(z_ref, q: int, N: int) -> SignSeq:
     """t(n) = z(n) for initial n, else z(j) for the owning initial j."""
-    return _fill(N, _toeplitz_chunks(spec, N))
+    return _fill(N, _toeplitz_chunks(z_ref, q, N))
 
 
 @dataclass(frozen=True)
@@ -120,13 +111,13 @@ class CorrelationBound:
         return self.value >= self.lower_bound
 
 
-def toeplitz_correlation(spec: ToeplitzSpec, N: int) -> CorrelationBound:
+def toeplitz_correlation(z_ref: SignSeq, q: int, N: int) -> CorrelationBound:
     """t(n) z(n) is z(n)^2 at an initial n and z(j) z(n) on A_j without j:
     exact integer sums over strided views of z, without building t."""
-    if len(spec.z_ref) < N:
-        raise ValueError(f"reference length {len(spec.z_ref)} < N = {N}")
-    progressions = _progressions(spec.q, N)
-    z = spec.z_ref.values[:N]
+    progressions = _progressions(q, N)
+    if len(z_ref) < N:
+        raise ValueError(f"reference length {len(z_ref)} < N = {N}")
+    z = z_ref.values[:N]
     support = int(np.count_nonzero(z))
     total = support
     for j, step in progressions:
@@ -136,10 +127,10 @@ def toeplitz_correlation(spec: ToeplitzSpec, N: int) -> CorrelationBound:
     square_mean = support / N
     return CorrelationBound(
         value=total / N,
-        lower_bound=square_mean - 2.0 / (spec.q - 1),
+        lower_bound=square_mean - 2.0 / (q - 1),
         square_mean=square_mean,
         n=N,
-        q=spec.q,
+        q=q,
     )
 
 
@@ -176,6 +167,8 @@ def _tail_classes(q: int, m: int, ell: int, K: int) -> tuple[np.ndarray, np.ndar
     """The owner j <= m of each of the last L = q^ell offsets of an interval
     ((k)q^m, (k+1)q^m], 0 where the position is initial (the same in every
     interval, as q^j divides q^m), and which k = 0..K-1 are good."""
+    if not 1 <= ell < m:
+        raise ValueError(f"need 1 <= ell < m, got ell={ell}, m={m}")
     # O(K + L) memory, int64 positions up to K*q^m; m < 62 first, as q^m >= 2^m
     if not (1 <= K <= CLASSIFY_LIMIT and m < 62 and K * q**m < 2**62
             and q**ell <= _TAIL_LIMIT):
@@ -196,12 +189,9 @@ def _tail_classes(q: int, m: int, ell: int, K: int) -> tuple[np.ndarray, np.ndar
     return pattern, good
 
 
-def interval_analytics(spec: ToeplitzSpec, m: int, ell: int, K: int) -> IntervalReport:
-    q = spec.q
-    if not 1 <= ell < m:
-        raise ValueError(f"need 1 <= ell < m, got ell={ell}, m={m}")
+def interval_analytics(q: int, m: int, ell: int, K: int) -> IntervalReport:
     pattern, good = _tail_classes(q, m, ell, K)
-    L = q**ell
+    L = pattern.size
     qm = q**m
 
     good_count = int(np.count_nonzero(good))
@@ -240,21 +230,19 @@ class EntropyLowerBound:
     K: int
 
 
-def toeplitz_entropy_lower_bound(spec: ToeplitzSpec, m: int, ell: int, K: int) -> EntropyLowerBound:
-    q = spec.q
-    if not 1 <= ell < m:
-        raise ValueError(f"need 1 <= ell < m, got ell={ell}, m={m}")
-    L = q**ell
+def toeplitz_entropy_lower_bound(z_ref: SignSeq, q: int, m: int, ell: int,
+                                 K: int) -> EntropyLowerBound:
+    pattern, good = _tail_classes(q, m, ell, K)
+    L = pattern.size
     if L > MAX_ENTROPY_BLOCK:
         raise ValueError(f"L = q^ell = {L} exceeds block bound {MAX_ENTROPY_BLOCK}")
     needed = K * q**m
-    if len(spec.z_ref) < needed:
-        raise ValueError(f"reference length {len(spec.z_ref)} < K*q^m = {needed}")
-    pattern, good = _tail_classes(q, m, ell, K)
+    if len(z_ref) < needed:
+        raise ValueError(f"reference length {len(z_ref)} < K*q^m = {needed}")
     # a good tail of t is z at its positions, with z(j) at the offsets A_j owns
     idx = (np.flatnonzero(good)[:, None] + 1) * q**m - L + np.arange(L, dtype=np.int64)
     idx[:, pattern > 0] = pattern[pattern > 0] - 1
-    blocks = spec.z_ref.values[idx]
+    blocks = z_ref.values[idx]
     distinct = int(np.unique(blocks, axis=0).shape[0]) if blocks.size else 0
     estimate = math.log2(distinct) / L if distinct else 0.0
     return EntropyLowerBound(

@@ -183,8 +183,7 @@ def test_criterion_08_partition_and_density():
 
 
 def test_criterion_09_toeplitz_correlation(mobius7):
-    spec = cl.ToeplitzSpec(q=5, z_ref=mobius7)
-    cb = cl.toeplitz_correlation(spec, 10**6)
+    cb = cl.toeplitz_correlation(mobius7, 5, 10**6)
     threshold = 6 / math.pi**2 - 0.5 - 0.01
     ok = cb.value >= threshold and cb.holds
     assert report_line(
@@ -196,8 +195,7 @@ def test_criterion_09_toeplitz_correlation(mobius7):
 
 
 def test_criterion_10_interval_analytics():
-    spec = cl.ToeplitzSpec(q=3, z_ref=cl.SignSeq([0]))
-    rep = cl.interval_analytics(spec, m=4, ell=2, K=1000)
+    rep = cl.interval_analytics(3, m=4, ell=2, K=1000)
     ok = (
         rep.type1_fraction == 4 / 9
         and rep.type1_counts_equal
@@ -213,8 +211,7 @@ def test_criterion_10_interval_analytics():
 
 
 def test_criterion_11_toeplitz_entropy_positive(mobius7):
-    spec = cl.ToeplitzSpec(q=5, z_ref=mobius7)
-    rep = cl.toeplitz_entropy_lower_bound(spec, m=4, ell=2, K=10**4)
+    rep = cl.toeplitz_entropy_lower_bound(mobius7, 5, m=4, ell=2, K=10**4)
     ok = rep.estimate > 0.2
     assert report_line(
         11,

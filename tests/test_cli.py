@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 import chowla_lab
+import chowla_lab as cl
 from chowla_lab import __version__, cli, numbergen, seqcore
 from chowla_lab.cli import main
 from chowla_lab.correlations import ch_battery, davenport_scan
 from chowla_lab.empirics import sign_extension_test
 from chowla_lab.numbergen import liouville_prefix, mobius_prefix
 from chowla_lab.seqcore import SignSeq, read_sqz, write_sqz
-from chowla_lab.toeplitz import ToeplitzSpec, build_toeplitz
+from chowla_lab.toeplitz import build_toeplitz
 
 from owner_oracle import brute_owner
 from traced_memory import traced_peak
@@ -54,6 +55,12 @@ ERROR_TEXT = {
     "rotation-no-alpha": "--alpha is required for --system rotation",
     "periodic-no-pattern": "--pattern is required for --system periodic",
     "subshift-no-weights": "--weights is required for --system subshift",
+    "toeplitz-build-n-0": "N must be >= 1, got 0",
+    "toeplitz-build-n-neg": "N must be >= 1, got -3",
+    "toeplitz-build-q-1": "q must be >= 2, got 1",
+    "toeplitz-build-n-q-1": "q must be >= 2, got 1",
+    "toeplitz-analyze-q-1": "q must be >= 2, got 1",
+    "toeplitz-analyze-ref-q-1": "q must be >= 2, got 1",
 }
 
 
@@ -192,7 +199,7 @@ class TestSarnak:
         assert run(["toeplitz", "build", "--q", 5, "--ref", mobius_file,
                     "--out", t_path]) == 0
         # byte-exact round trip through the file format
-        t_mem = build_toeplitz(ToeplitzSpec(q=5, z_ref=mobius_prefix(100_000)), 100_000)
+        t_mem = build_toeplitz(mobius_prefix(100_000), 5, 100_000)
         assert read_sqz(t_path) == t_mem
         capsys.readouterr()
         assert run(["sarnak", "--in", mobius_file, "--system", "subshift",
@@ -407,6 +414,12 @@ class TestUsageErrors:
         ["toeplitz", "analyze", "--q", 10, "--m", 19, "--ell", 1, "--k", 1, "--ref", "{m}"],
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", 0, "--out", "{tmp}/t.sqz"],
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--n", -3, "--out", "{tmp}/t.sqz"],
+        ["toeplitz", "build", "--q", 1, "--ref", "{m}", "--out", "{tmp}/t.sqz"],
+        ["toeplitz", "build", "--q", 1, "--ref", "{m}", "--n", 100, "--out", "{tmp}/t.sqz"],
+        ["toeplitz", "analyze", "--q", 1, "--m", 4, "--ell", 2, "--k", 10,
+         "--out-report", "{tmp}/r.json"],
+        ["toeplitz", "analyze", "--q", 1, "--m", 4, "--ell", 2, "--k", 10, "--ref", "{m}",
+         "--out-report", "{tmp}/r.json"],
         ["generate", "--kind", "mu-b", "--n", 100, "--out", "{tmp}/b.sqz"],
         ["generate", "--kind", "sturmian", "--n", 100, "--out", "{tmp}/b.sqz"],
         ["generate", "--kind", "bernoulli", "--n", 100, "--out", "{tmp}/b.sqz"],
@@ -426,6 +439,8 @@ class TestUsageErrors:
             "davenport-n-neg", "davenport-n-long", "sarnak-n-long", "chowla-max-lag-long",
             "toeplitz-2^70", "toeplitz-2^70-ref", "toeplitz-10^19",
             "toeplitz-10^19-ref", "toeplitz-build-n-0", "toeplitz-build-n-neg",
+            "toeplitz-build-q-1", "toeplitz-build-n-q-1", "toeplitz-analyze-q-1",
+            "toeplitz-analyze-ref-q-1",
             "mu-b-no-bset", "sturmian-no-alpha", "bernoulli-no-probs", "probs-1", "probs-4",
             "rotation-no-alpha", "periodic-no-pattern", "subshift-no-weights"])
     def test_bad_input_is_one_error_line(self, mobius_file, tmp_path, capsys, request, argv):
@@ -596,6 +611,26 @@ class TestStreaming:
         assert run(["generate", "--kind", kind, "--n", 3001, "--out", tmp_path / "z.sqz"]) == 0
         assert read_sqz(tmp_path / "z.sqz") == expected
 
+    @pytest.mark.parametrize("chunk", [1, 7, seqcore._CHUNK])
+    @pytest.mark.parametrize("flags, prefix", [
+        (["--kind", "sturmian", "--alpha", 0.41421356],
+         lambda n: cl.sturmian_prefix(cl.SturmianParams(0.41421356), n)),
+        (["--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--seed", 3],
+         lambda n: cl.bernoulli_prefix((-1, 0, 1), cl.BernoulliParams((0.25, 0.5, 0.25), 3), n)),
+        (["--kind", "coded", "--seed", 3], lambda n: cl.pair_code_prefix(2, 3, n)),
+        (["--kind", "squares-needed", "--seed", 3], lambda n: cl.masked_coin_prefix(3, n)),
+        (["--kind", "example-aa"], cl.doubling_word_prefix),
+        (["--kind", "mu-b", "--bset", "4,9"],
+         lambda n: cl.mu_b_prefix(cl.BSet.from_squares([4, 9]), n)),
+    ], ids=["sturmian", "bernoulli", "coded", "squares-needed", "example-aa", "mu-b-4-9"])
+    def test_generate_writes_the_generators_prefix(self, tmp_path, monkeypatch, capsys, chunk,
+                                                   flags, prefix):
+        # the kinds that build a SignSeq write it one chunk at a time
+        write_sqz(tmp_path / "expected.sqz", prefix(3001))
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        assert run(["generate", *flags, "--n", 3001, "--out", tmp_path / "z.sqz"]) == 0
+        assert (tmp_path / "z.sqz").read_bytes() == (tmp_path / "expected.sqz").read_bytes()
+
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("n", [None, 1234])
     def test_davenport_equals_the_in_memory_scan(self, tmp_path, monkeypatch, capsys, chunk, n):
@@ -648,10 +683,10 @@ class TestStreaming:
         ref = ternary_file(tmp_path / "ref.sqz", q, 3001)
         N = n or len(ref)
         owner = brute_owner(q, N)
-        expected = build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N)
+        expected = build_toeplitz(ref, q, N)
         assert expected.values.tolist() == [ref[owner[k]] for k in range(1, N + 1)]
         monkeypatch.setattr(seqcore, "_CHUNK", chunk)
-        assert build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N) == expected
+        assert build_toeplitz(ref, q, N) == expected
         n_flag = ["--n", n] if n else []
         assert run(["toeplitz", "build", "--q", q, "--ref", tmp_path / "ref.sqz", *n_flag,
                     "--out", tmp_path / "t.sqz"]) == 0

@@ -4,13 +4,14 @@ import contextlib
 import itertools
 import math
 import signal
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chowla_lab import empirics
+from chowla_lab import empirics, seqcore
 from chowla_lab.correlations import ch_battery
 from chowla_lab.empirics import (
     Block,
@@ -24,7 +25,7 @@ from chowla_lab.empirics import (
     positive_frequency_blocks,
     sign_extension_test,
 )
-from chowla_lab.seqcore import SignSeq, pointwise_product, square_map
+from chowla_lab.seqcore import SignSeq, pointwise_product, square_map, write_sqz
 from chowla_lab.symbolicgen import (
     BernoulliParams,
     DeterminizeParams,
@@ -229,8 +230,8 @@ class TestKernelMemory:
 
     # the uint32 length-20 codes sorted in place and divided by 3 between
     # lengths (4.3 B/symbol traced, 8.3 as int64), heavy codes kept off the
-    # sorted uint32 buffer (5.0, against 9.0) and marked on a uint32 rebuild
-    # beside the block matrix (4.8, against 8.8), the uniforms drawn in
+    # sorted uint32 buffer (5.0, against 9.0) and marked a piece of window
+    # codes at a time beside the block matrix, the uniforms drawn in
     # chunks and picked by np.putmask, and one length-k table, sorted in
     # place, that the shorter lengths and z^2 are derived from: a derived
     # length reduces its runs before it merges the last windows (43.7 traced
@@ -239,7 +240,8 @@ class TestKernelMemory:
     # Up to 3**k <= N the length-k windows go into a dense int64 table as the
     # prefix is walked in chunks (0.51 B/symbol traced at k 8, 3.29 at k 12,
     # and the k 12 sign test 5.10; sorting every window code traced 4.06,
-    # 6.53 and 6.53): each of those three bounds is its traced value + 5 %
+    # 6.53 and 6.53): each of those three bounds is its traced value + 5 %.
+    # square_map squares each chunk into its output (1.00 traced; + 5 %)
     @pytest.mark.parametrize("call,bound", [
         (lambda z: complexity_profile(z, 20), 5),
         (lambda z: complexity_profile(z, 60), 8.8),  # distinct at 39: one int64 level
@@ -254,11 +256,12 @@ class TestKernelMemory:
         (lambda z: block_frequencies(z, 24), 40),
         (lambda z: block_frequencies(z, 16)._table(15), 46),
         (lambda z: sign_extension_test(z, 16, 0.001), 55),
+        (square_map, 1.05),
     ], ids=["complexity-profile", "complexity-profile-60", "determinize-n20",
             "positive-frequency-n20", "bernoulli", "block-frequencies-k8",
             "block-frequencies-k12",
             "sign-test-k12", "block-frequencies-k16", "block-frequencies-k24", "table-k16-15",
-            "sign-test-k16"])
+            "sign-test-k16", "square-map"])
     def test_narrow_kernel_peak_per_symbol(self, call, bound):
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < bound * N
@@ -381,6 +384,21 @@ class TestBlockFrequencies:
         # (1, -1, 1, -1) and its tails occur only among the last k - ell windows,
         # which no length-k window extends
         assert_counts_match([0] * 300 + [1, -1, 1, -1], k)
+
+    @pytest.mark.parametrize("k", [8, 16])
+    def test_keeps_no_walked_chunk(self, tmp_path, k):
+        # the measure copies the last k - 1 letters: a view would keep the
+        # last 2^20-byte chunk (k 8) or the N-byte buffer the file was read
+        # into (k 16) alive with it
+        write_sqz(tmp_path / "z.sqz", uniform_prefix(2**20))
+        source = seqcore._SqzFile(tmp_path / "z.sqz")
+        tracemalloc.start()
+        try:
+            m = block_frequencies(source, k)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < m._codes.nbytes + m._counts.nbytes + 2**16
 
     @pytest.mark.parametrize("block", [(1, -1, 7), [0.5]], ids=["letter-7", "letter-0.5"])
     def test_rejects_letters_outside_the_alphabet(self, block):

@@ -68,6 +68,23 @@ class TestSignSeq:
         assert s.values[1:3].tolist() == [-1, 0]
         assert s.prefix(2) == SignSeq([1, -1])
 
+    def test_python_and_numpy_read_every_term(self):
+        # without __iter__ they called __getitem__ from 0 and read nothing
+        s = SignSeq([1, 0, -1])
+        assert list(s) == [1, 0, -1] and all(type(v) is int for v in s)
+        assert -1 in s and 2 not in s
+        assert list(reversed(s)) == [-1, 0, 1]
+        assert np.asarray(s).tolist() == [1, 0, -1]
+        assert SignSeq(s) == s
+
+    @pytest.mark.parametrize("chunk", [1, 7, seqcore._CHUNK])
+    def test_chunks_are_the_terms_in_order(self, monkeypatch, chunk):
+        values = np.random.default_rng(chunk).integers(-1, 2, size=100)
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        parts = list(SignSeq(values).chunks())
+        assert all(0 < part.size <= chunk and not part.flags.writeable for part in parts)
+        assert np.concatenate(parts).tolist() == values.tolist()
+
 
 class TestBlock:
     def test_support_derived(self):
@@ -233,7 +250,7 @@ class TestWindows:
         monkeypatch.setattr(seqcore, "_CHUNK", 7)
         source = seqcore._SqzFile(tmp_path / "z.sqz")
         (tmp_path / "z.sqz").unlink()
-        assert seqcore._fill(len(source), source) == z
+        assert seqcore._fill(len(source), source.chunks()) == z
         squared = square_map(source)
         assert squared == square_map(z) and squared.values.dtype == np.int8
 
@@ -253,7 +270,7 @@ class TestTrustedWrap:
         lambda _: cl.sparse_embed(cl.mobius_prefix(100), 1000, 2),
         lambda _: cl.determinize_step(cl.doubling_word_prefix(1000),
                                       cl.DeterminizeParams(0.5, 3, 48)).sequence,
-        lambda _: cl.build_toeplitz(cl.ToeplitzSpec(q=3, z_ref=cl.mobius_prefix(100)), 100),
+        lambda _: cl.build_toeplitz(cl.mobius_prefix(100), 3, 100),
         lambda _: square_map(SignSeq([1, 0, -1])),
         lambda _: pointwise_product(SignSeq([1, 0, -1]), SignSeq([-1, 1, 1])),
         lambda _: SignSeq([1, 0, -1]).prefix(2),

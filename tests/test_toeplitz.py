@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from chowla_lab.numbergen import mobius_prefix
 from chowla_lab.seqcore import SignSeq
 from chowla_lab.toeplitz import (
-    ToeplitzSpec,
     build_toeplitz,
     classify_initials,
     interval_analytics,
@@ -96,18 +95,31 @@ class TestClassifyInitials:
             classify_initials(1, 10)
 
 
+@pytest.mark.parametrize("q", [1, 0, -2])
+@pytest.mark.parametrize("call", [
+    lambda q: classify_initials(q, 10),
+    lambda q: build_toeplitz(random_ref(0, 100), q, 100),
+    lambda q: toeplitz_correlation(random_ref(0, 100), q, 100),
+    lambda q: interval_analytics(q, 4, 2, 10),
+    lambda q: toeplitz_entropy_lower_bound(random_ref(0, 1000), q, 4, 2, 10),
+], ids=["classify_initials", "build_toeplitz", "toeplitz_correlation", "interval_analytics",
+        "toeplitz_entropy_lower_bound"])
+def test_every_function_refuses_q_below_2(call, q):
+    with pytest.raises(ValueError, match=f"^q must be >= 2, got {q}$"):
+        call(q)
+
+
 class TestBuildToeplitz:
     def test_initial_positions_copy_reference(self):
         ref = SignSeq(np.random.default_rng(0).integers(-1, 2, size=2000))
-        spec = ToeplitzSpec(q=3, z_ref=ref)
         table = classify_initials(3, 2000)
-        t = build_toeplitz(spec, 2000)
+        t = build_toeplitz(ref, 3, 2000)
         initial = is_initial(table)
         assert np.array_equal(t.values[initial], ref.values[:2000][initial])
 
     def test_q3_copies_first_term(self):
         ref = SignSeq(np.random.default_rng(1).integers(-1, 2, size=100))
-        t = build_toeplitz(ToeplitzSpec(q=3, z_ref=ref), 100)
+        t = build_toeplitz(ref, 3, 100)
         assert t[4] == t[7] == t[10] == ref[1]
 
     def test_periodic_recurrence(self):
@@ -116,7 +128,7 @@ class TestBuildToeplitz:
         N = 30_000
         ref = SignSeq(np.random.default_rng(2).integers(-1, 2, size=N))
         table = classify_initials(q, N)
-        t = build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N)
+        t = build_toeplitz(ref, q, N)
         for n in range(1, 1001):
             j = int(table[n])
             period = q**j
@@ -127,13 +139,13 @@ class TestBuildToeplitz:
 
     def test_reference_too_short(self):
         with pytest.raises(ValueError, match="reference length"):
-            build_toeplitz(ToeplitzSpec(q=2, z_ref=SignSeq([1, 0])), 5)
+            build_toeplitz(SignSeq([1, 0]), 2, 5)
 
     @given(st.integers(2, 10), st.integers(1, 3000), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_owner(self, q, N, seed):
         ref = random_ref(seed, N + 3)
-        t = build_toeplitz(ToeplitzSpec(q=q, z_ref=ref), N)
+        t = build_toeplitz(ref, q, N)
         owner = brute_owner(q, N)
         assert t.values.tolist() == [ref[owner[n]] for n in range(1, N + 1)]
 
@@ -141,42 +153,39 @@ class TestBuildToeplitz:
 class TestToeplitzCorrelation:
     def test_zero_reference(self):
         ref = SignSeq(np.zeros(1000, dtype=np.int8))
-        cb = toeplitz_correlation(ToeplitzSpec(q=5, z_ref=ref), 1000)
+        cb = toeplitz_correlation(ref, 5, 1000)
         assert cb.value == 0.0
         assert cb.lower_bound == -2.0 / 4
 
     def test_full_support_reference(self):
         values = np.random.default_rng(3).integers(0, 2, size=20_000) * 2 - 1
-        cb = toeplitz_correlation(ToeplitzSpec(q=10, z_ref=SignSeq(values)), 20_000)
+        cb = toeplitz_correlation(SignSeq(values), 10, 20_000)
         assert cb.value >= 1 - 2 / 9
         assert cb.holds
 
     def test_inequality_exact_on_random_sparse(self):
         for seed in range(5):
             ref = SignSeq(np.random.default_rng(seed).integers(-1, 2, size=5000))
-            cb = toeplitz_correlation(ToeplitzSpec(q=4, z_ref=ref), 5000)
+            cb = toeplitz_correlation(ref, 4, 5000)
             assert cb.holds
 
     @given(st.integers(2, 7), st.integers(1, 3000), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_matches_sum_over_built_sequence(self, q, N, seed):
         ref = random_ref(seed, N + 3)
-        spec = ToeplitzSpec(q=q, z_ref=ref)
-        t = build_toeplitz(spec, N).values
+        t = build_toeplitz(ref, q, N).values
         want = float(np.sum(t * ref.values[:N], dtype=np.float64)) / N
-        assert toeplitz_correlation(spec, N).value.hex() == want.hex()
+        assert toeplitz_correlation(ref, q, N).value.hex() == want.hex()
 
     def test_never_builds_the_sequence(self):
         # strided views of z only; building t held N bytes
         N = 2**22
-        spec = ToeplitzSpec(q=2, z_ref=random_ref(4, N))
-        assert traced_peak(toeplitz_correlation, spec, N) < 2**20
+        assert traced_peak(toeplitz_correlation, random_ref(4, N), 2, N) < 2**20
 
 
 class TestIntervalAnalytics:
     def test_exact_density_q3(self):
-        spec = ToeplitzSpec(q=3, z_ref=SignSeq([0]))
-        rep = interval_analytics(spec, m=4, ell=2, K=1000)
+        rep = interval_analytics(3, m=4, ell=2, K=1000)
         assert rep.good_count == 1000
         assert rep.type1_count_observed == rep.type1_count_expected == 4
         assert rep.type1_fraction == 4 / 9
@@ -184,17 +193,15 @@ class TestIntervalAnalytics:
         assert rep.masks_identical
 
     def test_q2_small_m(self):
-        spec = ToeplitzSpec(q=2, z_ref=SignSeq([0]))
-        rep = interval_analytics(spec, m=3, ell=1, K=500)
+        rep = interval_analytics(2, m=3, ell=1, K=500)
         # expected type-1 count: L * (1/q) = 1 of the last 2 positions
         assert rep.type1_count_expected == 1
         if rep.good_count:
             assert rep.type1_counts_equal
 
     def test_parameter_validation(self):
-        spec = ToeplitzSpec(q=3, z_ref=SignSeq([0]))
         with pytest.raises(ValueError, match="ell < m"):
-            interval_analytics(spec, m=2, ell=2, K=10)
+            interval_analytics(3, m=2, ell=2, K=10)
 
     # q^m - m - q^ell >= 0 for q >= 2 and 1 <= ell < m, so the bound can
     # underflow to 0.0 but not overflow; 0 is reached at q 2, m 2, ell 1
@@ -202,7 +209,7 @@ class TestIntervalAnalytics:
         (2, 2, 1, 3, 1.0), (2, 4, 1, 3, 2.0**-10), (5, 26, 2, 1, 0.0),
     ])
     def test_non_good_bound(self, q, m, ell, K, bound):
-        rep = interval_analytics(ToeplitzSpec(q=q, z_ref=SignSeq([0])), m, ell, K)
+        rep = interval_analytics(q, m, ell, K)
         assert rep.non_good_bound == float(q) ** -(q**m - m - q**ell) == bound
 
     def test_deep_progressions_hit_every_qh_th_interval_once(self):
@@ -224,10 +231,10 @@ class TestIntervalAnalytics:
         ref = random_ref(4, K * q**m)
         tracemalloc.start()
         try:
-            interval_analytics(ToeplitzSpec(q, SignSeq([0])), m, ell, K)
+            interval_analytics(q, m, ell, K)
             analytics_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            toeplitz_entropy_lower_bound(ToeplitzSpec(q, ref), m, ell, K)
+            toeplitz_entropy_lower_bound(ref, q, m, ell, K)
             entropy_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -239,10 +246,9 @@ class TestIntervalAnalytics:
     @settings(max_examples=4, deadline=None)
     def test_matches_brute_owner(self, q, m, ell, K, seed):
         ref = random_ref(seed, K * q**m)
-        spec = ToeplitzSpec(q=q, z_ref=ref)
         owner, tails = brute_tails(q, m, ell, K)
         good = [(mask, tail) for is_good, mask, tail in tails if is_good]
-        rep = interval_analytics(spec, m, ell, K)
+        rep = interval_analytics(q, m, ell, K)
         assert rep.good_count == len(good)
         assert rep.type1_mask == (good[0][0] if good else ())
         # the oracle carries the checks masks_identical and type1_counts_equal
@@ -250,7 +256,7 @@ class TestIntervalAnalytics:
         assert all(mask == rep.type1_mask for mask, _ in good)
         if good:
             assert rep.type1_count_expected == rep.type1_count_observed
-        bound = toeplitz_entropy_lower_bound(spec, m, ell, K)
+        bound = toeplitz_entropy_lower_bound(ref, q, m, ell, K)
         assert bound.good_count == len(good)
         blocks = {tuple(ref[owner[n]] for n in tail) for _, tail in good}
         assert bound.distinct_blocks == len(blocks)
@@ -260,17 +266,17 @@ class TestEntropyLowerBound:
     def test_zero_reference_gives_zero(self):
         N = 100 * 3**4
         ref = SignSeq(np.zeros(N, dtype=np.int8))
-        rep = toeplitz_entropy_lower_bound(ToeplitzSpec(q=3, z_ref=ref), 4, 2, 100)
+        rep = toeplitz_entropy_lower_bound(ref, 3, 4, 2, 100)
         assert rep.distinct_blocks == 1
         assert rep.estimate == 0.0
 
     def test_mobius_reference_positive(self):
         K = 500
         ref = mobius_prefix(K * 5**4)
-        rep = toeplitz_entropy_lower_bound(ToeplitzSpec(q=5, z_ref=ref), 4, 2, K)
+        rep = toeplitz_entropy_lower_bound(ref, 5, 4, 2, K)
         assert rep.L == 25
         assert rep.estimate > 0.2
 
     def test_reference_length_guard(self):
         with pytest.raises(ValueError, match="reference length"):
-            toeplitz_entropy_lower_bound(ToeplitzSpec(q=5, z_ref=SignSeq([1])), 4, 2, 10)
+            toeplitz_entropy_lower_bound(SignSeq([1]), 5, 4, 2, 10)
