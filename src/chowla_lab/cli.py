@@ -165,7 +165,7 @@ def cmd_chowla(args) -> int:
 
 
 def cmd_sarnak(args) -> int:
-    z = _load(args.input)
+    z = _load(args.input, stream=True)
     sampler = _SYSTEMS[args.system][1](args)
     n = args.n if args.n is not None else (len(z) if args.system != "subshift" else len(z) - 1)
     curve = sarnak_sum(sampler, z, n)
@@ -229,12 +229,12 @@ def cmd_hat_test(args) -> int:
 def cmd_toeplitz_build(args) -> int:
     ref = _load(args.ref, stream=True)
     n = args.n if args.n is not None else len(ref)
-    _save_sqz(args.out, n, _toeplitz_chunks(ref, args.q, n))
+    _save_sqz(args.out, n, (t for _, t in _toeplitz_chunks(ref, args.q, n)))
     return 0
 
 
 def cmd_toeplitz_analyze(args) -> int:
-    ref = _load(args.ref) if args.ref else None
+    ref = _load(args.ref, stream=True) if args.ref else None
     report = interval_analytics(args.q, args.m, args.ell, args.k)
     results = {
         "L": report.L,
@@ -260,6 +260,8 @@ def cmd_toeplitz_analyze(args) -> int:
             results["correlation_lower_bound"] = corr.lower_bound
             verdict = verdict and corr.holds
         else:
+            for _ in ref.chunks():  # a bad byte is refused, as on the path above
+                pass
             results["note"] = f"reference too short for entropy bound (need {needed})"
     return emit_report(args, "toeplitz-analyze", results, verdict)
 

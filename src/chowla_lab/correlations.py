@@ -17,9 +17,10 @@ Lag products are evaluated on packed bitplanes of each chunk, support
 (z != 0) and sign (z < 0), one pair per shift: the product is nonzero on
 the AND of the shifted supports, and negative where the XOR of the
 exponent-1 factors' signs is set, so one walk serves all of a battery's
-specs.  The orbit-weighted sums walk a prefix's checkpoint slices, O(N/10)
-beside it, multiplying the sampler's values in place by each factor of
-the slice's product and adding each slice with one float64 np.sum.
+specs.  The orbit-weighted sums walk the same windows in float64: each
+checkpoint slice is added along the pairwise tree of one np.sum of it, in
+leaves of at most 2**16 terms, so the chunks change no bit of a curve and
+these sums too hold O(_CHUNK) memory.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ class CorrelationCurve:
 
 
 _CHECKPOINTS = 10
+_PAIRWISE_NODE = 1 << 16  # terms per leaf of _pairwise's walk; >= 128, np.sum's block
 
 
 def _checkpoints(N: int) -> tuple[int, ...]:
@@ -87,7 +89,7 @@ def _checkpoints(N: int) -> tuple[int, ...]:
     return tuple(sorted({max(1, j * N // _CHECKPOINTS) for j in range(1, _CHECKPOINTS + 1)}))
 
 
-def _check_prefix(z: SignSeq, N: int, max_lag: int) -> None:
+def _check_prefix(z, N: int, max_lag: int) -> None:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N + max_lag > len(z):
@@ -130,7 +132,7 @@ def _signed_counts(planes: dict, shifts: tuple[int, ...]) -> list[int]:
     return sums
 
 
-def chowla_sum(z: SignSeq, spec: CorrelationSpec, N: int) -> CorrelationCurve:
+def chowla_sum(z, spec: CorrelationSpec, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of prod_s z^{i_s}(n + a_s), a_0 = 0."""
     return BatteryEntry(spec, *_chowla_totals(z, [spec], N), 0).curve
 
@@ -214,32 +216,57 @@ class SubshiftSampler:
         return self.w.values[lo + 1 : hi + 1].astype(np.float64)
 
 
-def sarnak_sum(sampler, z: SignSeq, N: int) -> CorrelationCurve:
+def sarnak_sum(sampler, z, N: int) -> CorrelationCurve:
     """(1/N') sum over n <= N' of f(T^n x) z(n)."""
     return strong_sarnak_sum(sampler, z, CorrelationSpec(), N)
 
 
-def strong_sarnak_sum(sampler, z: SignSeq, spec: CorrelationSpec, N: int) -> CorrelationCurve:
-    """Sarnak-type sum weighted by the full lag/exponent product of z.  A
-    sampler's ``values(lo, hi)`` returns f(T^n x) for n = lo+1..hi as a new
-    float64 array; per checkpoint slice, that array is multiplied in place
-    by each factor z(n + a) or |z(n + a)| and added with one float64
-    np.sum.  Every factor is -1, 0 or 1, so each product is exact; a zero
-    may be -0.0, which no total that starts at +0.0 shows."""
+def _pairwise(lo: int, hi: int, leaf):
+    """Each leaf's leaf(lo, hi), added along numpy's float64 pairwise tree over
+    terms lo..hi-1, which depends only on the length: a node of n > 128 terms
+    splits after n//2 - n//2 % 8, one of at most 128 is a block of 8
+    accumulators.  Leaves of at most _PAIRWISE_NODE terms come in order, so
+    with np.sum as leaf the total is np.sum's, bit for bit ([hi] lists the ends)."""
+    if hi - lo <= _PAIRWISE_NODE:
+        return leaf(lo, hi)
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    return _pairwise(lo, mid, leaf) + _pairwise(mid, hi, leaf)
+
+
+def strong_sarnak_sum(sampler, z, spec: CorrelationSpec, N: int) -> CorrelationCurve:
+    """Sarnak-type sum weighted by the full lag/exponent product of z, a
+    SignSeq or an _SqzFile.  A sampler's ``values(lo, hi)`` returns f(T^n x)
+    for n = lo+1..hi as a new float64 array.  Each checkpoint slice is added
+    along the tree of one np.sum of it: a leaf's values are multiplied in
+    place by each factor z(n + a) or |z(n + a)|, from the windows that end at
+    the leaves, and added with np.sum.  Every factor is -1, 0 or 1, so each
+    product is exact; a zero may be -0.0, which no total from +0.0 shows."""
     _check_prefix(z, N, spec.max_lag)
+    slices = list(pairwise((0, *_checkpoints(N))))
+    windows = _windows(z, spec.max_lag + 1,
+                       [end for lo, hi in slices for end in _pairwise(lo, hi, lambda _, b: [b])])
+
+    def leaf(lo: int, hi: int) -> float:
+        terms, done = sampler.values(lo, hi), 0
+        while done < terms.size:
+            _, buf = next(windows)
+            count = buf.size - spec.max_lag
+            for a, i in zip((0,) + spec.lags, spec.exponents):
+                factor = buf[a : a + count]
+                terms[done : done + count] *= factor if i == 1 else np.abs(factor)
+            done += count
+        return float(np.sum(terms, dtype=np.float64))
+
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is refused
         sampler.values(N - 1, N)  # a sampler that cannot reach N refuses before any work
         points, total = [], 0.0
-        for lo, hi in pairwise((0, *_checkpoints(N))):
-            terms = sampler.values(lo, hi)
-            for a, i in zip((0,) + spec.lags, spec.exponents):
-                factor = z.values[lo + a : hi + a]
-                terms *= factor if i == 1 else np.abs(factor)
-            total += float(np.sum(terms, dtype=np.float64))
-            del terms  # before the next slice's values are made
+        for lo, hi in slices:
+            total += _pairwise(lo, hi, leaf)
             if not math.isfinite(total):
                 raise ValueError(f"weighted sum up to n = {hi} is not finite in float64")
             points.append((hi, total / hi))
+    next(windows, None)  # reads a file to its end, so a bad byte past N is refused
     return CorrelationCurve(checkpoints=tuple(points))
 
 

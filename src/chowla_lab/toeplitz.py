@@ -13,8 +13,10 @@ every function here works from the at most floor(log_q N) such initial
 progressions; only classify_initials expands them into an owner table.
 A term of t depends only on its own reference term and on z(j) for those
 j, so t is made one chunk at a time: ``toeplitz build`` streams the
-reference file to the output file in O(_CHUNK) memory, and build_toeplitz
-fills its N-byte result from the same chunks.
+reference file to the output file in O(_CHUNK) memory, build_toeplitz
+fills its N-byte result from the same chunks, and toeplitz_correlation
+sums t*z over them.  The entropy bound reads only the good tails of z, so
+``toeplitz analyze --ref`` holds no prefix either.
 
 A function takes the reference z first, then q, as every kernel takes its
 prefix; q >= 2 is checked in _progressions only, 1 <= ell < m in _tail_classes.
@@ -32,6 +34,7 @@ from .seqcore import SignSeq, _fill, _windows
 CLASSIFY_LIMIT = 200_000_000
 # tail length bound: reports list each type-1 tail offset as a Python int
 _TAIL_LIMIT = 1 << 20
+_PIECE = 1 << 18  # terms per chunk of t: its copy of z is a quarter of a read chunk
 
 
 def _progressions(q: int, N: int) -> list[tuple[int, int]]:
@@ -64,35 +67,36 @@ def classify_initials(q: int, N: int) -> np.ndarray:
 
 
 def _toeplitz_chunks(z_ref, q: int, N: int):
-    """t(1..N) as consecutive int8 chunks, one per chunk of the reference
-    z_ref (a SignSeq or an opened .sqz); q and N are checked at the call.
+    """(z, t) chunks of at most _PIECE terms for n = 1..N in turn: z is the
+    reference's, of a SignSeq or an opened .sqz z_ref, and t a new int8
+    array; q and N are checked at the call.
 
     A position n is initial, so t(n) = z(n), or lies on the progression of
-    the one initial j < n that owns it, so t(n) = z(j): each chunk is a copy
-    of the reference's, with z(j) written onto every A_j position in it.
-    z(j) is taken from the chunk that holds j, which comes first."""
+    the one initial j < n that owns it, so t(n) = z(j): each chunk of t is a
+    copy of z's, with z(j) written onto every A_j position in it.  z(j) is
+    taken from the chunk that holds j, which comes first."""
     progressions = _progressions(q, N)
     if len(z_ref) < N:
         raise ValueError(f"reference length {len(z_ref)} < N = {N}")
 
     def chunks():
         initial = {}  # j -> z(j), once its chunk is reached
-        for hi, chunk in _windows(z_ref, 1, (N,)):  # the chunk holds t(lo+1..hi)
-            t, lo = chunk.copy(), hi - chunk.size
+        for hi, z in _windows(z_ref, 1, (*range(_PIECE, N, _PIECE), N)):  # z(lo+1..hi)
+            t, lo = z.copy(), hi - z.size
             for j, step in progressions:
                 if lo < j <= hi:
-                    initial[j] = t[j - 1 - lo]  # j is initial: no earlier A_i wrote it
+                    initial[j] = z[j - 1 - lo]
                 first = max(j + step, lo + 1 + (j - lo - 1) % step)  # first n > lo of A_j, n > j
                 if first <= hi:
                     t[first - 1 - lo :: step] = initial[j]
-            yield t
+            yield z, t
 
     return chunks()
 
 
 def build_toeplitz(z_ref, q: int, N: int) -> SignSeq:
     """t(n) = z(n) for initial n, else z(j) for the owning initial j."""
-    return _fill(N, _toeplitz_chunks(z_ref, q, N))
+    return _fill(N, (t for _, t in _toeplitz_chunks(z_ref, q, N)))
 
 
 @dataclass(frozen=True)
@@ -111,27 +115,16 @@ class CorrelationBound:
         return self.value >= self.lower_bound
 
 
-def toeplitz_correlation(z_ref: SignSeq, q: int, N: int) -> CorrelationBound:
-    """t(n) z(n) is z(n)^2 at an initial n and z(j) z(n) on A_j without j:
-    exact integer sums over strided views of z, without building t."""
-    progressions = _progressions(q, N)
-    if len(z_ref) < N:
-        raise ValueError(f"reference length {len(z_ref)} < N = {N}")
-    z = z_ref.values[:N]
-    support = int(np.count_nonzero(z))
-    total = support
-    for j, step in progressions:
-        copies = z[j - 1 + step :: step]
-        total += int(z[j - 1]) * int(np.sum(copies, dtype=np.int64))
-        total -= int(np.count_nonzero(copies))
+def toeplitz_correlation(z_ref, q: int, N: int) -> CorrelationBound:
+    """(1/N) sum t(n) z(n) for a reference z_ref, a SignSeq or an opened .sqz:
+    an exact integer sum over the chunks of t, each times the reference's own."""
+    support = total = 0
+    for z, t in _toeplitz_chunks(z_ref, q, N):
+        support += int(np.count_nonzero(z))
+        total += int(np.sum(np.multiply(t, z, out=t), dtype=np.int64))
     square_mean = support / N
-    return CorrelationBound(
-        value=total / N,
-        lower_bound=square_mean - 2.0 / (q - 1),
-        square_mean=square_mean,
-        n=N,
-        q=q,
-    )
+    return CorrelationBound(value=total / N, lower_bound=square_mean - 2.0 / (q - 1),
+                            square_mean=square_mean, n=N, q=q)
 
 
 @dataclass(frozen=True)
@@ -197,12 +190,7 @@ def interval_analytics(q: int, m: int, ell: int, K: int) -> IntervalReport:
     good_count = int(np.count_nonzero(good))
     mask = tuple(int(i) for i in np.flatnonzero(pattern)) if good_count else ()
     return IntervalReport(
-        q=q,
-        m=m,
-        ell=ell,
-        L=L,
-        K=K,
-        good_count=good_count,
+        q=q, m=m, ell=ell, L=L, K=K, good_count=good_count,
         non_good_fraction=(K - good_count) / K,
         non_good_bound=float(q) ** -(qm - m - L),  # qm - m - L >= 0: 0.0 at worst
         # q^(ell-j) points of A_j per tail for each initial j <= ell, none for j > ell
@@ -230,8 +218,10 @@ class EntropyLowerBound:
     K: int
 
 
-def toeplitz_entropy_lower_bound(z_ref: SignSeq, q: int, m: int, ell: int,
-                                 K: int) -> EntropyLowerBound:
+def toeplitz_entropy_lower_bound(z_ref, q: int, m: int, ell: int, K: int) -> EntropyLowerBound:
+    """A good tail of t is z at its positions, read from a SignSeq or an opened
+    .sqz z_ref by a walk that stops at either end of each tail, with z(j) on
+    the offsets A_j owns (j <= m); uint64 base-3 codes tell tails apart."""
     pattern, good = _tail_classes(q, m, ell, K)
     L = pattern.size
     if L > MAX_ENTROPY_BLOCK:
@@ -239,17 +229,18 @@ def toeplitz_entropy_lower_bound(z_ref: SignSeq, q: int, m: int, ell: int,
     needed = K * q**m
     if len(z_ref) < needed:
         raise ValueError(f"reference length {len(z_ref)} < K*q^m = {needed}")
-    # a good tail of t is z at its positions, with z(j) at the offsets A_j owns
-    idx = (np.flatnonzero(good)[:, None] + 1) * q**m - L + np.arange(L, dtype=np.int64)
-    idx[:, pattern > 0] = pattern[pattern > 0] - 1
-    blocks = z_ref.values[idx]
-    distinct = int(np.unique(blocks, axis=0).shape[0]) if blocks.size else 0
-    estimate = math.log2(distinct) / L if distinct else 0.0
-    return EntropyLowerBound(
-        estimate=estimate,
-        distinct_blocks=distinct,
-        good_count=int(np.count_nonzero(good)),
-        L=L,
-        m=m,
-        K=K,
-    )
+    starts = ((np.flatnonzero(good) + 1) * q**m - L + 1).tolist()
+    tails, filled = np.empty((len(starts), L), dtype=np.int8), 0
+    stops = [stop for start in starts for stop in (start - 1, start + L - 1)]
+    for end, buf in _windows(z_ref, 1, stops) if starts else ():
+        if end >= starts[filled // L]:  # a piece of the tail, not of the gap before it
+            tails.reshape(-1)[filled : filled + buf.size] = buf
+            filled += buf.size
+    tails[:, pattern > 0] = next(_windows(z_ref, m, (1,)))[1][pattern[pattern > 0] - 1]  # z(1..m)
+    codes = np.zeros(len(starts), dtype=np.uint64)
+    for column in (tails + 1).view(np.uint8).T:  # 3^40 - 1 < 2^64
+        codes *= 3
+        codes += column
+    distinct = int(np.unique(codes).size)
+    return EntropyLowerBound(estimate=math.log2(distinct) / L if distinct else 0.0,
+                             distinct_blocks=distinct, good_count=len(starts), L=L, m=m, K=K)

@@ -14,13 +14,17 @@ import pytest
 
 import chowla_lab
 import chowla_lab as cl
-from chowla_lab import __version__, cli, numbergen, seqcore
+from chowla_lab import __version__, cli, correlations, numbergen, seqcore
 from chowla_lab.cli import main
-from chowla_lab.correlations import ch_battery, davenport_scan
+from chowla_lab.correlations import RotationSampler, ch_battery, davenport_scan, sarnak_sum
 from chowla_lab.empirics import sign_extension_test
 from chowla_lab.numbergen import liouville_prefix, mobius_prefix
 from chowla_lab.seqcore import SignSeq, read_sqz, write_sqz
-from chowla_lab.toeplitz import build_toeplitz
+from chowla_lab.toeplitz import (
+    build_toeplitz,
+    toeplitz_correlation,
+    toeplitz_entropy_lower_bound,
+)
 
 from owner_oracle import brute_owner
 from traced_memory import traced_peak
@@ -593,10 +597,10 @@ def ternary_file(path, seed, size):
 
 
 class TestStreaming:
-    """generate (mu, lambda), chowla, davenport, hat-test and toeplitz build
-    read and write .sqz files one chunk at a time: the same bytes wherever
-    the chunks fall, also where a chunk is shorter than a window or holds a
-    checkpoint."""
+    """generate (mu, lambda), chowla, sarnak, davenport, hat-test, toeplitz
+    build and toeplitz analyze read and write .sqz files one chunk at a
+    time: the same bytes wherever the chunks fall, also where a chunk is
+    shorter than a window or holds a checkpoint."""
 
     CHUNKS = [1, 7, 64]
 
@@ -660,6 +664,37 @@ class TestStreaming:
         assert results["witness_curve"] == [{"n": k, "value": v} for k, v in witness.checkpoints]
 
     @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("n", [None, 1234])
+    def test_sarnak_equals_the_in_memory_sum(self, tmp_path, monkeypatch, capsys, chunk, n):
+        # leaves of 128 terms make several per checkpoint slice
+        z = ternary_file(tmp_path / "z.sqz", 5, 3001)
+        expected = sarnak_sum(RotationSampler(alpha=0.41421356), z, n or len(z))
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        monkeypatch.setattr(correlations, "_PAIRWISE_NODE", 128)
+        n_flag = ["--n", n] if n else []
+        argv = ["sarnak", "--in", tmp_path / "z.sqz", "--system", "rotation",
+                "--alpha", 0.41421356, *n_flag]
+        assert run(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["curve"] == [{"n": k, "value": v} for k, v in expected.checkpoints]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("q, m, ell, k", [(3, 4, 2, 37), (2, 6, 3, 46)])
+    def test_toeplitz_analyze_equals_the_in_memory_bounds(self, tmp_path, monkeypatch, capsys,
+                                                          chunk, q, m, ell, k):
+        ref = ternary_file(tmp_path / "ref.sqz", q, 3001)
+        bound = toeplitz_entropy_lower_bound(ref, q, m, ell, k)
+        corr = toeplitz_correlation(ref, q, k * q**m)
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        argv = ["toeplitz", "analyze", "--q", q, "--m", m, "--ell", ell, "--k", k,
+                "--ref", tmp_path / "ref.sqz"]
+        assert run(argv) == (0 if corr.holds else 1)
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["distinct_blocks"] == bound.distinct_blocks > 1
+        assert results["entropy_lower_bound"] == bound.estimate
+        assert results["correlation"] == corr.value
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("k", [3, 8])
     def test_hat_test_equals_the_in_memory_sign_test(self, tmp_path, monkeypatch, capsys,
                                                      chunk, k):
@@ -701,12 +736,19 @@ class TestStreaming:
         ["chowla", "--in", "{ref}", "--max-lag", 2, "--max-r", 1],
         ["chowla", "--in", "{ref}", "--max-lag", 2, "--max-r", 1, "--n", 100],
         ["hat-test", "--in", "{ref}", "--k", 4],
+        ["sarnak", "--in", "{ref}", "--system", "rotation", "--alpha", 0.41421356],
+        ["sarnak", "--in", "{ref}", "--system", "rotation", "--alpha", 0.41421356,
+         "--n", 100],
+        ["toeplitz", "analyze", "--q", 5, "--m", 4, "--ell", 2, "--k", 3000, "--ref", "{ref}"],
+        ["toeplitz", "analyze", "--q", 5, "--m", 8, "--ell", 2, "--k", 10, "--ref", "{ref}"],
     ], ids=["davenport", "davenport-n", "toeplitz-build", "toeplitz-build-n", "chowla",
-            "chowla-n", "hat-test"])
+            "chowla-n", "hat-test", "sarnak", "sarnak-n", "toeplitz-analyze",
+            "toeplitz-analyze-short-ref"])
     def test_bad_input_in_mid_stream(self, tmp_path, capsys, damage, argv):
-        # a bad byte two chunks past the first (and past --n) is found as the
-        # file is read, a size that disagrees with the header before any
-        # work; either way no --out and no temp file is left
+        # a bad byte two chunks past the first (and past --n, or K*q^m) is
+        # found as the file is read, also where the reference is too short
+        # for the bounds; a size that disagrees with the header is refused
+        # before any work; either way no --out and no temp file is left
         N = 2 * seqcore._CHUNK + 1000
         size = {"bad-byte": N, "truncated": N - 2, "extra-bytes": N + 3}[damage]
         payload = np.zeros(size, dtype=np.int8)
@@ -736,7 +778,10 @@ class TestStreaming:
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--out", "{tmp}/t.sqz"],
         ["chowla", "--in", "{m}", "--max-lag", 6, "--max-r", 3],
         ["hat-test", "--in", "{m}", "--k", 12, "--tol", 0.001],
-    ], ids=["generate", "davenport", "toeplitz-build", "chowla", "hat-test"])
+        ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", 0.41421356],
+        ["toeplitz", "analyze", "--q", 5, "--m", 4, "--ell", 2, "--k", 10000, "--ref", "{m}"],
+    ], ids=["generate", "davenport", "toeplitz-build", "chowla", "hat-test", "sarnak",
+            "toeplitz-analyze"])
     def test_traced_peak_does_not_grow_with_n(self, mobius_2_24, tmp_path, capsys, argv):
         # one bound fixed in advance, 0.5 B/symbol at N = 2^24, where holding
         # the whole prefix traced 1.1-1.2 B/symbol (toeplitz build: 2.0,
@@ -817,6 +862,17 @@ PLAIN_REPORTS = {
     "toeplitz-analyze-ref": (
         ["toeplitz", "analyze", "--q", 3, "--m", 3, "--ell", 1, "--k", 200, "--ref", "m.sqz"], 0,
         "5c8965ee20fe52cd8b6a61e600da954e9cb6520b2d9b04bca5e16c8251f6690b"),
+    # recorded before the reference was streamed: the shape of the benchmark's
+    # toeplitz analyze (L = 25), L = 32 and L = 36 base-3 tail codes
+    "toeplitz-analyze-ref-5-4-2": (
+        ["toeplitz", "analyze", "--q", 5, "--m", 4, "--ell", 2, "--k", 160, "--ref", "m.sqz"], 0,
+        "dd86a97114535027ee7b1caf140d3411c608ee0cc7d99646cfa6dd16a1e1fcef"),
+    "toeplitz-analyze-ref-2-8-5": (
+        ["toeplitz", "analyze", "--q", 2, "--m", 8, "--ell", 5, "--k", 390, "--ref", "m.sqz"], 0,
+        "18bdfe96c6ec0e584601dca55ff4d2b0d79e9305a563256126fadaf96e4ed816"),
+    "toeplitz-analyze-ref-6-5-2": (
+        ["toeplitz", "analyze", "--q", 6, "--m", 5, "--ell", 2, "--k", 12, "--ref", "m.sqz"], 0,
+        "ba7f08b9738b1ce58f06a67e161d05b78c4531ce3355444d5afe40f3b8e1954e"),
     "toeplitz-analyze-short-ref": (
         ["toeplitz", "analyze", "--q", 5, "--m", 8, "--ell", 2, "--k", 200, "--ref", "m.sqz"], 0,
         "b7048140214287ecbdef2ee0ebab29c7ba32900111e97a09cc1592fffd684479"),

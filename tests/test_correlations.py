@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowla_lab import correlations, seqcore
 from chowla_lab.correlations import (
     CorrelationSpec,
     PeriodicSampler,
@@ -18,11 +19,12 @@ from chowla_lab.correlations import (
     davenport_scan,
     enumerate_chowla_specs,
     sarnak_sum,
+    _pairwise,
     strong_sarnak_sum,
 )
 from chowla_lab.empirics import block_frequencies, code_to_block
 from chowla_lab.numbergen import liouville_prefix, mobius_prefix
-from chowla_lab.seqcore import SignSeq, square_map
+from chowla_lab.seqcore import SignSeq, _SqzFile, square_map, write_sqz
 from chowla_lab.symbolicgen import masked_coin_prefix
 
 from traced_memory import traced_peak
@@ -206,10 +208,36 @@ class TestBruteForceOracle:
             assert value == sums[n] / n
 
 
+class TestPairwiseTree:
+    """The walk that adds a slice leaf by leaf against np.sum itself: the
+    tree must be numpy's own, or some sum differs in its last bits."""
+
+    @pytest.mark.parametrize("node", [128, 136, correlations._PAIRWISE_NODE])
+    @pytest.mark.parametrize("n", [*range(1, 9), 127, 128, 129, 136, 1000, 2**16 - 1,
+                                   2**16 + 1, 10**6 + 3])
+    def test_equals_np_sum_bit_for_bit(self, monkeypatch, node, n):
+        rng = np.random.default_rng(n)
+        monkeypatch.setattr(correlations, "_PAIRWISE_NODE", node)
+        signs = rng.choice([-1.0, -0.0, 0.0, 1.0], n)
+        for terms in (
+            np.full(n, -0.0),
+            signs,
+            signs * rng.random(n) * 10.0 ** rng.integers(-12, 13, n),  # mixed magnitudes
+            np.cos(np.arange(1, n + 1) * (math.sqrt(2) - 1) * 2 * np.pi),
+        ):
+            got = _pairwise(0, n, lambda lo, hi: float(np.sum(terms[lo:hi])))
+            assert got.hex() == float(np.sum(terms)).hex()
+
+
+@pytest.fixture(scope="module")
+def sqz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sqz")
+
+
 class TestCheckpointSlices:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
-    def test_float_sums_equal_whole_array_reference(self, data):
+    def test_float_sums_equal_whole_array_reference(self, sqz_dir, data):
         # N < 10 repeats checkpoints; most other N are not multiples of 10
         N = data.draw(st.one_of(st.integers(1, 9), st.integers(10, 3000)), label="N")
         z = random_seq(data.draw(st.integers(0, 2**31), label="seed"), N + 4)
@@ -220,10 +248,20 @@ class TestCheckpointSlices:
             st.builds(PeriodicSampler, st.lists(st.floats(-2, 2), min_size=1, max_size=9)),
             st.builds(SubshiftSampler, st.just(random_seq(N, N + 1))),
         ))
+        # leaves of the pairwise walk, chunks of the window walk, and the source
+        node = data.draw(st.sampled_from([128, 136, correlations._PAIRWISE_NODE]), label="node")
+        chunk = data.draw(st.sampled_from([1, 7, 64, seqcore._CHUNK]), label="chunk")
+        source = z
+        if data.draw(st.booleans(), label="from .sqz"):
+            write_sqz(sqz_dir / "z.sqz", z)
+            source = _SqzFile(sqz_dir / "z.sqz")
         want = float_bytes(reference_curve(sampler, z, spec, N))
-        assert float_bytes(strong_sarnak_sum(sampler, z, spec, N).checkpoints) == want
         plain = float_bytes(reference_curve(sampler, z, CorrelationSpec(), N))
-        assert float_bytes(sarnak_sum(sampler, z, N).checkpoints) == plain
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(correlations, "_PAIRWISE_NODE", node)
+            patch.setattr(seqcore, "_CHUNK", chunk)
+            assert float_bytes(strong_sarnak_sum(sampler, source, spec, N).checkpoints) == want
+            assert float_bytes(sarnak_sum(sampler, source, N).checkpoints) == plain
 
     @pytest.mark.parametrize("grid", [101, 977])
     def test_davenport_every_checkpoint_matches_direct_evaluation(self, grid):
@@ -238,18 +276,20 @@ class TestCheckpointSlices:
             assert abs(value - direct.max()) < 1e-9
         assert abs(direct[round(res.argmax_theta * grid)] - res.max_value) < 1e-9
 
-    @pytest.mark.parametrize("call", [
-        lambda z, N: ch_battery(z, 6, 3, N, 0.1),
-        lambda z, N: chowla_sum(z, CorrelationSpec((1, 2, 3), (1, 2, 1, 1)), N),
-        lambda z, N: sarnak_sum(RotationSampler(alpha=math.sqrt(2) - 1), z, N),
-        lambda z, N: strong_sarnak_sum(RotationSampler(alpha=0.3), z,
-                                       CorrelationSpec((1,), (1, 1)), N),
-        lambda z, N: davenport_scan(z, N, 1000),
+    @pytest.mark.parametrize("call, bound", [
+        (lambda z, N: ch_battery(z, 6, 3, N, 0.1), 2 * 2**22),
+        (lambda z, N: chowla_sum(z, CorrelationSpec((1, 2, 3), (1, 2, 1, 1)), N), 2 * 2**22),
+        # traced 493,096 and 2,523,482 bytes (a leaf of at most 2^16 floats;
+        # the second carries a letter across chunks, so each chunk is copied)
+        (lambda z, N: sarnak_sum(RotationSampler(alpha=math.sqrt(2) - 1), z, N), 517_750),
+        (lambda z, N: strong_sarnak_sum(RotationSampler(alpha=0.3), z,
+                                        CorrelationSpec((1,), (1, 1)), N), 2_649_656),
+        (lambda z, N: davenport_scan(z, N, 1000), 2 * 2**22),
     ], ids=["battery-6-3", "chowla-r3", "sarnak-rotation", "strong-sarnak-r1", "davenport"])
-    def test_traced_memory_is_a_fraction_of_the_prefix(self, call):
-        # each sum holds one checkpoint slice's worth of temporaries
+    def test_traced_memory_is_a_fraction_of_the_prefix(self, call, bound):
+        # each sum holds a chunk's worth of temporaries, at most
         N = 2**22
-        assert traced_peak(call, random_seq(13, N + 6), N) < 2 * N
+        assert traced_peak(call, random_seq(13, N + 6), N) < bound
 
 
 class TestPublishedValues:

@@ -178,7 +178,7 @@ class TestToeplitzCorrelation:
         assert toeplitz_correlation(ref, q, N).value.hex() == want.hex()
 
     def test_never_builds_the_sequence(self):
-        # strided views of z only; building t held N bytes
+        # t one chunk of at most 2^18 terms at a time; building all of t held N bytes
         N = 2**22
         assert traced_peak(toeplitz_correlation, random_ref(4, N), 2, N) < 2**20
 
