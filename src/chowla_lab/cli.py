@@ -28,6 +28,7 @@ from .entbounds import EntropyPair, audit_entropy_pair
 from .numbergen import BSet, _sign_sieve, mu_b_prefix
 from .seqcore import SignSeq, _SqzFile, _atomic_write, _write_sqz_chunks, read_sqz, write_sqz
 from .symbolicgen import (
+    _pair_code_chunks,
     BernoulliParams,
     DeterminizeParams,
     SturmianParams,
@@ -35,7 +36,6 @@ from .symbolicgen import (
     determinize_step,
     doubling_word_prefix,
     masked_coin_prefix,
-    pair_code_prefix,
     sturmian_prefix,
 )
 from .toeplitz import (
@@ -121,7 +121,7 @@ _KINDS = {
              else mu_b_prefix(BSet.from_squares(_csv(a.bset, int)), a.n).chunks()),
     "sturmian": ("alpha", lambda a: sturmian_prefix(SturmianParams(a.alpha, a.beta), a.n).chunks()),
     "bernoulli": ("probs", lambda a: _bernoulli(a).chunks()),
-    "coded": (None, lambda a: pair_code_prefix(a.k0, a.seed, a.n).chunks()),
+    "coded": (None, lambda a: _pair_code_chunks(a.k0, a.seed, a.n)),
     "squares-needed": (None, lambda a: masked_coin_prefix(a.seed, a.n).chunks()),
     "example-aa": (None, lambda a: doubling_word_prefix(a.n).chunks()),
 }
@@ -197,7 +197,7 @@ def cmd_entropy(args) -> int:
     n_hi = args.n_hi if args.n_hi is not None else args.n_max
     if not 1 <= n_lo < n_hi <= args.n_max:  # before the input is read and profiled
         raise ValueError(f"need 1 <= n_lo < n_hi <= {args.n_max}, got [{n_lo}, {n_hi}]")
-    profile = complexity_profile(_load(args.input), args.n_max)
+    profile = complexity_profile(_load(args.input, stream=True), args.n_max)
     estimate = entropy_estimate(profile, n_lo, n_hi)
     results = {
         "prefix_length": profile.prefix_length,
@@ -283,7 +283,7 @@ def cmd_determinize(args) -> int:
     # the last pass's epsilon; 2**(steps-1) must convert to a float first
     if not (args.steps <= sys.float_info.max_exp and args.epsilon / 2**(args.steps - 1) > 0):
         raise ValueError(f"--epsilon/2**{args.steps - 1} is not a positive float")
-    current = _load(args.input)
+    current = _load(args.input, stream=True)  # every read ends before --out is replaced
     steps = []
     ok = True
     for i in range(args.steps):

@@ -13,11 +13,13 @@ prefix doubling, also for ``symbolicgen``: big-endian base-3 codes
 are exact up to length 39, in the dtype ``_code_dtype`` picks: int32, uint32
 at length 20, or int64.  ``block_frequencies`` counts its 3**k <= min(N,
 2**23) codes in a dense table as ``seqcore._windows`` walks a SignSeq or a
-.sqz; it sorts more codes, as ``complexity_profile`` and the heavy-window
-kernel ``positive_frequency_blocks`` do, once, and then only reads them: the
-codes d letters shorter are their quotients by 3**d, still sorted, so a
-shorter code c spans the entries in [c, c + 1) * 3**d.  Past 39 letters a
-profile code starts with the dense rank of the window's first letters.
+.sqz; it sorts more codes, as ``complexity_profile`` does, once, and then
+only reads them: the codes d letters shorter are their quotients by 3**d,
+still sorted, so a shorter code c spans the entries in [c, c + 1) * 3**d.
+Past 39 letters a profile code starts with the dense rank of the window's
+first letters.  The profile and the heavy-window kernel
+``positive_frequency_blocks`` walk a SignSeq or a .sqz too, and the latter
+sorts one piece of the codes at a time.
 Every pass over an N-sized array, here and in ``symbolicgen``, runs in
 chunks of ``_CHUNK``.
 """
@@ -84,6 +86,16 @@ def _window_codes(values: np.ndarray, k: int) -> np.ndarray:
         codes = codes[:size]
         m = 2 * m + grow
     return codes
+
+
+def _code_walk(source, k: int, stops):
+    """(start, codes) pairs: the codes of at most ``_CHUNK`` consecutive
+    length-k windows, the first at 0-based term start, as
+    ``seqcore._windows`` walks a SignSeq or an _SqzFile up to the last stop."""
+    for end, buf in _windows(source, k, stops):
+        first = end - 1 - (buf.size - k)
+        for lo in range(0, buf.size - k + 1, _CHUNK):
+            yield first + lo, _window_codes(buf[lo : lo + _CHUNK + k - 1], k)
 
 
 class EmpiricalMeasure:
@@ -206,30 +218,42 @@ class ComplexityProfile:
 MAX_COMPLEXITY_ORDER = 512
 
 
-def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
-    """Exact distinct-window counts for n = 1..n_max, in levels: a level codes
-    a window of length done + j, j <= J, as the dense rank (one of p) of its
-    first done letters * 3**j + the base-3 code of the rest, J the most letters
-    (39 at done = 0) with p * 3**J <= 2**63.  It sorts its longest codes once,
-    reads the shorter ones as their quotients by 3, and ranks the distinct
-    ones for the next level; once every window is distinct, p_n = N - n + 1."""
+def complexity_profile(w, n_max: int) -> ComplexityProfile:
+    """Exact distinct-window counts for n = 1..n_max of a SignSeq or an
+    _SqzFile, in levels: a level codes a window of length done + j, j <= J,
+    as the dense rank (one of p) of its first done letters * 3**j + the
+    base-3 code of the rest, J the most letters (39 at done = 0) with
+    p * 3**J <= 2**63.  A walk of the length done + J windows fills the
+    level's code buffer a piece at a time and keeps the last J - 1 letters,
+    which the shorter windows at the end start in.  The buffer is sorted once,
+    the shorter codes are read as its quotients by 3, and a second walk ranks
+    the windows among the distinct codes for the next level; once every
+    window is distinct, p_n = N - n + 1."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
-    N, values = len(w), w.values
+    N = len(w)
     if n_max > N:
         raise ValueError(f"n_max {n_max} exceeds prefix length {N}")
-    def compose(start, j):  # codes of the length done + j windows from start on
-        codes = _window_codes(values[done + start :], j).astype(dtype, copy=False)
-        for lo in range(0, codes.size if done else 0, _CHUNK):
-            chunk = codes[lo : lo + _CHUNK]
-            chunk += rank[start + lo : start + lo + chunk.size].astype(dtype) * dtype(3**j)
+    def compose(letters, start, j):  # codes of the length done + j windows from start on
+        codes = _window_codes(letters, j).astype(dtype, copy=False)
+        if done:
+            codes += rank[start : start + codes.size].astype(dtype) * dtype(3**j)
         return codes
+    def walk():  # (start, codes) of the level's windows, then the last J - 1 letters in tail
+        nonlocal tail
+        for end, buf in _windows(w, done + J, (size,)):
+            first = end - 1 - (buf.size - done - J)
+            for lo in range(0, end - first, _CHUNK):
+                yield first + lo, compose(buf[done + lo : done + lo + _CHUNK + J - 1], first + lo, J)
+        tail = buf[buf.size - J + 1 :].copy()
     counts = N + 1 - np.arange(1, n_max + 1, dtype=np.int64)  # p_n once all are distinct
-    done, p, rank = 0, 1, None
+    done, p, rank, tail = 0, 1, None, None
     while True:
         J = min(n_max - done, max(j for j in range(1, 40) if p * 3**j <= 2**63))
         dtype, size = _code_dtype(p * 3**J), N - done - J + 1
-        srt = compose(0, J)
+        srt = np.empty(size, dtype)
+        for start, codes in walk():
+            srt[start : start + codes.size] = codes
         srt.sort()  # read-only from here
         counts[done : done + J] = 1
         for lo in range(0, size - 1, _CHUNK):  # each chunk overlaps the last by one entry
@@ -239,7 +263,7 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
                 chunk //= 3
                 chunk = chunk.astype(_code_dtype(p * 3 ** (j - 1)), copy=False)  # narrower once they fit
         for j in range(1, J):  # the last J - j windows start no sorted one
-            key, shift = np.unique(compose(size, j)), 3 ** (J - j)
+            key, shift = np.unique(compose(tail, size, j)), 3 ** (J - j)
             lo, hi = np.searchsorted(srt, [key * shift, (key + 1) * shift])
             counts[done + j - 1] += np.count_nonzero(lo == hi)
         if done + J == n_max or counts[done + J - 1] == size:
@@ -247,13 +271,12 @@ def complexity_profile(w: SignSeq, n_max: int) -> ComplexityProfile:
         keep = np.ones(size, dtype=bool)  # compact the sorted codes to the distinct ones
         np.not_equal(srt[1:], srt[:-1], out=keep[1:])
         distinct = srt[keep]
-        del srt, keep  # before the codes are rebuilt in window order
-        codes = compose(0, J)
+        del srt, keep  # before the windows are ranked
         rank = np.empty(size, np.int32 if N < 2**31 else np.int64) if rank is None else rank[:size]
-        for lo in range(0, size, _CHUNK):
-            rank[lo : lo + _CHUNK] = np.searchsorted(distinct, codes[lo : lo + _CHUNK])
+        for start, codes in walk():  # each rank overwrites the one its code was read from
+            rank[start : start + codes.size] = np.searchsorted(distinct, codes)
         done, p = done + J, distinct.size
-        del codes, distinct  # before the next level's codes are made
+        del distinct  # before the next level's codes are made
 
 
 @dataclass(frozen=True)
@@ -368,14 +391,19 @@ def sign_extension_test(
     )
 
 
-def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> np.ndarray:
+def positive_frequency_blocks(w, n: int, threshold: float) -> np.ndarray:
     """Sorted int64 codes (``code_to_block`` decodes one) of the length-n
-    blocks whose frequency exceeds ``threshold``: a finite-scale stand-in
-    for the positive-upper-frequency subshift.
+    blocks whose frequency exceeds ``threshold`` in a SignSeq or an _SqzFile:
+    a finite-scale stand-in for the positive-upper-frequency subshift.
 
-    The window codes are sorted in place.  With t the least count whose
-    frequency t / size exceeds threshold, a code is kept when its first
-    sorted entry equals the entry t - 1 places on.
+    With t the least count whose frequency t / size exceeds threshold, two
+    walks of the window codes find them.  The first cuts the windows into
+    near-equal pieces of at most max(_CHUNK, ceil(2 size / t)) and sorts each
+    piece's codes in place: a code is a candidate when its run in a piece of
+    m windows reaches ceil(t m / size), as a code below that in every piece
+    has fewer than t windows in all.  The second counts the candidates,
+    unless one piece holds every window.  Memory: a piece, O(size / t), and
+    the candidates.
     """
     if not 1 <= n <= _CODE_LENGTH_LIMIT:
         raise ValueError(f"n must be in 1..{_CODE_LENGTH_LIMIT}, got {n}")
@@ -387,11 +415,30 @@ def positive_frequency_blocks(w: SignSeq, n: int, threshold: float) -> np.ndarra
     t = max(1, int(threshold * size)) if threshold > 0.0 else 1
     while t / size <= threshold:  # ends by t = size, as size / size > threshold
         t += 1
-    srt = _window_codes(w.values, n)
-    srt.sort()
-    m = size - t + 1
-    keep = srt[:m] == srt[t - 1 :]  # entries of a run of at least t ...
-    for lo in range(1, m, _CHUNK):  # ... that start it; chunked, with no N-sized temporary
-        hi = min(lo + _CHUNK, m)
-        keep[lo:hi] &= srt[lo:hi] != srt[lo - 1 : hi - 1]
-    return srt[:m][keep].astype(np.int64, copy=False)
+    pieces = -(-size // max(_CHUNK, -(-2 * size // t)))  # of near-equal size: none is small
+    stops = [size * (i + 1) // pieces for i in range(pieces)]
+    srt, found, lo, j = np.empty(-(-size // pieces), _code_dtype(3**n)), [], 0, 0
+    for start, codes in _code_walk(w, n, stops):
+        srt[start - lo : start - lo + codes.size] = codes
+        if start + codes.size < stops[j]:
+            continue
+        part, lo, j = srt[: stops[j] - lo], stops[j], j + 1
+        part.sort()
+        r = -(-t * part.size // size)
+        m = part.size - r + 1
+        keep = part[:m] == part[r - 1 :]  # entries of a run of at least r ...
+        for a in range(1, m, _CHUNK):  # ... that start it; chunked, with no piece-sized temporary
+            b = min(a + _CHUNK, m)
+            keep[a:b] &= part[a:b] != part[a - 1 : b - 1]
+        found.append(part[:m][keep])
+    del srt  # before the candidates are counted
+    candidates = np.concatenate(found)  # sorted and distinct in each piece
+    if pieces > 1 and candidates.size:  # one piece has r = t: its candidates are the blocks
+        candidates.sort()  # a code from several pieces counts at its first copy, the rest 0
+        counts = np.zeros(candidates.size, dtype=np.int64)
+        for _, codes in _code_walk(w, n, (size,)):
+            i = np.searchsorted(candidates, codes)
+            hit = candidates.take(i, mode="clip") == codes  # a clipped index past the end: no match
+            counts += np.bincount(i[hit], minlength=candidates.size)
+        candidates = candidates[counts >= t]
+    return candidates.astype(np.int64)

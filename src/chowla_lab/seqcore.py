@@ -240,18 +240,27 @@ def _windows(source, k: int, stops):
     """(end, buf) pairs that walk the length-k windows of a SignSeq or an
     _SqzFile up to the last of the ascending ``stops``: buf holds the terms of
     the at most ``_CHUNK`` windows that start at terms end - (buf.size - k)
-    through end, every stop is some end, and the k - 1 shared letters carry
-    over.  A file is read to its end, so a bad byte past the stops is refused."""
-    left, j, end, buf = stops[-1] + k - 1, 0, 0, np.empty(0, dtype=np.int8)
+    through end, and every stop is some end.  The k - 1 letters left at a
+    chunk's end carry over: the windows that start in them come in a seam
+    buffer of at most 2k - 2 letters, and the next chunk is read in place.
+    A file is read to its end, so a bad byte past the stops is refused."""
+    left, j, end, carry = stops[-1] + k - 1, 0, 0, np.empty(0, dtype=np.int8)
     for chunk in source.chunks():
         chunk, left = chunk[: max(left, 0)], left - chunk.size
-        buf = np.concatenate((buf, chunk)) if buf.size else chunk
-        while buf.size >= k:
-            count = min(buf.size - k + 1, stops[j] - end, _CHUNK)
-            end += count
-            j += end == stops[j]
-            yield end, buf[: count + k - 1]
-            buf = buf[count:]
+        if not carry.size:
+            parts = (chunk,)
+        elif chunk.size >= k - 1:  # the seam ends where the chunk's first window starts
+            parts = (np.concatenate((carry, chunk[: k - 1])), chunk)
+        else:
+            parts = (np.concatenate((carry, chunk)),)
+        for buf in parts:
+            while buf.size >= k:
+                count = min(buf.size - k + 1, stops[j] - end, _CHUNK)
+                end += count
+                j += end == stops[j]
+                yield end, buf[: count + k - 1]
+                buf = buf[count:]
+        carry = buf.copy()  # a copy: the chunk is freed before the next is read
 
 
 def _fill(n: int, chunks) -> SignSeq:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirics import _CHUNK, _CODE_LENGTH_LIMIT, _window_codes, positive_frequency_blocks
-from .seqcore import SignSeq, _as_symbol_array
+from .seqcore import SignSeq, _as_symbol_array, _fill, _windows
 
 
 @dataclass(frozen=True)
@@ -119,16 +119,38 @@ def pair_code_prefix(k0: int, seed: int, N: int) -> SignSeq:
     converges to 2/4**3 - 1/4**3 = 1/64; in general the correlating lag is
     k0 - 1 (the two coded pairs share one source coordinate there).
     """
+    return _fill(N, _pair_code_chunks(k0, seed, N))
+
+
+def _pair_code_chunks(k0: int, seed: int, N: int):
+    """The int8 chunks of ``pair_code_prefix``, as an iterator; the
+    arguments are checked at the call.  omega is drawn in steps of
+    4 * _CHUNK, or of k0 - 1 rounded up to a multiple of 4 when that is
+    more, and its last k0 - 1 letters carry over: a step holds the carry,
+    so a letter is copied a bounded number of times, and a k0 too large for
+    memory fails at the first draw.  An int8 draw takes the four bytes of a
+    32-bit word in turn and one byte per value (4 is a power of two, so none
+    is rejected), so draws whose sizes are multiples of 4 continue one
+    stream: the chunks are the bytes of a single draw."""
     if k0 < 2:
         raise ValueError("k0 must be >= 2")
     if N < 1:
         raise ValueError("N must be >= 1")
-    omega = np.random.default_rng(seed).integers(0, 4, size=N + k0 - 1, dtype=np.int8)
     lut = np.zeros(16, dtype=np.int8)
     lut[0 * 4 + 1] = lut[1 * 4 + 2] = -1
     lut[0 * 4 + 2] = lut[2 * 4 + 3] = 1
-    pair = omega[:N] * 4 + omega[k0 - 1 : k0 - 1 + N]
-    return SignSeq._wrap(lut[pair])
+    rng, total = np.random.default_rng(seed), N + k0 - 1
+    step = max(4 * _CHUNK, -(-(k0 - 1) // 4) * 4)
+
+    def chunks():
+        omega = np.empty(0, dtype=np.int8)
+        for lo in range(0, total, step):
+            draw = rng.integers(0, 4, size=min(step, total - lo), dtype=np.int8)
+            omega = np.concatenate((omega[omega.size - k0 + 1 :], draw))
+            if omega.size >= k0:
+                yield lut[omega[: 1 - k0] * 4 + omega[k0 - 1 :]]
+
+    return chunks()
 
 
 def masked_coin_prefix(seed: int, N: int) -> SignSeq:
@@ -265,55 +287,64 @@ class DeterminizeResult:
         return 2.0 ** (params.epsilon * params.big_n) + 1.0
 
 
-def determinize_step(u: SignSeq, params: DeterminizeParams) -> DeterminizeResult:
-    """One recoding pass: classify n-windows of ``u`` as heavy or light by
-    empirical frequency, then rewrite each complete big_n block.
+def determinize_step(u, params: DeterminizeParams) -> DeterminizeResult:
+    """One recoding pass over a SignSeq or an _SqzFile: classify n-windows
+    of ``u`` as heavy or light by empirical frequency, then rewrite each
+    complete big_n block.
 
     Blocks whose proportion of heavy-window start positions is below
     1 - epsilon become a constant run of the first symbol of ``u``; in the
     others a greedy left-to-right scan keeps disjoint heavy windows and the
     uncovered positions are overwritten by that symbol.  A trailing partial
-    block is left unchanged and not counted.  The blocks are the rows of an
-    nblocks x big_n matrix, and the scan steps through the start offsets for
-    all of them at once.
+    block is left unchanged and not counted.  A window that runs past its
+    block is never heavy, so a block is rewritten from its own letters: the
+    walk copies ``u`` into the output and rewrites each group of
+    max(1, _CHUNK // big_n) blocks once it is complete, as the rows of a
+    matrix that the scan steps through a start offset at a time.
     """
     n = params.n_block
     big_n = params.big_n
-    if big_n > len(u):
-        raise ValueError(f"big_n {big_n} exceeds sequence length {len(u)}")
-    values = u.values
-    nblocks = len(u) // big_n
+    N = len(u)
+    if big_n > N:
+        raise ValueError(f"big_n {big_n} exceeds sequence length {N}")
+    nblocks = N // big_n
     processed = nblocks * big_n
 
     heavy_codes = positive_frequency_blocks(u, n, params.heavy_threshold)
-    good = np.zeros((nblocks, big_n), dtype=bool)  # good[m, j]: window m*big_n + j is heavy
-    if heavy_codes.size:  # window codes again, a piece at a time: the sort reordered them
-        flat = good.reshape(-1)
-        for lo in range(0, min(len(u) - n + 1, processed), _CHUNK):
-            chunk = _window_codes(values[lo : min(lo + _CHUNK, processed) + n - 1], n)
-            found = heavy_codes.take(np.searchsorted(heavy_codes, chunk), mode="clip")
-            flat[lo : lo + chunk.size] = found == chunk  # a clipped index past the end: no match
-    good[:, big_n - n + 1 :] = False  # windows that run past their block
-    acceptable = np.count_nonzero(good, axis=1) / big_n >= 1.0 - params.epsilon
-    good[~acceptable] = False
-    next_allowed = np.zeros(nblocks, dtype=np.int64)
-    for j in np.flatnonzero(good.any(axis=0)).tolist():
-        keep = good[:, j]  # a view: the kept starts overwrite the heavy ones
-        keep &= next_allowed <= j
-        next_allowed[keep] = j + n
-    covered = good.copy()
-    for d in range(1, n):
-        covered[:, d:] |= good[:, :-d]
-
-    out = values.copy()
-    rows = out[:processed].reshape(nblocks, big_n)
-    np.putmask(rows, ~covered, values[0])
-    changed = int(np.count_nonzero(out[:processed] != values[:processed]))
+    out, lo, step = np.empty(N, dtype=np.int8), 0, max(1, _CHUNK // big_n) * big_n
+    distinct, accepted, changed = set(), 0, 0
+    for end, buf in _windows(u, 1, sorted({*range(step, processed, step), processed, N})):
+        out[end - buf.size : end] = buf
+        if end != min(lo + step, processed):
+            continue
+        rows = out[lo:end].reshape(-1, big_n)
+        lo = end
+        good = np.zeros(rows.shape, dtype=bool)  # good[m, j]: window j of row m is heavy
+        if heavy_codes.size:
+            codes = _window_codes(rows.reshape(-1), n)
+            found = heavy_codes.take(np.searchsorted(heavy_codes, codes), mode="clip")
+            good.reshape(-1)[: codes.size] = found == codes  # a clipped index past the end: no match
+        good[:, big_n - n + 1 :] = False  # windows that run past their block
+        acceptable = np.count_nonzero(good, axis=1) / big_n >= 1.0 - params.epsilon
+        good[~acceptable] = False
+        accepted += int(np.count_nonzero(acceptable))
+        next_allowed = np.zeros(rows.shape[0], dtype=np.int64)
+        for j in np.flatnonzero(good.any(axis=0)).tolist():
+            keep = good[:, j]  # a view: the kept starts overwrite the heavy ones
+            keep &= next_allowed <= j
+            next_allowed[keep] = j + n
+        covered = good.copy()
+        for d in range(1, n):
+            covered[:, d:] |= good[:, :-d]
+        uncovered = np.logical_not(covered, out=covered)
+        changed += int(np.count_nonzero(uncovered & (rows != out[0])))
+        np.putmask(rows, uncovered, out[0])  # out[0] is never changed
+        distinct.update(map(np.ndarray.tobytes, rows))
     return DeterminizeResult(
         sequence=SignSeq._wrap(out),
-        distinct_block_count=len(set(map(np.ndarray.tobytes, rows))),
+        distinct_block_count=len(distinct),
         blocks_processed=nblocks,
         changed_fraction=changed / processed,
-        unacceptable_fraction=(nblocks - np.count_nonzero(acceptable)) / nblocks,
+        unacceptable_fraction=(nblocks - accepted) / nblocks,
         heavy_block_count=heavy_codes.size,
     )

@@ -347,6 +347,36 @@ class TestDeterminize:
             assert sorted(tmp_path.iterdir()) == [tmp_path / "rdir", z]
             assert z.read_bytes() == before
 
+    def test_out_may_be_the_input(self, tmp_path, capsys):
+        # every read of the opened input ends before --out replaces it
+        z = tmp_path / "u.sqz"
+        run(["generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--n", 1000,
+             "--out", z])
+        result = cl.determinize_step(read_sqz(z), cl.DeterminizeParams(0.1, 2, 4))
+        assert result.changed_fraction > 0
+        capsys.readouterr()
+        assert run(["determinize", "--in", z, "--epsilon", 0.1, "--n-block", 2,
+                    "--big-n", 4, "--out", z]) == 0
+        assert read_sqz(z) == result.sequence
+        assert sorted(tmp_path.iterdir()) == [z]
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--in", "{z}", "--out-report", "{tmp}/r.json"],
+        ["determinize", "--in", "{z}", "--epsilon", 0.1, "--n-block", 4, "--big-n", 8,
+         "--out", "{tmp}/d.sqz", "--out-report", "{tmp}/r.json"],
+    ], ids=["entropy", "determinize"])
+    def test_bad_last_byte_is_refused(self, tmp_path, capsys, argv):
+        # the last letter is read, though the longest windows do not need it
+        # to be valid, and neither a report nor a .sqz is written
+        payload = np.zeros(1000, dtype=np.int8)
+        payload[-1] = 5
+        z = tmp_path / "z.sqz"
+        z.write_bytes(b"SQZ1" + (1000).to_bytes(8, "little") + payload.tobytes())
+        assert run([str(a).format(z=z, tmp=tmp_path) for a in argv]) == 2
+        line = assert_one_error_line(capsys)
+        assert line == "error: symbol out of alphabet {-1,0,1} at position 1000: 5"
+        assert list(tmp_path.iterdir()) == [z]
+
 
 # Each command that writes a file, with the flag that names it.
 OUTPUT_FLAGS = pytest.mark.parametrize("argv, flag", [
@@ -520,6 +550,28 @@ class TestUsageErrors:
              "--n", str(10**10), "--out", "m.sqz"],
             cwd=tmp_path, env=env, capture_output=True, text=True,
             preexec_fn=cap_address_space, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_coded_lag_beyond_memory_is_one_error_line(self, tmp_path):
+        # omega's first draw holds the k0 - 1 carried letters, so a lag of
+        # 10^11 fails at once under the cap rather than growing the carry
+        # one chunk at a time
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowla_lab.cli", "generate", "--kind", "coded",
+             "--k0", str(10**11), "--n", "10", "--out", "c.sqz"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            preexec_fn=cap_address_space, timeout=60,
         )
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
@@ -741,9 +793,12 @@ class TestStreaming:
          "--n", 100],
         ["toeplitz", "analyze", "--q", 5, "--m", 4, "--ell", 2, "--k", 3000, "--ref", "{ref}"],
         ["toeplitz", "analyze", "--q", 5, "--m", 8, "--ell", 2, "--k", 10, "--ref", "{ref}"],
+        ["entropy", "--in", "{ref}"],
+        ["determinize", "--in", "{ref}", "--epsilon", 0.1, "--n-block", 4, "--big-n", 8,
+         "--out", "{tmp}/d.sqz"],
     ], ids=["davenport", "davenport-n", "toeplitz-build", "toeplitz-build-n", "chowla",
             "chowla-n", "hat-test", "sarnak", "sarnak-n", "toeplitz-analyze",
-            "toeplitz-analyze-short-ref"])
+            "toeplitz-analyze-short-ref", "entropy", "determinize"])
     def test_bad_input_in_mid_stream(self, tmp_path, capsys, damage, argv):
         # a bad byte two chunks past the first (and past --n, or K*q^m) is
         # found as the file is read, also where the reference is too short

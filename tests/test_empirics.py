@@ -133,14 +133,20 @@ class TestWindowCodes:
         heavy = sum(1 for c in counts.values() if c / total > params.heavy_threshold)
         assert determinize_step(SignSeq(values), params).heavy_block_count == heavy
 
-    @given(letter_lists, st.integers(1, 6), st.floats(0.0, 0.5))
-    @settings(max_examples=50, deadline=None)
-    def test_positive_frequency_blocks_match_counter(self, values, n, threshold):
+    @given(letter_lists, st.integers(1, 6),
+           st.one_of(st.floats(0.0, 0.5), st.integers(1, 8).map(lambda k: 2.0**-k)),
+           st.sampled_from([1, 7, 64, 1 << 16]))
+    @settings(max_examples=80, deadline=None)
+    def test_positive_frequency_blocks_match_counter(self, values, n, threshold, piece):
+        # pieces of max(piece, ceil(2 size / t)) windows: several, or one as
+        # t -> 1; a dyadic threshold can equal a frequency
         n = min(n, len(values))
         counts = window_counts(values, n)
         total = len(values) - n + 1
         want = {b for b, c in counts.items() if c / total > threshold}
-        got = positive_frequency_blocks(SignSeq(values), n, threshold)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(empirics, "_CHUNK", piece)
+            got = positive_frequency_blocks(SignSeq(values), n, threshold)
         assert np.all(got[:-1] < got[1:])
         assert {code_to_block(c, n).letters for c in got.tolist()} == want
 
@@ -229,10 +235,12 @@ class TestKernelMemory:
         assert traced_peak(call, uniform_prefix(N)) < 18 * N
 
     # the uint32 length-20 codes sorted in place and divided by 3 between
-    # lengths (4.3 B/symbol traced, 8.3 as int64), heavy codes kept off the
-    # sorted uint32 buffer (5.0, against 9.0) and marked a piece of window
-    # codes at a time beside the block matrix, the uniforms drawn in
-    # chunks and picked by np.putmask, and one length-k table, sorted in
+    # lengths (4.3 B/symbol traced, 8.3 as int64); heavy windows from pieces
+    # of max(2**16, 2 size / t) codes, each sorted in place (2.29 traced at
+    # t = 5, where sorting every code traced 5.0), and a recoding that holds
+    # the output and one group of blocks (1.33, against 5.0 with N-sized
+    # block matrices), each bound its traced value + 5 %; the uniforms drawn
+    # in chunks and picked by np.putmask, and one length-k table, sorted in
     # place, that the shorter lengths and z^2 are derived from: a derived
     # length reduces its runs before it merges the last windows (43.7 traced
     # at length 15); the sign test's k = 16 peak, 50.2, is its deviation step
@@ -245,8 +253,8 @@ class TestKernelMemory:
     @pytest.mark.parametrize("call,bound", [
         (lambda z: complexity_profile(z, 20), 5),
         (lambda z: complexity_profile(z, 60), 8.8),  # distinct at 39: one int64 level
-        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 5.5),
-        (lambda z: positive_frequency_blocks(z, 20, 1e-6), 5.5),
+        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 1.40),
+        (lambda z: positive_frequency_blocks(z, 20, 1e-6), 2.41),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
          4),
         (lambda z: block_frequencies(z, 8), 0.54),
@@ -265,6 +273,20 @@ class TestKernelMemory:
     def test_narrow_kernel_peak_per_symbol(self, call, bound):
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < bound * N
+
+    # an opened file is walked: the profile's uint32 code buffer fills a
+    # piece at a time beside a read chunk, 4.56 B/symbol traced, and the
+    # recoding holds the output beside a group of blocks, 1.78, where the
+    # whole prefix read first and its codes made at once took 5 B/symbol
+    # more (bounds: traced + 5 %)
+    @pytest.mark.parametrize("call,bound", [
+        (lambda z: complexity_profile(z, 20), 4.79),
+        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 1.87),
+    ], ids=["complexity-profile", "determinize-n20"])
+    def test_opened_file_peak_per_symbol(self, tmp_path, call, bound):
+        N = 2**22
+        write_sqz(tmp_path / "z.sqz", uniform_prefix(N))
+        assert traced_peak(call, seqcore._SqzFile(tmp_path / "z.sqz")) < bound * N
 
     def test_battery_curves_are_one_table(self):
         # 69,040 specs at N = 10^4: each entry reads its curve from one int64
@@ -509,11 +531,12 @@ class TestComplexityProfile:
         assert complexity_profile(SignSeq(values), n_max).counts.tolist() == want
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_chunk_edges(self, monkeypatch, chunk):
+    def test_chunk_edges(self, tmp_path, monkeypatch, chunk):
         # chunks overlap by one entry; int32 codes up to 19 letters, uint32 at
         # 20 and int64 above; a 45-letter period takes lengths 40 to 60 in a
-        # second level
+        # second level; an opened file is walked in chunks of chunk + 3
         monkeypatch.setattr(empirics, "_CHUNK", chunk)
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk + 3)
         values = np.random.default_rng(4).integers(-1, 2, size=1000).tolist()
         periodic = (values[:45] * 23)[:1000]
         for word, n_max in [(values, 12), (values, 19), (values, 20), (values, 39),
@@ -522,6 +545,9 @@ class TestComplexityProfile:
             for N in (1000, 4 * chunk + n_max, 4 * chunk + n_max + 1):
                 want = [len(window_counts(word[:N], n)) for n in range(1, n_max + 1)]
                 assert complexity_profile(SignSeq(word[:N]), n_max).counts.tolist() == want
+                write_sqz(tmp_path / "w.sqz", SignSeq(word[:N]))
+                opened = seqcore._SqzFile(tmp_path / "w.sqz")
+                assert complexity_profile(opened, n_max).counts.tolist() == want
 
     @pytest.mark.parametrize("kind", ["random", "periodic", "golden-sturmian"])
     def test_sorted_path_matches_rank_walk(self, kind):

@@ -242,6 +242,23 @@ class TestWindows:
                 assert starts == list(range(1, stops[-1] + 1))
                 assert set(stops) <= set(ends)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 20])
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_windows_match_a_brute_force_list(self, tmp_path, monkeypatch, chunk, k):
+        # a buffer is a chunk read in place, or the seam of at most 2k - 2
+        # letters around a chunk edge; k 8 and 20 carry letters over chunks
+        # shorter than k - 1
+        values = np.random.default_rng(k).integers(-1, 2, size=60).tolist()
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk)
+        write_sqz(tmp_path / "z.sqz", SignSeq(values))
+        want = [values[i : i + k] for i in range(len(values) - k + 1)]
+        for source in (SignSeq(values), seqcore._SqzFile(tmp_path / "z.sqz")):
+            got = []
+            for _, buf in seqcore._windows(source, k, [len(want)]):
+                assert buf.size <= max(chunk, 2 * k - 2)
+                got += [buf[i : i + k].tolist() for i in range(buf.size - k + 1)]
+            assert got == want
+
     def test_opened_file_is_read_after_its_path_is_removed(self, tmp_path, monkeypatch):
         # hat-test hands its opened input to the sign test, and a caller may
         # read it again (square_map) once the file's directory is cleared

@@ -2,6 +2,8 @@
 asserted tolerances are deterministic once verified."""
 
 import math
+import os
+import tempfile
 from collections import Counter
 from unittest import mock
 
@@ -9,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chowla_lab import symbolicgen
+from chowla_lab import empirics, seqcore, symbolicgen
 from chowla_lab.correlations import CorrelationSpec, chowla_sum
 from chowla_lab.empirics import code_to_block, complexity_profile
-from chowla_lab.seqcore import SignSeq
+from chowla_lab.seqcore import SignSeq, write_sqz
 from chowla_lab.symbolicgen import (
     BernoulliParams,
     DeterminizeParams,
@@ -173,6 +175,19 @@ class TestPairCode:
     def test_rejects_small_k0(self):
         with pytest.raises(ValueError):
             pair_code_prefix(1, seed=0, N=10)
+
+    @pytest.mark.parametrize("chunk", [1, 7, symbolicgen._CHUNK])
+    @pytest.mark.parametrize("k0", [2, 5, 40])
+    def test_chunks_are_one_draw(self, monkeypatch, chunk, k0):
+        # omega is drawn 4 * _CHUNK at a time, or 40 at a time for k0 = 40
+        # at chunks 1 and 7; the oracle draws it at once and codes it whole
+        monkeypatch.setattr(symbolicgen, "_CHUNK", chunk)
+        lut = np.zeros(16, dtype=np.int8)
+        lut[[1, 6]], lut[[2, 11]] = -1, 1
+        for N in (1, 4 * chunk, 4 * chunk + 1, 4 * chunk * 3 + 5):
+            omega = np.random.default_rng(3).integers(0, 4, size=N + k0 - 1, dtype=np.int8)
+            want = lut[omega[:N] * 4 + omega[k0 - 1 : k0 - 1 + N]]
+            assert np.array_equal(pair_code_prefix(k0, 3, N).values, want)
 
 
 class TestMaskedCoin:
@@ -377,13 +392,25 @@ class TestDeterminize:
         assert recoding_summary(res) == brute_determinize(values, params)
         assert res.blocks_processed == len(values) // params.big_n
 
-    @given(recoding_cases(), st.sampled_from([1, 2, 7]))
+    @given(recoding_cases(), st.sampled_from([1, 2, 7]), st.sampled_from([1, 7, 64]))
     @settings(max_examples=50, deadline=None)
-    def test_chunk_edges(self, case, chunk):
+    def test_chunk_edges(self, case, chunk, piece):
+        # groups of one block or a few; the heavy windows from pieces of
+        # max(piece, ceil(2 size / t)) windows, one piece as t -> 1
         values, params = case
-        with mock.patch.object(symbolicgen, "_CHUNK", chunk):
+        with mock.patch.object(symbolicgen, "_CHUNK", chunk), \
+                mock.patch.object(empirics, "_CHUNK", piece):
             res = determinize_step(SignSeq(values), params)
         assert recoding_summary(res) == brute_determinize(values, params)
+
+    @given(recoding_cases(), st.sampled_from([1, 7, 1 << 20]))
+    @settings(max_examples=40, deadline=None)
+    def test_opened_file_recodes_alike(self, case, chunk):
+        values, params = case
+        with mock.patch.object(seqcore, "_CHUNK", chunk), tempfile.TemporaryDirectory() as tmp:
+            write_sqz(os.path.join(tmp, "u.sqz"), SignSeq(values))
+            res = determinize_step(seqcore._SqzFile(os.path.join(tmp, "u.sqz")), params)
+        assert res == determinize_step(SignSeq(values), params)
 
     @pytest.mark.parametrize("chunk", [7, 1 << 16])
     def test_codes_past_the_sign_bit(self, chunk):
@@ -427,14 +454,15 @@ class TestDeterminize:
         assert np.all(body == u.values[0])
 
     def test_traced_peak_with_heavy_windows(self):
-        # 13 heavy 12-windows, so the marking pass runs (the uniform prefixes
-        # of the kernel memory tests have none): it builds the int32 window
-        # codes one piece at a time, 5.00 B/symbol traced in all (bound: + 5 %),
-        # where a whole int32 rebuild traced 5.25 and an int64 one 14
+        # 13 heavy 12-windows, so the marking runs (the uniform prefixes of
+        # the kernel memory tests have none): the output and a group of
+        # blocks' codes and matrices, 1.76 B/symbol traced in a fresh process
+        # (bound: + 5 %), where the whole-prefix code sort and N-sized
+        # matrices traced 5.00
         N = 2**22
         u = sturmian_prefix(golden_params(), N)
         peak = traced_peak(determinize_step, u, DeterminizeParams(0.5, 12, 96))
-        assert peak < 5.25 * N
+        assert peak < 1.85 * N
 
     def test_rejects_big_n_exceeding_length(self):
         with pytest.raises(ValueError, match="big_n"):
