@@ -26,13 +26,13 @@ from .correlations import (
 from .empirics import complexity_profile, entropy_estimate, sign_extension_test
 from .entbounds import EntropyPair, audit_entropy_pair
 from .numbergen import BSet, _sign_sieve, mu_b_prefix
-from .seqcore import SignSeq, _SqzFile, _atomic_write, _write_sqz_chunks, read_sqz, write_sqz
+from .seqcore import _SqzFile, _atomic_write, _write_sqz_chunks, read_sqz, write_sqz
 from .symbolicgen import (
+    _bernoulli_chunks,
     _pair_code_chunks,
     BernoulliParams,
     DeterminizeParams,
     SturmianParams,
-    bernoulli_prefix,
     determinize_step,
     doubling_word_prefix,
     masked_coin_prefix,
@@ -101,18 +101,20 @@ def _load(path: str, stream: bool = False):
     return _SqzFile(path) if stream else read_sqz(path)
 
 
-def _bernoulli(args) -> SignSeq:
+def _bernoulli(args):
+    """The chunks of the --probs draw, made as they are written."""
     probs = _csv(args.probs, float)
     alphabet = {2: (-1, 1), 3: (-1, 0, 1)}.get(len(probs))
     if alphabet is None:
         raise ValueError(f"--probs needs 2 or 3 values, got {len(probs)}")
-    return bernoulli_prefix(alphabet, BernoulliParams(tuple(probs), args.seed), args.n)
+    return _bernoulli_chunks(alphabet, BernoulliParams(tuple(probs), args.seed), args.n)
 
 
 # Each --kind and --system: the option it needs, or None, and what it makes.
 # An entry names its generator at call time, so a rebound module attribute
 # (perfbench --trace 1 wraps them) is the one called.  A kind makes the int8
-# chunks that are written: a SignSeq's, or the sieve's segments as they are made.
+# chunks that are written: a SignSeq's, or the sieve's segments, the Bernoulli
+# draws and the coded chunks as they are made.
 _KINDS = {
     "mobius": (None, lambda a: _sign_sieve(a.n, squarefree=True)),
     "liouville": (None, lambda a: _sign_sieve(a.n, squarefree=False)),
@@ -120,7 +122,7 @@ _KINDS = {
     "mu-b": ("bset", lambda a: _sign_sieve(a.n, squarefree=True) if a.bset == "prime-squares"
              else mu_b_prefix(BSet.from_squares(_csv(a.bset, int)), a.n).chunks()),
     "sturmian": ("alpha", lambda a: sturmian_prefix(SturmianParams(a.alpha, a.beta), a.n).chunks()),
-    "bernoulli": ("probs", lambda a: _bernoulli(a).chunks()),
+    "bernoulli": ("probs", _bernoulli),
     "coded": (None, lambda a: _pair_code_chunks(a.k0, a.seed, a.n)),
     "squares-needed": (None, lambda a: masked_coin_prefix(a.seed, a.n).chunks()),
     "example-aa": (None, lambda a: doubling_word_prefix(a.n).chunks()),

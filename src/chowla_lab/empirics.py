@@ -12,14 +12,15 @@ prefix doubling, also for ``symbolicgen``: big-endian base-3 codes
 (letter + 1, the first letter most significant) that sort like the blocks and
 are exact up to length 39, in the dtype ``_code_dtype`` picks: int32, uint32
 at length 20, or int64.  ``block_frequencies`` counts its 3**k <= min(N,
-2**23) codes in a dense table as ``seqcore._windows`` walks a SignSeq or a
-.sqz; it sorts more codes, as ``complexity_profile`` does, once, and then
-only reads them: the codes d letters shorter are their quotients by 3**d,
-still sorted, so a shorter code c spans the entries in [c, c + 1) * 3**d.
-Past 39 letters a profile code starts with the dense rank of the window's
-first letters.  The profile and the heavy-window kernel
-``positive_frequency_blocks`` walk a SignSeq or a .sqz too, and the latter
-sorts one piece of the codes at a time.
+2**23) codes in a dense int32 table as ``seqcore._windows`` walks a SignSeq
+or a .sqz; it sorts more codes once, and then only reads them: the codes d
+letters shorter are their quotients by 3**d, still sorted, so a shorter
+code c spans the entries in [c, c + 1) * 3**d.  ``complexity_profile``
+sorts its codes one code range at a time, the ranges cut from a histogram
+of the windows' first letters; past 39 letters a profile code starts with
+the dense rank of the window's first letters.  The profile and the
+heavy-window kernel ``positive_frequency_blocks`` walk a SignSeq or a .sqz
+too, and the latter sorts one piece of the codes at a time.
 Every pass over an N-sized array, here and in ``symbolicgen``, runs in
 chunks of ``_CHUNK``.
 """
@@ -60,31 +61,44 @@ def _window_codes(values: np.ndarray, k: int) -> np.ndarray:
     """Base-3 codes of the length-k windows: entry i of the N - k + 1 codes
     is the code of values[i : i + k], in ``_code_dtype(3**k)``: uint32 at 20.
 
-    Prefix doubling, about log2 k passes: the length-1 codes are values + 1,
-    a pass makes code_2m[i] = code_m[i] * 3**m + code_m[i + m] in place, and
-    each set bit of k below the top then appends one letter, 3 * code +
-    values[i + 2m] + 1.  A pass runs in ascending chunks of ``_CHUNK``
-    through a scratch buffer, as the second term is read m places on.  Letters
-    are added in uint8, where -1 + 1 wraps to 0: int8 does not cast to uint32.
+    Prefix doubling, about log2 k passes over each ``_CHUNK`` of windows: the
+    length-1 codes are values + 1, a pass makes code_2m[i] = code_m[i] * 3**m
+    + code_m[i + m], and each set bit of k below the top then appends one
+    letter, 3 * code + values[i + 2m] + 1.  A pass before the last makes its
+    codes in the narrowest unsigned dtype that holds them, uint8 up to 5
+    letters and uint16 up to 10, so the early passes move a quarter or half
+    the bytes.  Letters are added in uint8, where -1 + 1 wraps to 0: int8
+    does not cast to an unsigned dtype.
     """
     if not 1 <= k <= values.size:
         raise ValueError(f"window length {k} outside 1..{values.size}")
     dtype, letters = _code_dtype(3**k), values.view(np.uint8)
-    codes = np.add(letters, np.uint8(1), out=np.empty(values.size, dtype))
-    scratch = np.empty(min(_CHUNK, values.size), dtype=dtype)
-    m = 1
+    codes = np.empty(values.size - k + 1, dtype)
+    steps, m = [], 1  # (m, grow, dtype, last) of each pass
     for bit in reversed(range(k.bit_length() - 1)):
         grow = k >> bit & 1
-        size = codes.size - m - grow
-        for lo in range(0, size, _CHUNK):
-            hi = min(lo + _CHUNK, size)
-            chunk = codes[lo:hi]
-            np.add(np.multiply(chunk, 3**m, out=scratch[: hi - lo]), codes[lo + m : hi + m], chunk)
-            if grow:
-                chunk *= 3
-                chunk += letters[lo + 2 * m : hi + 2 * m] + np.uint8(1)
-        codes = codes[:size]
+        step = np.dtype(dtype) if bit == 0 else np.min_scalar_type(3 ** (2 * m + grow) - 1)
+        steps.append((m, grow, step, bit == 0))
         m = 2 * m + grow
+    # two scratch buffers of each narrow dtype, which every chunk reuses:
+    # a pass writes the one its input is not in, and the last pass the output
+    width = min(_CHUNK + k - 1, values.size)
+    narrow = {np.dtype(np.uint8)}.union(step for _, _, step, last in steps if not last)
+    scratch = {t: (np.empty(width, t), np.empty(width, t)) for t in narrow}
+    for lo in range(0, codes.size, _CHUNK):
+        piece = letters[lo : lo + _CHUNK + k - 1]
+        part = np.add(piece, np.uint8(1), out=scratch[np.dtype(np.uint8)][0][: piece.size])
+        for m, grow, step, last in steps:
+            size = part.size - m - grow
+            nxt = codes[lo : lo + size] if last else scratch[step][part.base is scratch[step][0]][:size]
+            np.multiply(part[:size], step.type(3**m), out=nxt)
+            nxt += part[m : m + size]
+            if grow:
+                nxt *= step.type(3)
+                nxt += piece[2 * m : 2 * m + size] + np.uint8(1)
+            part = nxt
+        if not steps:
+            codes[lo : lo + part.size] = part
     return codes
 
 
@@ -102,9 +116,10 @@ class EmpiricalMeasure:
     """Observed frequencies of all blocks of length <= max_order in a prefix.
 
     ``freq`` of an unobserved block is 0.  One table is stored, read-only:
-    the sorted int64 codes and counts of the length-max_order blocks, and a
-    copy of the last max_order - 1 letters, whose length-ell windows start
-    no stored window; ``_table`` derives a shorter length.
+    the sorted codes (in ``_code_dtype``) and the int32 counts (int64 from
+    2**31 windows) of the length-max_order blocks, and a copy of the last
+    max_order - 1 letters, whose length-ell windows start no stored window;
+    ``_table`` derives a shorter length.
     """
 
     __slots__ = ("max_order", "window_count", "_codes", "_counts", "_tail")
@@ -118,17 +133,28 @@ class EmpiricalMeasure:
         return self.window_count - length + 1
 
     def _table(self, ell: int):
-        """Sorted int64 codes and counts of the length-ell blocks: the runs of
-        the stored code // 3**(max_order - ell), then the last windows merged in."""
+        """Sorted codes and counts of the length-ell blocks, in the stored
+        dtypes: the runs of the stored code // 3**(max_order - ell), reduced a
+        ``_CHUNK`` slice at a time (a run across a slice edge joins the last
+        slice's), then the last windows merged in."""
         if not 1 <= ell <= self.max_order:
             raise ValueError(f"block length {ell} outside 1..{self.max_order}")
         if ell == self.max_order:
             return self._codes, self._counts
-        codes = self._codes // 3 ** (self.max_order - ell)
-        runs = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        codes, counts = codes[runs], np.add.reduceat(self._counts, runs)
-        del runs  # before the merge copies the table
+        shift, codes, counts = 3 ** (self.max_order - ell), [], []
+        for lo in range(0, self._codes.size, _CHUNK):
+            q = self._codes[lo : lo + _CHUNK] // shift
+            runs = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+            q, n = q[runs], np.add.reduceat(self._counts[lo : lo + _CHUNK], runs, dtype=self._counts.dtype)
+            if codes and codes[-1][-1] == q[0]:
+                counts[-1][-1] += n[0]
+                q, n = q[1:], n[1:]
+            if q.size:
+                codes.append(q)
+                counts.append(n)
+        codes, counts = np.concatenate(codes), np.concatenate(counts)
         last, extra = np.unique(_window_codes(self._tail, ell), return_counts=True)
+        last = last.astype(codes.dtype)  # a narrower key would make searchsorted copy the table
         i = np.searchsorted(codes, last)
         seen = codes.take(i, mode="clip") == last
         counts[i[seen]] += extra[seen]
@@ -143,7 +169,8 @@ class EmpiricalMeasure:
         if not 1 <= ell <= self.max_order:
             raise ValueError(f"block length {ell} outside 1..{self.max_order}")
         code, shift = block_code(letters), 3 ** (self.max_order - ell)
-        lo, hi = np.searchsorted(self._codes, [code * shift, (code + 1) * shift])
+        keys = np.array([code * shift, (code + 1) * shift], self._codes.dtype)  # <= 3**max_order
+        lo, hi = np.searchsorted(self._codes, keys)
         count = self._counts[lo:hi].sum()
         if ell < self.max_order:
             count += np.count_nonzero(_window_codes(self._tail, ell) == code)
@@ -163,7 +190,8 @@ class EmpiricalMeasure:
 def block_frequencies(w, k: int) -> EmpiricalMeasure:
     """Overlapping-window frequencies of every block of length <= k in a
     SignSeq or an _SqzFile; length k alone is tallied, in a dense table while
-    3**k <= min(N, _DENSE_CODES) (np.add.at makes no 3**k temporary).
+    3**k <= min(N, _DENSE_CODES) (np.add.at makes no 3**k temporary), whose
+    nonzero entries are read off a ``_CHUNK`` slice at a time.
 
     freq(B) = #{1 <= n <= N-ell+1 : w[n..n+ell-1] = B} / (N-ell+1).
     """
@@ -171,12 +199,15 @@ def block_frequencies(w, k: int) -> EmpiricalMeasure:
         raise ValueError(f"k must be in 1..{MAX_FREQUENCY_ORDER}, got {k}")
     if (N := len(w)) < 10 * k:
         raise ValueError(f"prefix length {N} < 10*k = {10 * k}")
+    dtype, count_dtype = _code_dtype(3**k), np.int32 if N < 2**31 else np.int64
     if 3**k <= min(N, _DENSE_CODES):
-        table = np.zeros(3**k, dtype=np.int64)
+        table = np.zeros(3**k, dtype=count_dtype)
         for _, buf in _windows(w, k, (N - k + 1,)):
             for lo in range(0, buf.size - k + 1, _CHUNK):
-                np.add.at(table, _window_codes(buf[lo : lo + _CHUNK + k - 1], k), 1)
-        codes = np.flatnonzero(table)
+                # a Python 1 would take ufunc.at's slow casting path into int32
+                np.add.at(table, _window_codes(buf[lo : lo + _CHUNK + k - 1], k), table.dtype.type(1))
+        codes = np.concatenate([(lo + np.flatnonzero(table[lo : lo + _CHUNK])).astype(dtype)
+                                for lo in range(0, table.size, _CHUNK)])
         counts = table[codes]
     else:
         buf = w.values if isinstance(w, SignSeq) else _fill(N, w.chunks()).values
@@ -187,9 +218,9 @@ def block_frequencies(w, k: int) -> EmpiricalMeasure:
             hi = min(lo + _CHUNK, windows.size)
             starts.append(lo + np.flatnonzero(windows[lo:hi] != windows[lo - 1 : hi - 1]))
         starts = np.concatenate(starts)
-        codes = windows[starts].astype(np.int64)
+        codes = windows[starts]
         del windows  # the window buffer is freed before the counts are made
-        counts = np.diff(starts, append=N - k + 1)
+        counts = np.diff(starts, append=N - k + 1).astype(count_dtype)
     return EmpiricalMeasure(k, N, codes, counts, buf[buf.size - k + 1 :])
 
 
@@ -211,11 +242,30 @@ class ComplexityProfile:
 
     @property
     def entropy_slope(self) -> np.ndarray:
-        n = np.arange(1, self.n_max + 1, dtype=np.float64)
-        return np.log2(self.counts.astype(np.float64)) / n
+        """log2(p_n) / n, each log2 the correctly rounded one of the integer
+        count (a 40-digit decimal quotient of logarithms): np.log2's SIMD
+        kernels differ in the last bit, first at 1621."""
+        from decimal import Context  # here, not at import: only reports read slopes
+
+        ctx = Context(prec=40)
+        ln2 = ctx.ln(2)
+        log2 = [float(ctx.divide(ctx.ln(c), ln2)) for c in self.counts.tolist()]
+        return np.array(log2) / np.arange(1, self.n_max + 1, dtype=np.float64)
 
 
 MAX_COMPLEXITY_ORDER = 512
+_LEAD = 8  # a level's histogram bins: the codes of its windows' first done + 8 letters, at most 3**8
+
+
+def _range_budget(total: int, itemsize: int) -> int:
+    """The codes a range of ``complexity_profile`` is planned for: of the
+    ``total`` windows a level's histogram counts, a fifth at 4 bytes a code
+    and a half at 8, and at least 2**16.  A range costs a walk, and a walk of
+    8-byte codes about twice one of 4-byte codes: a fifth keeps the ``entropy
+    --n-max 20`` child below the N-byte output of ``determinize`` at 10^7,
+    and a half holds n_max 39 to the time of one buffer (a third took about
+    10 % more)."""
+    return max(1 << 16, -(-total // (5 if itemsize == 4 else 2)))
 
 
 def complexity_profile(w, n_max: int) -> ComplexityProfile:
@@ -223,12 +273,19 @@ def complexity_profile(w, n_max: int) -> ComplexityProfile:
     _SqzFile, in levels: a level codes a window of length done + j, j <= J,
     as the dense rank (one of p) of its first done letters * 3**j + the
     base-3 code of the rest, J the most letters (39 at done = 0) with
-    p * 3**J <= 2**63.  A walk of the length done + J windows fills the
-    level's code buffer a piece at a time and keeps the last J - 1 letters,
-    which the shorter windows at the end start in.  The buffer is sorted once,
-    the shorter codes are read as its quotients by 3, and a second walk ranks
-    the windows among the distinct codes for the next level; once every
-    window is distinct, p_n = N - n + 1."""
+    p * 3**J <= 2**63.
+
+    A first walk makes a histogram of the codes of the windows' first
+    done + L letters, L <= 8 with p * 3**L <= 3**8 (grouped g ranks to a bin
+    when even L = 1 has more), whose nonzero bins count lengths done + 1 to
+    done + L.  Its consecutive bins are cut into code ranges of about
+    ``_range_budget`` windows, a heavier bin alone.  Each range then takes a
+    walk that keeps its codes in one reused buffer, sorts them and counts the
+    longer lengths by their quotients by 3, the last code of the range before
+    carried across the seam.  The last J - j windows of length done + j start
+    no level window: their codes are looked up in the bins and the ranges.  A
+    last walk ranks the windows among the distinct codes for the next level;
+    once every window is distinct, p_n = N - n + 1."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
     N = len(w)
@@ -239,41 +296,86 @@ def complexity_profile(w, n_max: int) -> ComplexityProfile:
         if done:
             codes += rank[start : start + codes.size].astype(dtype) * dtype(3**j)
         return codes
-    def walk():  # (start, codes) of the level's windows, then the last J - 1 letters in tail
+    def walk(k):  # (start, codes) of the length done + k windows, then their last k - 1 letters in tail
         nonlocal tail
-        for end, buf in _windows(w, done + J, (size,)):
-            first = end - 1 - (buf.size - done - J)
+        for end, buf in _windows(w, done + k, (N - done - k + 1,)):
+            first = end - 1 - (buf.size - done - k)
             for lo in range(0, end - first, _CHUNK):
-                yield first + lo, compose(buf[done + lo : done + lo + _CHUNK + J - 1], first + lo, J)
-        tail = buf[buf.size - J + 1 :].copy()
+                yield first + lo, compose(buf[done + lo : done + lo + _CHUNK + k - 1], first + lo, k)
+        tail = buf[buf.size - k + 1 :].copy()
+    def tally(srt, longest, shortest):  # runs of srt // 3**(longest - j) add to p_(done + j)
+        for lo in range(0, srt.size - 1, _CHUNK):  # each chunk overlaps the last by one entry
+            chunk = srt[lo : lo + _CHUNK + 1].copy()
+            for j in range(longest, shortest, -1):
+                new = chunk[1:] != chunk[:-1]
+                changes = np.count_nonzero(new)
+                counts[done + j - 1] += changes
+                if 32 * changes < new.size:  # few runs: one entry of each has the same changes
+                    chunk = np.r_[chunk[:1], chunk[1:][new]]
+                chunk //= 3
+                chunk = chunk.astype(_code_dtype(p * 3 ** (j - 1)), copy=False)  # narrower once they fit
+    def fill(lo, hi):  # the codes in [lo, hi) into buf[1:n], sorted; returns n
+        n = 1
+        for _, codes in walk(J):
+            kept = np.compress(codes.view(unsigned) - lo <= hi - lo - 1, codes)
+            buf[n : n + kept.size] = kept
+            n += kept.size
+        buf[1:n].sort()
+        return n
+    def look_up(srt, longest, lengths):  # marks the last windows of these lengths that srt holds
+        if not last:  # tail holds the last J - 1 letters once a walk of the length done + J windows ends
+            last.extend((np.unique(compose(tail, size, j)), None) for j in range(1, J))
+        for j in lengths:
+            key, seen = last[j - 1]
+            shift = 3 ** (longest - j)
+            lo, hi = np.searchsorted(srt, [key * shift, (key + 1) * shift])
+            last[j - 1] = key, lo < hi if seen is None else seen | (lo < hi)
     counts = N + 1 - np.arange(1, n_max + 1, dtype=np.int64)  # p_n once all are distinct
     done, p, rank, tail = 0, 1, None, None
     while True:
         J = min(n_max - done, max(j for j in range(1, 40) if p * 3**j <= 2**63))
-        dtype, size = _code_dtype(p * 3**J), N - done - J + 1
-        srt = np.empty(size, dtype)
-        for start, codes in walk():
-            srt[start : start + codes.size] = codes
-        srt.sort()  # read-only from here
+        dtype, size, top = _code_dtype(p * 3**J), N - done - J + 1, p * 3**J
+        L = min(J, _LEAD)
+        while L > 1 and p * 3**L > 3**_LEAD:
+            L -= 1
+        g = -(-p * 3**L // 3**_LEAD)  # ranks to a bin: 1 unless p > 3**(_LEAD - 1)
+        lead = L if g == 1 else 0  # lengths done + 1 to done + lead are counted off the bins
+        hist = np.zeros(-(-p * 3**L // g), np.int64)
+        for _, codes in walk(L):
+            hist += np.bincount(codes // g if g > 1 else codes, minlength=hist.size)
+        bins, last, runs, buf = np.flatnonzero(hist), [], [], None
         counts[done : done + J] = 1
-        for lo in range(0, size - 1, _CHUNK):  # each chunk overlaps the last by one entry
-            chunk = srt[lo : lo + _CHUNK + 1].copy()
-            for j in range(J, 0, -1):
-                counts[done + j - 1] += np.count_nonzero(chunk[1:] != chunk[:-1])
-                chunk //= 3
-                chunk = chunk.astype(_code_dtype(p * 3 ** (j - 1)), copy=False)  # narrower once they fit
-        for j in range(1, J):  # the last J - j windows start no sorted one
-            key, shift = np.unique(compose(tail, size, j)), 3 ** (J - j)
-            lo, hi = np.searchsorted(srt, [key * shift, (key + 1) * shift])
-            counts[done + j - 1] += np.count_nonzero(lo == hi)
+        tally(bins, lead, 0)
+        if lead < J:
+            before = np.cumsum(hist) - hist
+            budget = _range_budget(int(hist.sum()), np.dtype(dtype).itemsize)
+            first = np.flatnonzero(np.diff(before // budget, prepend=-1))
+            weights = np.add.reduceat(hist, first).tolist()
+            bounds = [min(b * 3 ** (J - L) * g, top) for b in first.tolist()] + [top]
+            buf, carried = np.empty(1 + max(weights), dtype), False
+            unsigned = np.dtype(f"u{buf.itemsize}")
+            for lo, hi, weight in zip(bounds, bounds[1:], weights):
+                if not weight:
+                    continue
+                n = fill(lo, hi)
+                look_up(buf[1:n], J, range(lead + 1, J))
+                if n == 1:  # the bins also count the windows past the level's
+                    continue
+                tally(buf[0 if carried else 1 : n], J, lead)
+                if done + J < n_max:  # the distinct codes, or the range when every code is
+                    new = np.r_[True, buf[2:n] != buf[1 : n - 1]]
+                    runs.append((lo, hi) if new.all() else buf[1:n][new])
+                buf[0], carried = buf[n - 1], True
+        look_up(bins, lead, range(1, min(lead + 1, J)))
+        for i, (_, seen) in enumerate(last, done):
+            counts[i] += np.count_nonzero(~seen)
         if done + J == n_max or counts[done + J - 1] == size:
             return ComplexityProfile(counts=counts, prefix_length=N)
-        keep = np.ones(size, dtype=bool)  # compact the sorted codes to the distinct ones
-        np.not_equal(srt[1:], srt[:-1], out=keep[1:])
-        distinct = srt[keep]
-        del srt, keep  # before the windows are ranked
+        distinct = bins.astype(dtype) if lead == J else np.concatenate(
+            [run if isinstance(run, np.ndarray) else buf[1 : fill(*run)].copy() for run in runs])
+        del buf, runs  # before the windows are ranked
         rank = np.empty(size, np.int32 if N < 2**31 else np.int64) if rank is None else rank[:size]
-        for start, codes in walk():  # each rank overwrites the one its code was read from
+        for start, codes in walk(J):  # each rank overwrites the one its code was read from
             rank[start : start + codes.size] = np.searchsorted(distinct, codes)
         done, p = done + J, distinct.size
         del distinct  # before the next level's codes are made
@@ -348,17 +450,26 @@ def sign_extension_test(
         codes, counts = measure._table(ell)
         denom = len(z) - ell + 1
         # little-endian support masks, bit j for letter j: they sort squares last letter first
-        masks = sum((codes // 3**i % 3 != 1) << (ell - 1 - i) for i in range(ell))
-        squared = np.bincount(masks, weights=counts, minlength=2**ell)  # exact below 2**53
+        masks = np.empty(codes.size, np.uint16)  # 2**16 masks at k = 16
+        squared, patterns = np.zeros(2**ell), np.zeros(2**ell, np.int64)
+        for lo in range(0, codes.size, _CHUNK):
+            c, n = codes[lo : lo + _CHUNK], counts[lo : lo + _CHUNK]
+            m = masks[lo : lo + _CHUNK]
+            m[:] = sum((c // 3**i % 3 != 1) << (ell - 1 - i) for i in range(ell))
+            squared += np.bincount(m, weights=n, minlength=2**ell)  # exact below 2**53
+            patterns += np.bincount(m, minlength=2**ell)
         support = np.bitwise_count(np.arange(2**ell)).astype(np.int64)
         freq2 = squared / denom
         audit = (squared > 0) & ~(freq2 <= audit_factor * tol)
         audited += int(np.count_nonzero(audit))
         target = freq2 / 2.0**support
-        # 0 off the audited squares: it never beats 0.0 or exceeds tol
-        deviation = np.abs(counts / denom - target[masks]) * audit[masks]
-        unseen = audit & (np.bincount(masks, minlength=2**ell) < 1 << support)
-        top = max(deviation.max(), target[unseen].max(initial=0.0))
+        unseen = audit & (patterns < 1 << support)
+        def deviations():  # (masks, codes, deviations) a slice at a time
+            for lo in range(0, codes.size, _CHUNK):
+                m = masks[lo : lo + _CHUNK]
+                # 0 off the audited squares: it never beats 0.0 or exceeds tol
+                yield m, codes[lo : lo + _CHUNK], np.abs(counts[lo : lo + _CHUNK] / denom - target[m]) * audit[m]
+        top = max(max(d.max() for *_, d in deviations()), target[unseen].max(initial=0.0))
         new_max = top > max_violation
         more_masks = np.flatnonzero(unseen & ((target > tol) | new_max & (target == top)))
         more = np.zeros(more_masks.size, dtype=np.int64)
@@ -367,19 +478,22 @@ def sign_extension_test(
             pairs = np.flatnonzero(np.repeat(reps == 2, reps))
             more_masks, more = np.repeat(more_masks, reps), np.repeat(3 * more + 1, reps)
             more[pairs] += np.tile([-1, 1], pairs.size // 2)  # letters -1 and 1
+        more = more.astype(codes.dtype)  # < 3**ell: an int64 key would make searchsorted copy codes
         fresh = codes.take(np.searchsorted(codes, more), mode="clip") != more  # codes are sorted
-        if fresh.any():  # np.append copies even when it adds nothing
-            masks, codes = np.append(masks, more_masks[fresh]), np.append(codes, more[fresh])
-            deviation = np.append(deviation, target[more_masks[fresh]])
-        pick = np.flatnonzero((deviation > tol) | new_max & (deviation == top))
-        pick = pick[np.lexsort((codes[pick], masks[pick]))]
+        picks = [(more_masks[fresh], more[fresh], target[more_masks[fresh]])]
+        for m, c, d in deviations():
+            pick = np.flatnonzero((d > tol) | new_max & (d == top))
+            picks.append((m[pick], c[pick], d[pick]))
+        m, c, d = (np.concatenate(x) for x in zip(*picks))
+        order = np.lexsort((c, m))
+        c, d = c[order], d[order]
         if new_max:
             max_violation = float(top)
-            witness = code_to_block(int(codes[pick[np.argmax(deviation[pick] == top)]]), ell)
-        pick = pick[deviation[pick] > tol]
-        violations += [(code_to_block(c, ell), d)
-                       for c, d in zip(codes[pick].tolist(), deviation[pick].tolist())]
-        del codes, counts, masks, deviation  # before the next length's table is made
+            witness = code_to_block(int(c[np.argmax(d == top)]), ell)
+        keep = d > tol
+        violations += [(code_to_block(code, ell), dev)
+                       for code, dev in zip(c[keep].tolist(), d[keep].tolist())]
+        del codes, counts, masks  # before the next length's table is made
     return SignExtensionReport(
         passed=max_violation <= tol,
         max_violation=max_violation,

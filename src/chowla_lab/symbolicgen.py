@@ -93,6 +93,15 @@ def bernoulli_prefix(alphabet, params: BernoulliParams, N: int) -> SignSeq:
     reaches (as ``searchsorted(side="right")``), drawn in chunks that
     continue one stream, so the bytes equal those of a single draw.
     """
+    return _fill(N, _bernoulli_chunks(alphabet, params, N))
+
+
+def _bernoulli_chunks(alphabet, params: BernoulliParams, N: int):
+    """The int8 chunks of ``bernoulli_prefix``, as an iterator; the
+    arguments are checked at the call.  A chunk of _CHUNK uniforms u takes
+    symbols[0] + sum over i of (u >= cut_i) * (symbols[i + 1] - symbols[i]):
+    the cuts ascend, so the sum telescopes to the symbol after the last cut
+    that u reaches, equal cuts included."""
     if N < 1:
         raise ValueError("N must be >= 1")
     symbols = _as_symbol_array(alphabet)
@@ -101,14 +110,19 @@ def bernoulli_prefix(alphabet, params: BernoulliParams, N: int) -> SignSeq:
             f"alphabet size {symbols.size} != probabilities size {len(params.probabilities)}"
         )
     cuts = np.cumsum(np.asarray(params.probabilities, dtype=np.float64))[:-1].tolist()
+    steps = np.diff(symbols).tolist()  # in -2..2
     rng = np.random.default_rng(params.seed)
-    out = np.full(N, symbols[0], dtype=np.int8)
-    for lo in range(0, N, _CHUNK):
-        u = rng.random(min(_CHUNK, N - lo))
-        for cut, symbol in zip(cuts, symbols[1:].tolist()):  # ascending: the last cut <= u wins
-            np.putmask(out[lo : lo + u.size], u >= cut, symbol)
-        del u  # before the next chunk is drawn
-    return SignSeq._wrap(out)
+
+    def chunks():
+        for lo in range(0, N, _CHUNK):
+            u = rng.random(min(_CHUNK, N - lo))
+            out = np.full(u.size, symbols[0], dtype=np.int8)
+            for cut, step in zip(cuts, steps):
+                out += (u >= cut).view(np.int8) * np.int8(step)
+            del u  # before the next chunk is drawn
+            yield out
+
+    return chunks()
 
 
 def pair_code_prefix(k0: int, seed: int, N: int) -> SignSeq:

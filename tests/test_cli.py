@@ -130,14 +130,15 @@ class TestChoiceTables:
                 return real(*args, **kwargs)
             return call
 
-        # generate --kind mobius streams the sieve's segments, not mobius_prefix
-        for name in ("_sign_sieve", "bernoulli_prefix", "RotationSampler"):
+        # generate --kind mobius streams the sieve's segments, not mobius_prefix,
+        # and --kind bernoulli the draws' chunks, not bernoulli_prefix
+        for name in ("_sign_sieve", "_bernoulli_chunks", "RotationSampler"):
             monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
         assert run(["generate", "--kind", "mobius", "--n", 100, "--out", tmp_path / "m.sqz"]) == 0
         assert run(["generate", "--kind", "bernoulli", "--probs", "0.5,0.5", "--n", 100,
                     "--out", tmp_path / "b.sqz"]) == 0
         assert run(["sarnak", "--in", mobius_file, "--system", "rotation", "--alpha", 0.5]) == 0
-        assert calls == ["_sign_sieve", "bernoulli_prefix", "RotationSampler"]
+        assert calls == ["_sign_sieve", "_bernoulli_chunks", "RotationSampler"]
         capsys.readouterr()
         with pytest.raises(SystemExit):
             run(["generate", "--help"])
@@ -224,12 +225,43 @@ class TestDavenport:
         assert report["results"]["max_value"] < 0.05
 
 
+def dispatched_features():
+    """The SIMD targets above numpy's baseline that it dispatches to on this CPU."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
 class TestEntropy:
     def test_report_fields(self, mobius_file, capsys):
         assert run(["entropy", "--in", mobius_file, "--n-max", 10]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["results"]["counts"]) == 10
         assert report["results"]["estimate"] > 0
+
+    def test_same_bytes_at_every_simd_level(self, tmp_path):
+        # a period-1621 word has p_n = 1621 from n = 14 on, where np.log2's
+        # AVX-512 and baseline kernels differ in the last bit; each child
+        # must write the bytes of the other
+        features = dispatched_features()
+        if not features:
+            pytest.skip("numpy dispatches to no SIMD target above its baseline on this CPU")
+        period = np.random.default_rng(1621).integers(-1, 2, size=1621, dtype=np.int8)
+        write_sqz(tmp_path / "w.sqz", SignSeq(np.resize(period, 20_000)))
+        reports = []
+        for disabled in (None, " ".join(features)):
+            env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
+            env.pop("NPY_DISABLE_CPU_FEATURES", None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            proc = subprocess.run(
+                [sys.executable, "-m", "chowla_lab.cli", "entropy", "--in", str(tmp_path / "w.sqz"),
+                 "--n-max", "20"], env=env, capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        assert json.loads(reports[0])["results"]["counts"][13:] == [1621] * 7
+        assert reports[0] == reports[1]
 
 
 class TestHatTest:
@@ -975,3 +1007,65 @@ class TestGoldenReports:
         assert run([*argv, "--in", "in.sqz", "--out-report", "report"]) == code
         for name, digest in digests.items():
             assert hashlib.sha256(Path(name).read_bytes()).hexdigest() == digest
+
+
+# A child that runs the CLI with its arguments (none: only imports it) and
+# writes its VmHWM line to stderr at exit.
+PEAK_CHILD = """
+import atexit, runpy, sys
+def hwm():
+    sys.stderr.write(next(line for line in open("/proc/self/status") if line.startswith("VmHWM:")))
+atexit.register(hwm)
+if sys.argv[1:]:
+    sys.argv[0] = "chowla-lab"
+    runpy.run_module("chowla_lab.cli", run_name="__main__")
+else:
+    import chowla_lab.cli
+"""
+
+
+def child_peak(cwd, *argv):
+    """VmHWM in bytes of a fresh child that runs the CLI with argv."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", PEAK_CHILD, *map(str, argv)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    return int(proc.stderr.split("VmHWM:")[1].split()[0]) * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+class TestChildPeaks:
+    # Each command at N = 2**22 in a fresh child that reads its own VmHWM at
+    # exit: wait4's ru_maxrss would also count the RSS the child had before
+    # exec, the test process's.  Its peak above a bare import's, per symbol,
+    # measured here (2-vCPU Xeon, Python 3.11, numpy 2.4): generate
+    # --kind bernoulli 1.7 (a chunk of draws at a time; 2.6 when it drew the
+    # whole prefix), entropy --n-max 20 2.1 (one code range at a time; 4.7
+    # with every code in one buffer), hat-test --k 12 2.4 (int32 tables,
+    # slices; 5.1 with int64 tables) and determinize 1.8 (its N-byte
+    # output).  Each bound is that + 0.5 B/symbol, 2 MB at this N, for other
+    # interpreters and allocators.
+    N = 2**22
+
+    @pytest.fixture(scope="class")
+    def bare(self, tmp_path_factory):
+        return child_peak(tmp_path_factory.mktemp("bare"))
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("peaks")
+        assert main(["generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--seed", "1",
+                     "--n", str(self.N), "--out", str(path / "b.sqz")]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv,bound", [
+        (("generate", "--kind", "bernoulli", "--probs", "0.25,0.5,0.25", "--n", 2**22,
+          "--out", "g.sqz"), 2.2),
+        (("entropy", "--in", "b.sqz", "--n-max", 20), 2.6),
+        (("hat-test", "--in", "b.sqz", "--k", 12, "--tol", 0.001), 2.9),
+        (("determinize", "--in", "b.sqz", "--epsilon", 0.1, "--n-block", 20, "--big-n", 100,
+          "--out", "d.sqz"), 2.3),
+    ], ids=["generate-bernoulli", "entropy-n20", "hat-test-k12", "determinize-n20"])
+    def test_peak_per_symbol(self, bare, workdir, argv, bound):
+        peak = child_peak(workdir, *argv)
+        assert (peak - bare) / self.N < bound

@@ -234,32 +234,40 @@ class TestKernelMemory:
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < 18 * N
 
-    # the uint32 length-20 codes sorted in place and divided by 3 between
-    # lengths (4.3 B/symbol traced, 8.3 as int64); heavy windows from pieces
-    # of max(2**16, 2 size / t) codes, each sorted in place (2.29 traced at
+    # the profile fills, sorts and counts one code range at a time: the
+    # uint32 codes of about a fifth of the windows in one reused buffer,
+    # beside the walked chunk (1.41 B/symbol traced, where one sorted buffer of
+    # every code traced 4.4, and 8.3 as int64); heavy windows from pieces
+    # of max(2**16, 2 size / t) codes, each sorted in place (2.06 traced at
     # t = 5, where sorting every code traced 5.0), and a recoding that holds
-    # the output and one group of blocks (1.33, against 5.0 with N-sized
-    # block matrices), each bound its traced value + 5 %; the uniforms drawn
-    # in chunks and picked by np.putmask, and one length-k table, sorted in
-    # place, that the shorter lengths and z^2 are derived from: a derived
-    # length reduces its runs before it merges the last windows (43.7 traced
-    # at length 15); the sign test's k = 16 peak, 50.2, is its deviation step
-    # at length 15, as np.append runs only when an unseen pattern is added.
-    # Up to 3**k <= N the length-k windows go into a dense int64 table as the
-    # prefix is walked in chunks (0.51 B/symbol traced at k 8, 3.29 at k 12,
-    # and the k 12 sign test 5.10; sorting every window code traced 4.06,
-    # 6.53 and 6.53): each of those three bounds is its traced value + 5 %.
-    # square_map squares each chunk into its output (1.00 traced; + 5 %)
+    # the output and one group of blocks (1.07, against 5.0 with N-sized
+    # block matrices), each bound its traced value + 5 %; the Bernoulli
+    # output beside one chunk of uniforms and its symbols (1.19 traced); and
+    # one length-k table of codes in ``_code_dtype``
+    # and int32 counts, sorted, that the shorter lengths and z^2 are derived
+    # from: a derived length reduces its runs before it merges the last
+    # windows (43.7 traced at length 15); the sign test's k = 16 peak, 50.2,
+    # is its deviation step at length 15, as np.append runs only when an
+    # unseen pattern is added.  Up to 3**k <= N the length-k windows go into
+    # a dense int32 table as the prefix is walked in chunks (0.11 B/symbol
+    # traced at k 8; at k 12 the table beside its int32 codes and counts,
+    # 1.54, and the k 12 sign test 1.85, its masks, squares and deviations
+    # made a ``_CHUNK`` slice at a time, where int64 tables and table-sized
+    # float64 temporaries traced 3.04 and 5.10): the bounds at k 8 and 12 and
+    # of the profile and the Bernoulli draw are their traced value + 5 %.
+    # square_map squares each chunk into its output (1.00 traced; + 5 %).
+    # Each value is that of the call alone in a fresh interpreter, so it
+    # includes the modules the call imports on first use.
     @pytest.mark.parametrize("call,bound", [
-        (lambda z: complexity_profile(z, 20), 5),
+        (lambda z: complexity_profile(z, 20), 1.49),
         (lambda z: complexity_profile(z, 60), 8.8),  # distinct at 39: one int64 level
-        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 1.40),
-        (lambda z: positive_frequency_blocks(z, 20, 1e-6), 2.41),
+        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 1.12),
+        (lambda z: positive_frequency_blocks(z, 20, 1e-6), 2.17),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
-         4),
-        (lambda z: block_frequencies(z, 8), 0.54),
-        (lambda z: block_frequencies(z, 12), 3.46),
-        (lambda z: sign_extension_test(z, 12, 0.001), 5.36),
+         1.25),
+        (lambda z: block_frequencies(z, 8), 0.12),
+        (lambda z: block_frequencies(z, 12), 1.61),
+        (lambda z: sign_extension_test(z, 12, 0.001), 1.94),
         (lambda z: block_frequencies(z, 16), 40),
         (lambda z: block_frequencies(z, 24), 40),
         (lambda z: block_frequencies(z, 16)._table(15), 46),
@@ -274,14 +282,14 @@ class TestKernelMemory:
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < bound * N
 
-    # an opened file is walked: the profile's uint32 code buffer fills a
-    # piece at a time beside a read chunk, 4.56 B/symbol traced, and the
-    # recoding holds the output beside a group of blocks, 1.78, where the
-    # whole prefix read first and its codes made at once took 5 B/symbol
-    # more (bounds: traced + 5 %)
+    # an opened file is walked: the profile's buffer of one code range
+    # fills beside a read chunk, 1.74 B/symbol traced (4.56 with one buffer
+    # of every code), and the recoding holds the output beside a group of
+    # blocks, 1.54, where the whole prefix read first and its codes made at
+    # once took 5 B/symbol more (bounds: traced + 5 %)
     @pytest.mark.parametrize("call,bound", [
-        (lambda z: complexity_profile(z, 20), 4.79),
-        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 1.87),
+        (lambda z: complexity_profile(z, 20), 1.83),
+        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 1.62),
     ], ids=["complexity-profile", "determinize-n20"])
     def test_opened_file_peak_per_symbol(self, tmp_path, call, bound):
         N = 2**22
@@ -383,8 +391,9 @@ class TestBlockFrequencies:
         srt = block_frequencies(w, k)
         blocks = [b for ell in range(1, k + 1) for b in itertools.product((-1, 0, 1), repeat=ell)]
         for ell in range(1, k + 1):
-            for got, want in zip(default._table(ell), srt._table(ell)):
-                assert got.dtype == want.dtype == np.int64
+            # every length keeps the stored dtypes: length-k codes and int32 counts
+            for got, want, dtype in zip(default._table(ell), srt._table(ell), (np.int32, np.int32)):
+                assert got.dtype == want.dtype == dtype
                 assert got.tolist() == want.tolist()
             oracle = window_counts(values.tolist(), ell)
             assert {code_to_block(c, ell).letters: int(n) for c, n in
@@ -548,6 +557,43 @@ class TestComplexityProfile:
                 write_sqz(tmp_path / "w.sqz", SignSeq(word[:N]))
                 opened = seqcore._SqzFile(tmp_path / "w.sqz")
                 assert complexity_profile(opened, n_max).counts.tolist() == want
+
+    @given(profile_inputs(), st.sampled_from([(1, 7), (1, 64), (7, 1), (7, 64), (64, 1), (64, 7)]),
+           st.sampled_from([1, 8, 9, 19, 20, 21, 38, 39, 40, 41, 60, 120]))
+    @settings(max_examples=50, deadline=None)
+    def test_code_ranges_match_distinct_windows(self, values, budget_chunk, n_max):
+        # a budget of 1, 7 or 64 codes cuts each level into many code ranges,
+        # some empty (their bins hold only windows past the level's); each
+        # range carries its last code across the seam to the next and looks
+        # up the last windows; n_max on both sides of 20 and 39, and past 39.
+        # A range walks every window, so a budget of 1 is not paired with
+        # chunks of one window
+        (budget, chunk), n_max = budget_chunk, min(n_max, len(values))
+        want = [len(window_counts(values, n)) for n in range(1, n_max + 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(empirics, "_range_budget", lambda total, itemsize: budget)
+            mp.setattr(empirics, "_CHUNK", chunk)
+            mp.setattr(seqcore, "_CHUNK", chunk + 3)
+            assert complexity_profile(SignSeq(values), n_max).counts.tolist() == want
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    @pytest.mark.parametrize("kind", ["constant", "written-twice"])
+    def test_code_range_edges(self, tmp_path, monkeypatch, budget, kind):
+        # a constant word puts every window in one bin, so one range holds
+        # them whatever the budget; a random 2,500-letter block written twice
+        # has p_39 > 3**7, so the second level groups two ranks to a bin and
+        # its ranges split inside the quotient spans of every length
+        monkeypatch.setattr(empirics, "_range_budget", lambda total, itemsize: budget)
+        if kind == "constant":
+            values = [1] * 300
+        else:
+            block = np.random.default_rng(budget).integers(-1, 2, size=2500).tolist()
+            values = block + block
+        want = [len(window_counts(values, n)) for n in range(1, 61)]
+        assert (kind == "constant") == (want[38] == 1) and (want[38] > 3**7 or kind == "constant")
+        assert complexity_profile(SignSeq(values), 60).counts.tolist() == want
+        write_sqz(tmp_path / "w.sqz", SignSeq(values))
+        assert complexity_profile(seqcore._SqzFile(tmp_path / "w.sqz"), 60).counts.tolist() == want
 
     @pytest.mark.parametrize("kind", ["random", "periodic", "golden-sturmian"])
     def test_sorted_path_matches_rank_walk(self, kind):

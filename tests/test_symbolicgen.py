@@ -122,6 +122,27 @@ class TestBernoulli:
         got = bernoulli_prefix((-1, 0, 1), BernoulliParams(probs, seed=17), N)
         assert np.array_equal(got.values, want)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("alphabet,probs", [
+        ((-1, 0, 1), (0.25, 0.5, 0.25)),
+        ((-1, 0, 1), (0.5, 0.0, 0.5)),
+        ((1, -1), (0.3, 0.7)),
+    ], ids=["three-letter", "zero-probability", "two-letter-descending"])
+    def test_chunks_are_one_draw(self, monkeypatch, chunk, alphabet, probs):
+        # chunks of _CHUNK draws, the last one shorter, that join to the symbols
+        # of one draw; a zero probability makes two equal cuts, and (1, -1)
+        # steps down from the first symbol
+        monkeypatch.setattr(symbolicgen, "_CHUNK", chunk)
+        N = 3 * chunk + 2
+        cuts = np.cumsum(probs)
+        cuts[-1] = 1.0
+        u = np.random.default_rng(5).random(N)
+        want = np.array(alphabet, dtype=np.int8)[np.searchsorted(cuts, u, side="right")]
+        chunks = list(symbolicgen._bernoulli_chunks(alphabet, BernoulliParams(probs, seed=5), N))
+        assert [c.size for c in chunks] == [min(chunk, N - lo) for lo in range(0, N, chunk)]
+        assert all(c.dtype == np.int8 for c in chunks)
+        assert np.array_equal(np.concatenate(chunks), want)
+
     @pytest.mark.parametrize("alphabet,probs", [
         ((-1, 0, 1), (0.25, 0.5, 0.25)),
         ((-1, 0, 1), (0.5, 0.0, 0.5)),
