@@ -11,18 +11,17 @@ denominator N - ell + 1.  ``_window_codes`` alone builds window codes, by
 prefix doubling, also for ``symbolicgen``: big-endian base-3 codes
 (letter + 1, the first letter most significant) that sort like the blocks and
 are exact up to length 39, in the dtype ``_code_dtype`` picks: int32, uint32
-at length 20, or int64.  ``block_frequencies`` counts its 3**k <= min(N,
-2**23) codes in a dense int32 table as ``seqcore._windows`` walks a SignSeq
-or a .sqz; it sorts more codes once, and then only reads them: the codes d
-letters shorter are their quotients by 3**d, still sorted, so a shorter
-code c spans the entries in [c, c + 1) * 3**d.  ``complexity_profile``
-sorts its codes one code range at a time, the ranges cut from a histogram
-of the windows' first letters; past 39 letters a profile code starts with
-the dense rank of the window's first letters.  The profile and the
-heavy-window kernel ``positive_frequency_blocks`` walk a SignSeq or a .sqz
-too, and the latter sorts one piece of the codes at a time.
-Every pass over an N-sized array, here and in ``symbolicgen``, runs in
-chunks of ``_CHUNK``.
+at length 20, or int64.  ``block_frequencies`` walks a SignSeq or a .sqz
+and counts its 3**k <= min(N, 2**23) codes in a dense int32 table; it sorts
+more codes once, and then only reads them: the codes d letters shorter are
+their quotients by 3**d, still sorted, so a shorter code c spans the
+entries in [c, c + 1) * 3**d.  ``complexity_profile`` sorts its codes one
+code range at a time, the ranges cut from a histogram of the windows' first
+letters; past 39 letters a profile code starts with the dense rank of the
+window's first letters.  The profile and the heavy-window kernel
+``positive_frequency_blocks`` walk a SignSeq or a .sqz too, and the latter
+sorts one piece of the codes at a time.  Every pass over an N-sized array,
+here and in ``symbolicgen``, runs in chunks of ``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import Block, SignSeq, _fill, _windows
+from .seqcore import Block, _windows
 
 MAX_FREQUENCY_ORDER = 24
 _CODE_LENGTH_LIMIT = 39  # 3**39 - 1 < 2**63 <= 3**40 - 1
@@ -61,45 +60,31 @@ def _window_codes(values: np.ndarray, k: int) -> np.ndarray:
     """Base-3 codes of the length-k windows: entry i of the N - k + 1 codes
     is the code of values[i : i + k], in ``_code_dtype(3**k)``: uint32 at 20.
 
-    Prefix doubling, about log2 k passes over each ``_CHUNK`` of windows: the
-    length-1 codes are values + 1, a pass makes code_2m[i] = code_m[i] * 3**m
-    + code_m[i + m], and each set bit of k below the top then appends one
-    letter, 3 * code + values[i + 2m] + 1.  A pass before the last makes its
-    codes in the narrowest unsigned dtype that holds them, uint8 up to 5
+    Prefix doubling, about log2 k passes over the chunk of windows (or the
+    ``symbolicgen`` group of blocks) it is given, each into one fresh array:
+    the length-1 codes are values + 1, a pass makes code_2m[i] = code_m[i] *
+    3**m + code_m[i + m], and each set bit of k below the top then appends
+    one letter, 3 * code + values[i + 2m] + 1.  A pass before the last makes
+    its codes in the narrowest unsigned dtype that holds them, uint8 up to 5
     letters and uint16 up to 10, so the early passes move a quarter or half
     the bytes.  Letters are added in uint8, where -1 + 1 wraps to 0: int8
     does not cast to an unsigned dtype.
     """
     if not 1 <= k <= values.size:
         raise ValueError(f"window length {k} outside 1..{values.size}")
-    dtype, letters = _code_dtype(3**k), values.view(np.uint8)
-    codes = np.empty(values.size - k + 1, dtype)
-    steps, m = [], 1  # (m, grow, dtype, last) of each pass
+    letters, dtype = values.view(np.uint8), np.dtype(_code_dtype(3**k))
+    codes, m = letters + np.uint8(1), 1
     for bit in reversed(range(k.bit_length() - 1)):
         grow = k >> bit & 1
-        step = np.dtype(dtype) if bit == 0 else np.min_scalar_type(3 ** (2 * m + grow) - 1)
-        steps.append((m, grow, step, bit == 0))
-        m = 2 * m + grow
-    # two scratch buffers of each narrow dtype, which every chunk reuses:
-    # a pass writes the one its input is not in, and the last pass the output
-    width = min(_CHUNK + k - 1, values.size)
-    narrow = {np.dtype(np.uint8)}.union(step for _, _, step, last in steps if not last)
-    scratch = {t: (np.empty(width, t), np.empty(width, t)) for t in narrow}
-    for lo in range(0, codes.size, _CHUNK):
-        piece = letters[lo : lo + _CHUNK + k - 1]
-        part = np.add(piece, np.uint8(1), out=scratch[np.dtype(np.uint8)][0][: piece.size])
-        for m, grow, step, last in steps:
-            size = part.size - m - grow
-            nxt = codes[lo : lo + size] if last else scratch[step][part.base is scratch[step][0]][:size]
-            np.multiply(part[:size], step.type(3**m), out=nxt)
-            nxt += part[m : m + size]
-            if grow:
-                nxt *= step.type(3)
-                nxt += piece[2 * m : 2 * m + size] + np.uint8(1)
-            part = nxt
-        if not steps:
-            codes[lo : lo + part.size] = part
-    return codes
+        size = codes.size - m - grow
+        step = dtype if bit == 0 else np.min_scalar_type(3 ** (2 * m + grow) - 1)
+        nxt = np.multiply(codes[:size], step.type(3**m), dtype=step)
+        nxt += codes[m : m + size]
+        if grow:
+            nxt *= step.type(3)
+            nxt += letters[2 * m : 2 * m + size] + np.uint8(1)
+        codes, m = nxt, 2 * m + grow
+    return codes.astype(dtype, copy=False)  # at k = 1, the uint8 letters + 1
 
 
 def _code_walk(source, k: int, stops):
@@ -133,26 +118,17 @@ class EmpiricalMeasure:
         return self.window_count - length + 1
 
     def _table(self, ell: int):
-        """Sorted codes and counts of the length-ell blocks, in the stored
-        dtypes: the runs of the stored code // 3**(max_order - ell), reduced a
-        ``_CHUNK`` slice at a time (a run across a slice edge joins the last
-        slice's), then the last windows merged in."""
+        """Sorted codes and counts of the length-ell blocks, in the stored dtypes: the runs of
+        code // 3**(max_order - ell) that ``_run_starts`` finds, reduced, the last windows merged in."""
         if not 1 <= ell <= self.max_order:
             raise ValueError(f"block length {ell} outside 1..{self.max_order}")
         if ell == self.max_order:
             return self._codes, self._counts
-        shift, codes, counts = 3 ** (self.max_order - ell), [], []
-        for lo in range(0, self._codes.size, _CHUNK):
-            q = self._codes[lo : lo + _CHUNK] // shift
-            runs = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-            q, n = q[runs], np.add.reduceat(self._counts[lo : lo + _CHUNK], runs, dtype=self._counts.dtype)
-            if codes and codes[-1][-1] == q[0]:
-                counts[-1][-1] += n[0]
-                q, n = q[1:], n[1:]
-            if q.size:
-                codes.append(q)
-                counts.append(n)
-        codes, counts = np.concatenate(codes), np.concatenate(counts)
+        shift = 3 ** (self.max_order - ell)
+        starts = _run_starts(self._codes, shift)
+        codes, counts = self._codes[starts], np.add.reduceat(self._counts, starts, dtype=self._counts.dtype)
+        codes //= shift
+        del starts  # before the last windows are merged in
         last, extra = np.unique(_window_codes(self._tail, ell), return_counts=True)
         last = last.astype(codes.dtype)  # a narrower key would make searchsorted copy the table
         i = np.searchsorted(codes, last)
@@ -187,11 +163,23 @@ class EmpiricalMeasure:
                 for code, cnt in zip(codes.tolist(), counts.tolist()))
 
 
+def _run_starts(srt: np.ndarray, shift: int) -> np.ndarray:
+    """The intp starts of the runs of srt // shift, srt sorted: 0 and each
+    entry whose quotient differs from the one before, a ``_CHUNK`` slice at a time."""
+    starts = [np.zeros(1, dtype=np.intp)]
+    for lo in range(1, srt.size, _CHUNK):
+        q = srt[lo - 1 : lo + _CHUNK] // shift
+        starts.append(lo + np.flatnonzero(q[1:] != q[:-1]))
+    return np.concatenate(starts)
+
+
 def block_frequencies(w, k: int) -> EmpiricalMeasure:
     """Overlapping-window frequencies of every block of length <= k in a
-    SignSeq or an _SqzFile; length k alone is tallied, in a dense table while
-    3**k <= min(N, _DENSE_CODES) (np.add.at makes no 3**k temporary), whose
-    nonzero entries are read off a ``_CHUNK`` slice at a time.
+    SignSeq or an _SqzFile; length k alone is tallied from a ``_code_walk``,
+    in a dense table while 3**k <= min(N, _DENSE_CODES) (np.add.at makes no
+    3**k temporary), read off a ``_CHUNK`` slice at a time, else in one code
+    buffer, sorted and cut by ``_run_starts``; the last k - 1 letters are
+    decoded from the last window's code.
 
     freq(B) = #{1 <= n <= N-ell+1 : w[n..n+ell-1] = B} / (N-ell+1).
     """
@@ -199,29 +187,28 @@ def block_frequencies(w, k: int) -> EmpiricalMeasure:
         raise ValueError(f"k must be in 1..{MAX_FREQUENCY_ORDER}, got {k}")
     if (N := len(w)) < 10 * k:
         raise ValueError(f"prefix length {N} < 10*k = {10 * k}")
-    dtype, count_dtype = _code_dtype(3**k), np.int32 if N < 2**31 else np.int64
-    if 3**k <= min(N, _DENSE_CODES):
-        table = np.zeros(3**k, dtype=count_dtype)
-        for _, buf in _windows(w, k, (N - k + 1,)):
-            for lo in range(0, buf.size - k + 1, _CHUNK):
-                # a Python 1 would take ufunc.at's slow casting path into int32
-                np.add.at(table, _window_codes(buf[lo : lo + _CHUNK + k - 1], k), table.dtype.type(1))
+    dtype, count_dtype, size = _code_dtype(3**k), np.int32 if N < 2**31 else np.int64, N - k + 1
+    dense = 3**k <= min(N, _DENSE_CODES)
+    table = np.zeros(3**k, dtype=count_dtype) if dense else np.empty(size, dtype)  # counts, or the codes
+    for start, codes in _code_walk(w, k, (size,)):
+        if dense:  # a Python 1 would take ufunc.at's slow casting path into int32
+            np.add.at(table, codes, table.dtype.type(1))
+        else:
+            table[start : start + codes.size] = codes
+        last = int(codes[-1])
+        del codes  # before the next chunk's codes are made
+    tail = (last // 3 ** np.arange(k - 2, -1, -1) % 3 - 1).astype(np.int8)
+    if dense:
         codes = np.concatenate([(lo + np.flatnonzero(table[lo : lo + _CHUNK])).astype(dtype)
                                 for lo in range(0, table.size, _CHUNK)])
         counts = table[codes]
     else:
-        buf = w.values if isinstance(w, SignSeq) else _fill(N, w.chunks()).values
-        windows = _window_codes(buf, k)
-        windows.sort()
-        starts = [np.zeros(1, dtype=np.intp)]
-        for lo in range(1, windows.size, _CHUNK):
-            hi = min(lo + _CHUNK, windows.size)
-            starts.append(lo + np.flatnonzero(windows[lo:hi] != windows[lo - 1 : hi - 1]))
-        starts = np.concatenate(starts)
-        codes = windows[starts]
-        del windows  # the window buffer is freed before the counts are made
-        counts = np.diff(starts, append=N - k + 1).astype(count_dtype)
-    return EmpiricalMeasure(k, N, codes, counts, buf[buf.size - k + 1 :])
+        table.sort()
+        starts = _run_starts(table, 1)
+        codes = table[starts]
+        del table  # the window buffer is freed before the counts are made
+        counts = np.diff(starts, append=size).astype(count_dtype)
+    return EmpiricalMeasure(k, N, codes, counts, tail)
 
 
 @dataclass(frozen=True)
@@ -316,10 +303,12 @@ def complexity_profile(w, n_max: int) -> ComplexityProfile:
                 chunk = chunk.astype(_code_dtype(p * 3 ** (j - 1)), copy=False)  # narrower once they fit
     def fill(lo, hi):  # the codes in [lo, hi) into buf[1:n], sorted; returns n
         n = 1
-        for _, codes in walk(J):
-            kept = np.compress(codes.view(unsigned) - lo <= hi - lo - 1, codes)
+        for _, codes in walk(J):  # each chunk's own codes, shifted in place: no chunk-sized temporary
+            codes -= dtype(lo)
+            kept = np.compress(codes.view(unsigned) <= hi - lo - 1, codes) + dtype(lo)
             buf[n : n + kept.size] = kept
             n += kept.size
+            del codes, kept  # before the next chunk's codes are made
         buf[1:n].sort()
         return n
     def look_up(srt, longest, lengths):  # marks the last windows of these lengths that srt holds

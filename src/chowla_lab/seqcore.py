@@ -255,7 +255,7 @@ def _windows(source, k: int, stops):
             parts = (np.concatenate((carry, chunk)),)
         for buf in parts:
             while buf.size >= k:
-                count = min(buf.size - k + 1, stops[j] - end, _CHUNK)
+                count = min(buf.size - k + 1, stops[j] - end)
                 end += count
                 j += end == stops[j]
                 yield end, buf[: count + k - 1]

@@ -221,7 +221,7 @@ class EntropyLowerBound:
 def toeplitz_entropy_lower_bound(z_ref, q: int, m: int, ell: int, K: int) -> EntropyLowerBound:
     """A good tail of t is z at its positions, read from a SignSeq or an opened
     .sqz z_ref by a walk that stops at either end of each tail, with z(j) on
-    the offsets A_j owns (j <= m); uint64 base-3 codes tell tails apart."""
+    the offsets A_j owns (j <= m); np.unique tells the rows apart as L-byte values."""
     pattern, good = _tail_classes(q, m, ell, K)
     L = pattern.size
     if L > MAX_ENTROPY_BLOCK:
@@ -237,10 +237,6 @@ def toeplitz_entropy_lower_bound(z_ref, q: int, m: int, ell: int, K: int) -> Ent
             tails.reshape(-1)[filled : filled + buf.size] = buf
             filled += buf.size
     tails[:, pattern > 0] = next(_windows(z_ref, m, (1,)))[1][pattern[pattern > 0] - 1]  # z(1..m)
-    codes = np.zeros(len(starts), dtype=np.uint64)
-    for column in (tails + 1).view(np.uint8).T:  # 3^40 - 1 < 2^64
-        codes *= 3
-        codes += column
-    distinct = int(np.unique(codes).size)
+    distinct = int(np.unique(tails.view(np.dtype((np.void, L))).ravel()).size)
     return EntropyLowerBound(estimate=math.log2(distinct) / L if distinct else 0.0,
                              distinct_blocks=distinct, good_count=len(starts), L=L, m=m, K=K)

@@ -222,8 +222,8 @@ def uniform_prefix(N):
 
 
 class TestKernelMemory:
-    # one window-code buffer beside the input, built by doubling through a
-    # cache-sized scratch; an int64 digit copy and product temporary made
+    # one window-code buffer beside the input, built by doubling one
+    # cache-sized chunk at a time; an int64 digit copy and product temporary made
     # each of these about 25 B/symbol
     @pytest.mark.parametrize("call", [
         lambda z: block_frequencies(z, 12),
@@ -295,6 +295,22 @@ class TestKernelMemory:
         N = 2**22
         write_sqz(tmp_path / "z.sqz", uniform_prefix(N))
         assert traced_peak(call, seqcore._SqzFile(tmp_path / "z.sqz")) < bound * N
+
+    # the sorted k = 16 table is filled as an opened file is walked, so on a
+    # file the table and the sign test trace at most one read chunk beside
+    # the same call on a SignSeq (26.68 B/symbol against 26.68, where a copy
+    # of the whole prefix first read 27.68); each call is made once before,
+    # so neither side counts the modules it imports on first use
+    @pytest.mark.parametrize("call", [
+        lambda z: block_frequencies(z, 16),
+        lambda z: sign_extension_test(z, 16, 0.001),
+    ], ids=["block-frequencies-k16", "sign-test-k16"])
+    def test_opened_file_holds_no_prefix_copy(self, tmp_path, call):
+        z = uniform_prefix(2**22)
+        write_sqz(tmp_path / "z.sqz", z)
+        f = seqcore._SqzFile(tmp_path / "z.sqz")
+        call(z)
+        assert traced_peak(call, f) <= traced_peak(call, z) + seqcore._CHUNK
 
     def test_battery_curves_are_one_table(self):
         # 69,040 specs at N = 10^4: each entry reads its curve from one int64

@@ -449,6 +449,24 @@ class TestDeterminize:
         assert recoding_summary(res) == brute_determinize(values, params)
         assert res.heavy_block_count > 0 and res.unacceptable_fraction == 0.25
 
+    def test_blocks_longer_than_a_chunk(self):
+        # big_n = 2**17 > _CHUNK: each group is one block, whose windows are
+        # coded at once.  Three blocks of ones, the second with 5 letters
+        # changed (rewritten) and the third with 1,000 (unacceptable), then
+        # 100 random letters; the window of ones alone is heavy (> 2**-0.08)
+        big_n, rng = 2**17, np.random.default_rng(17)
+        assert big_n > symbolicgen._CHUNK
+        values = np.ones(3 * big_n + 100, dtype=np.int8)
+        for block, changes in ((1, 5), (2, 1000)):
+            at = block * big_n + rng.choice(big_n, changes, replace=False)
+            values[at] = rng.choice([-1, 0], changes)
+        values[3 * big_n :] = rng.integers(-1, 2, size=100)
+        params = DeterminizeParams(0.005, 16, big_n)
+        res = determinize_step(SignSeq(values), params)
+        assert recoding_summary(res) == brute_determinize(values.tolist(), params)
+        assert res.heavy_block_count == 1 and res.unacceptable_fraction == 1 / 3
+        assert 0 < res.changed_fraction < 1 / 3
+
     def test_window_at_threshold_is_light(self):
         # (0, 1, 0, 1) fills 2 of the 16 windows, exactly the threshold 2**-3
         values = [1, 0, 1, 0, 1, 0, 1, 0, -1, -1, 0, -1, 1, -1, -1, 0, 1, -1, 0]

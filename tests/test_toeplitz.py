@@ -277,6 +277,26 @@ class TestEntropyLowerBound:
         assert rep.L == 25
         assert rep.estimate > 0.2
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forty_letter_tails(self, seed):
+        # L = q^ell = 40, the longest tail, which TAIL_PARAMS never reaches:
+        # each interval of the reference is one of four 1,600-letter blocks,
+        # a random one, copies of it with the last or the second tail letter
+        # changed, and another random one, so tails repeat and some differ
+        # only next to an end of the row
+        q, m, ell, K = 40, 2, 1, 6
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-1, 2, size=q**m)
+        blocks = [base, base.copy(), base.copy(), rng.integers(-1, 2, size=q**m)]
+        for block, i in ((blocks[1], q**m - 1), (blocks[2], q**m - q**ell + 1)):
+            block[i] = (block[i] + 2) % 3 - 1
+        ref = SignSeq(np.concatenate([blocks[i] for i in rng.permutation(np.resize(range(4), K))]))
+        owner, tails = brute_tails(q, m, ell, K)
+        rows = {tuple(ref[owner[n]] for n in tail) for is_good, _, tail in tails if is_good}
+        rep = toeplitz_entropy_lower_bound(ref, q, m, ell, K)
+        assert rep.L == 40 and rep.good_count == K
+        assert rep.distinct_blocks == len(rows) == 4
+
     def test_reference_length_guard(self):
         with pytest.raises(ValueError, match="reference length"):
             toeplitz_entropy_lower_bound(SignSeq([1]), 5, 4, 2, 10)
