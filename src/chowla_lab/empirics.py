@@ -16,12 +16,13 @@ and counts its 3**k <= min(N, 2**23) codes in a dense int32 table; it sorts
 more codes once, and then only reads them: the codes d letters shorter are
 their quotients by 3**d, still sorted, so a shorter code c spans the
 entries in [c, c + 1) * 3**d.  ``complexity_profile`` sorts its codes one
-code range at a time, the ranges cut from a histogram of the windows' first
-letters; past 39 letters a profile code starts with the dense rank of the
-window's first letters.  The profile and the heavy-window kernel
-``positive_frequency_blocks`` walk a SignSeq or a .sqz too, and the latter
-sorts one piece of the codes at a time.  Every pass over an N-sized array,
-here and in ``symbolicgen``, runs in chunks of ``_CHUNK``.
+code range at a time and counts every length from them, the ranges cut from
+a histogram of the codes in equal spans of the code space; past 39 letters a
+profile code starts with the dense rank of the window's first letters.  The
+profile and the heavy-window kernel ``positive_frequency_blocks`` walk a
+SignSeq or a .sqz too, and the latter sorts one piece of the codes at a
+time.  Every pass over an N-sized array, here and in ``symbolicgen``, runs
+in chunks of ``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ def block_frequencies(w, k: int) -> EmpiricalMeasure:
     SignSeq or an _SqzFile; length k alone is tallied from a ``_code_walk``,
     in a dense table while 3**k <= min(N, _DENSE_CODES) (np.add.at makes no
     3**k temporary), read off a ``_CHUNK`` slice at a time, else in one code
-    buffer, sorted and cut by ``_run_starts``; the last k - 1 letters are
-    decoded from the last window's code.
+    buffer, sorted and cut by ``_run_starts``, the run lengths written into
+    the counts in place; the last k - 1 letters are decoded from the last
+    window's code.
 
     freq(B) = #{1 <= n <= N-ell+1 : w[n..n+ell-1] = B} / (N-ell+1).
     """
@@ -207,7 +209,9 @@ def block_frequencies(w, k: int) -> EmpiricalMeasure:
         starts = _run_starts(table, 1)
         codes = table[starts]
         del table  # the window buffer is freed before the counts are made
-        counts = np.diff(starts, append=size).astype(count_dtype)
+        counts = np.empty(starts.size, count_dtype)  # the run lengths, made in place
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = size - starts[-1]
     return EmpiricalMeasure(k, N, codes, counts, tail)
 
 
@@ -241,12 +245,12 @@ class ComplexityProfile:
 
 
 MAX_COMPLEXITY_ORDER = 512
-_LEAD = 8  # a level's histogram bins: the codes of its windows' first done + 8 letters, at most 3**8
+_BINS = 3**8  # a level's histogram cuts its code space into at most this many equal spans
 
 
 def _range_budget(total: int, itemsize: int) -> int:
     """The codes a range of ``complexity_profile`` is planned for: of the
-    ``total`` windows a level's histogram counts, a fifth at 4 bytes a code
+    ``total`` codes a level's histogram counts, a fifth at 4 bytes a code
     and a half at 8, and at least 2**16.  A range costs a walk, and a walk of
     8-byte codes about twice one of 4-byte codes: a fifth keeps the ``entropy
     --n-max 20`` child below the N-byte output of ``determinize`` at 10^7,
@@ -257,22 +261,22 @@ def _range_budget(total: int, itemsize: int) -> int:
 
 def complexity_profile(w, n_max: int) -> ComplexityProfile:
     """Exact distinct-window counts for n = 1..n_max of a SignSeq or an
-    _SqzFile, in levels: a level codes a window of length done + j, j <= J,
-    as the dense rank (one of p) of its first done letters * 3**j + the
-    base-3 code of the rest, J the most letters (39 at done = 0) with
-    p * 3**J <= 2**63.
+    _SqzFile, in levels: a level codes a window of length done + J as the
+    dense rank (one of p) of its first done letters * 3**J + the base-3 code
+    of the rest, J the most letters (39 at done = 0) with p * 3**J <= 2**63.
 
-    A first walk makes a histogram of the codes of the windows' first
-    done + L letters, L <= 8 with p * 3**L <= 3**8 (grouped g ranks to a bin
-    when even L = 1 has more), whose nonzero bins count lengths done + 1 to
-    done + L.  Its consecutive bins are cut into code ranges of about
-    ``_range_budget`` windows, a heavier bin alone.  Each range then takes a
-    walk that keeps its codes in one reused buffer, sorts them and counts the
-    longer lengths by their quotients by 3, the last code of the range before
-    carried across the seam.  The last J - j windows of length done + j start
-    no level window: their codes are looked up in the bins and the ranges.  A
-    last walk ranks the windows among the distinct codes for the next level;
-    once every window is distinct, p_n = N - n + 1."""
+    A first walk of the level's windows counts their codes in at most
+    ``_BINS`` equal spans of [0, p * 3**J); consecutive spans are cut into
+    code ranges of about ``_range_budget`` codes, a heavier span alone.  Each
+    range then takes a walk that keeps its codes in one reused buffer, sorts
+    them and counts every length done + j, j <= J, by their quotients by
+    3**(J - j), the last code of the range before carried across the seam.
+    When a span is one code, its nonzero spans already are the sorted
+    distinct codes: a range is filled from them, with no walk, and the
+    ranges are planned on the distinct codes.  The last J - j windows of
+    length done + j start no level window: their codes are looked up in each
+    range.  A last walk ranks the windows among the distinct codes for the
+    next level; once every window is distinct, p_n = N - n + 1."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
     N = len(w)
@@ -283,17 +287,17 @@ def complexity_profile(w, n_max: int) -> ComplexityProfile:
         if done:
             codes += rank[start : start + codes.size].astype(dtype) * dtype(3**j)
         return codes
-    def walk(k):  # (start, codes) of the length done + k windows, then their last k - 1 letters in tail
+    def walk():  # (start, codes) of the level's windows, then their last J - 1 letters in tail
         nonlocal tail
-        for end, buf in _windows(w, done + k, (N - done - k + 1,)):
-            first = end - 1 - (buf.size - done - k)
+        for end, buf in _windows(w, done + J, (size,)):
+            first = end - 1 - (buf.size - done - J)
             for lo in range(0, end - first, _CHUNK):
-                yield first + lo, compose(buf[done + lo : done + lo + _CHUNK + k - 1], first + lo, k)
-        tail = buf[buf.size - k + 1 :].copy()
-    def tally(srt, longest, shortest):  # runs of srt // 3**(longest - j) add to p_(done + j)
+                yield first + lo, compose(buf[done + lo : done + lo + _CHUNK + J - 1], first + lo, J)
+        tail = buf[buf.size - J + 1 :].copy()
+    def tally(srt):  # runs of srt // 3**(J - j) add to p_(done + j)
         for lo in range(0, srt.size - 1, _CHUNK):  # each chunk overlaps the last by one entry
             chunk = srt[lo : lo + _CHUNK + 1].copy()
-            for j in range(longest, shortest, -1):
+            for j in range(J, 0, -1):
                 new = chunk[1:] != chunk[:-1]
                 changes = np.count_nonzero(new)
                 counts[done + j - 1] += changes
@@ -302,69 +306,59 @@ def complexity_profile(w, n_max: int) -> ComplexityProfile:
                 chunk //= 3
                 chunk = chunk.astype(_code_dtype(p * 3 ** (j - 1)), copy=False)  # narrower once they fit
     def fill(lo, hi):  # the codes in [lo, hi) into buf[1:n], sorted; returns n
+        if span == 1:  # the nonzero spans are the sorted distinct codes
+            kept = lo + np.flatnonzero(hist[lo:hi])
+            buf[1 : 1 + kept.size] = kept
+            return 1 + kept.size
         n = 1
-        for _, codes in walk(J):  # each chunk's own codes, shifted in place: no chunk-sized temporary
+        for _, codes in walk():  # each chunk's own codes, shifted in place: no chunk-sized temporary
             codes -= dtype(lo)
-            kept = np.compress(codes.view(unsigned) <= hi - lo - 1, codes) + dtype(lo)
+            kept = np.compress(codes.view(f"u{codes.itemsize}") <= hi - lo - 1, codes) + dtype(lo)
             buf[n : n + kept.size] = kept
             n += kept.size
             del codes, kept  # before the next chunk's codes are made
         buf[1:n].sort()
         return n
-    def look_up(srt, longest, lengths):  # marks the last windows of these lengths that srt holds
-        if not last:  # tail holds the last J - 1 letters once a walk of the length done + J windows ends
-            last.extend((np.unique(compose(tail, size, j)), None) for j in range(1, J))
-        for j in lengths:
-            key, seen = last[j - 1]
-            shift = 3 ** (longest - j)
-            lo, hi = np.searchsorted(srt, [key * shift, (key + 1) * shift])
-            last[j - 1] = key, lo < hi if seen is None else seen | (lo < hi)
     counts = N + 1 - np.arange(1, n_max + 1, dtype=np.int64)  # p_n once all are distinct
     done, p, rank, tail = 0, 1, None, None
     while True:
         J = min(n_max - done, max(j for j in range(1, 40) if p * 3**j <= 2**63))
-        dtype, size, top = _code_dtype(p * 3**J), N - done - J + 1, p * 3**J
-        L = min(J, _LEAD)
-        while L > 1 and p * 3**L > 3**_LEAD:
-            L -= 1
-        g = -(-p * 3**L // 3**_LEAD)  # ranks to a bin: 1 unless p > 3**(_LEAD - 1)
-        lead = L if g == 1 else 0  # lengths done + 1 to done + lead are counted off the bins
-        hist = np.zeros(-(-p * 3**L // g), np.int64)
-        for _, codes in walk(L):
-            hist += np.bincount(codes // g if g > 1 else codes, minlength=hist.size)
-        bins, last, runs, buf = np.flatnonzero(hist), [], [], None
+        top, size = p * 3**J, N - done - J + 1
+        dtype, span = _code_dtype(top), -(-top // _BINS)
+        hist = np.zeros(-(-top // span), np.int64)
+        for _, codes in walk():
+            hist += np.bincount(codes // span, minlength=hist.size)
+        keys = (np.unique(compose(tail, size, j)) for j in range(1, J))  # of the last windows, by length
+        last = [(key, np.zeros(key.size, bool)) for key in keys]  # and which are seen
+        planned = np.minimum(hist, 1) if span == 1 else hist
+        before = np.cumsum(planned) - planned
+        budget = _range_budget(int(planned.sum()), np.dtype(dtype).itemsize)
+        first = np.flatnonzero(np.diff(before // budget, prepend=-1))
+        weights = np.add.reduceat(planned, first).tolist()
+        bounds = [b * span for b in first.tolist()] + [top]
+        buf, carried, runs = np.empty(1 + max(weights), dtype), False, []
         counts[done : done + J] = 1
-        tally(bins, lead, 0)
-        if lead < J:
-            before = np.cumsum(hist) - hist
-            budget = _range_budget(int(hist.sum()), np.dtype(dtype).itemsize)
-            first = np.flatnonzero(np.diff(before // budget, prepend=-1))
-            weights = np.add.reduceat(hist, first).tolist()
-            bounds = [min(b * 3 ** (J - L) * g, top) for b in first.tolist()] + [top]
-            buf, carried = np.empty(1 + max(weights), dtype), False
-            unsigned = np.dtype(f"u{buf.itemsize}")
-            for lo, hi, weight in zip(bounds, bounds[1:], weights):
-                if not weight:
-                    continue
-                n = fill(lo, hi)
-                look_up(buf[1:n], J, range(lead + 1, J))
-                if n == 1:  # the bins also count the windows past the level's
-                    continue
-                tally(buf[0 if carried else 1 : n], J, lead)
-                if done + J < n_max:  # the distinct codes, or the range when every code is
-                    new = np.r_[True, buf[2:n] != buf[1 : n - 1]]
-                    runs.append((lo, hi) if new.all() else buf[1:n][new])
-                buf[0], carried = buf[n - 1], True
-        look_up(bins, lead, range(1, min(lead + 1, J)))
+        for lo, hi, weight in zip(bounds, bounds[1:], weights):
+            if not weight:
+                continue
+            n = fill(lo, hi)
+            for j, (key, seen) in enumerate(last, 1):  # marks the last windows the range holds
+                found = np.searchsorted(buf[1:n], [key * 3 ** (J - j), (key + 1) * 3 ** (J - j)])
+                seen |= found[0] < found[1]
+            tally(buf[0 if carried else 1 : n])
+            if done + J < n_max:  # the distinct codes, or the range when every code is
+                new = np.r_[True, buf[2:n] != buf[1 : n - 1]]
+                runs.append((lo, hi) if new.all() else buf[1:n][new])
+            buf[0], carried = buf[n - 1], True
         for i, (_, seen) in enumerate(last, done):
             counts[i] += np.count_nonzero(~seen)
         if done + J == n_max or counts[done + J - 1] == size:
             return ComplexityProfile(counts=counts, prefix_length=N)
-        distinct = bins.astype(dtype) if lead == J else np.concatenate(
+        distinct = np.concatenate(
             [run if isinstance(run, np.ndarray) else buf[1 : fill(*run)].copy() for run in runs])
-        del buf, runs  # before the windows are ranked
+        del buf, runs, hist  # before the windows are ranked
         rank = np.empty(size, np.int32 if N < 2**31 else np.int64) if rank is None else rank[:size]
-        for start, codes in walk(J):  # each rank overwrites the one its code was read from
+        for start, codes in walk():  # each rank overwrites the one its code was read from
             rank[start : start + codes.size] = np.searchsorted(distinct, codes)
         done, p = done + J, distinct.size
         del distinct  # before the next level's codes are made

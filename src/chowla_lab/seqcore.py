@@ -221,10 +221,12 @@ class _SqzFile:
 
     def chunks(self, out=None):
         """Each chunk is read into the matching slice of ``out`` when it is
-        given (``len()`` bytes), else into a fresh array."""
+        given (``len()`` bytes), else into one buffer that the call reuses:
+        such a chunk is valid until the next one is read."""
+        buf = np.empty(min(_CHUNK, self.length), np.int8) if out is None else out
         for lo in range(0, self.length, _CHUNK):
             count = min(_CHUNK, self.length - lo)
-            chunk = np.empty(count, np.int8) if out is None else out[lo : lo + count]
+            chunk = buf[:count] if out is None else out[lo : lo + count]
             self._fh.seek(SQZ_HEADER.size + lo)  # per chunk: iterations may interleave
             found = self._fh.readinto(chunk)
             if found != count:  # the file shrank after it was opened
@@ -260,7 +262,7 @@ def _windows(source, k: int, stops):
                 j += end == stops[j]
                 yield end, buf[: count + k - 1]
                 buf = buf[count:]
-        carry = buf.copy()  # a copy: the chunk is freed before the next is read
+        carry = buf.copy()  # a copy: the next chunk is read into the same buffer
 
 
 def _fill(n: int, chunks) -> SignSeq:

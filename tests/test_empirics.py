@@ -54,6 +54,18 @@ def brute_frequencies(values, k):
     return out
 
 
+def code_walk(source, k, chunk, dtype=None):
+    """The codes of every length-k window of source, from ``_code_walk``:
+    each chunk of at most ``chunk`` codes (in ``dtype`` when given) starts
+    where the one before ends."""
+    got = []
+    for start, codes in empirics._code_walk(source, k, (len(source) - k + 1,)):
+        assert start == len(got) and 1 <= codes.size <= chunk
+        assert dtype is None or codes.dtype == dtype
+        got += codes.tolist()
+    return got
+
+
 letter_lists = st.lists(st.integers(-1, 1), min_size=1, max_size=200)
 
 
@@ -91,13 +103,18 @@ class TestWindowCodes:
         with pytest.raises(ValueError, match="overflows 64-bit base-3 packing"):
             DeterminizeParams(0.1, 40, 80)
 
-    @pytest.mark.parametrize("scratch", [1, 3, 16, 64])
-    def test_scratch_chunk_edges(self, monkeypatch, scratch):
-        monkeypatch.setattr(empirics, "_CHUNK", scratch)
+    @pytest.mark.parametrize("chunk", [1, 3, 16, 64])
+    def test_window_codes_and_code_walk_chunk_edges(self, monkeypatch, chunk):
+        # _window_codes codes a whole array; _code_walk cuts each walked
+        # buffer into chunks of at most _CHUNK codes, the buffers read in
+        # chunks of chunk + 5 letters, so its codes cross both kinds of edge
+        monkeypatch.setattr(empirics, "_CHUNK", chunk)
+        monkeypatch.setattr(seqcore, "_CHUNK", chunk + 5)
         values = np.random.default_rng(3).integers(-1, 2, size=300, dtype=np.int8)
         for k in range(1, 40):
-            assert _window_codes(values, k).tolist() == [
-                block_code(values[i : i + k].tolist()) for i in range(301 - k)]
+            want = [block_code(values[i : i + k].tolist()) for i in range(301 - k)]
+            assert _window_codes(values, k).tolist() == want
+            assert code_walk(SignSeq(values), k, chunk) == want
 
     def test_dtype_widens_past_length_19(self):
         # 3**19 < 2**31 < 3**20 < 2**32 < 3**21
@@ -167,14 +184,15 @@ class TestSignBoundary:
     # 2**31 <= 3**20 - 1 < 2**32: the length-20 codes are uint32, where int32
     # would wrap the codes from 2**31 up negative and break their order
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
-    def test_window_codes(self, monkeypatch, chunk):
+    def test_window_codes_and_code_walk(self, monkeypatch, chunk):
         monkeypatch.setattr(empirics, "_CHUNK", chunk)
         values = sign_boundary_word(chunk)
+        want = [block_code(values[i : i + 20]) for i in range(len(values) - 19)]
         codes = _window_codes(np.array(values, dtype=np.int8), 20)
         assert codes.dtype == np.uint32
-        assert codes.tolist() == [block_code(values[i : i + 20])
-                                  for i in range(len(values) - 19)]
-        assert {2**31 - 1, 2**31, 3**20 - 1} <= set(codes.tolist())
+        assert codes.tolist() == want
+        assert {2**31 - 1, 2**31, 3**20 - 1} <= set(want)
+        assert code_walk(SignSeq(values), 20, chunk, np.uint32) == want
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_complexity_profile(self, monkeypatch, chunk):
@@ -245,10 +263,14 @@ class TestKernelMemory:
     # output beside one chunk of uniforms and its symbols (1.19 traced); and
     # one length-k table of codes in ``_code_dtype``
     # and int32 counts, sorted, that the shorter lengths and z^2 are derived
-    # from: a derived length reduces its runs before it merges the last
-    # windows (43.7 traced at length 15); the sign test's k = 16 peak, 50.2,
-    # is its deviation step at length 15, as np.append runs only when an
-    # unseen pattern is added.  Up to 3**k <= N the length-k windows go into
+    # from: the counts are the run lengths, written into them in place (19.31
+    # traced at k 16, where an int64 np.diff of the run starts traced 26.68),
+    # and a derived length reduces its runs before it merges the last windows
+    # (21.56 traced at length 15); the sign test's k = 16 peak is 24.40, and
+    # these three bounds are their traced value + 5 %.  At n_max 8 a span of
+    # the profile's histogram is one code, so its nonzero spans are the
+    # distinct codes and no range is walked (0.40 traced; + 5 %; a range
+    # walk traced 1.25).  Up to 3**k <= N the length-k windows go into
     # a dense int32 table as the prefix is walked in chunks (0.11 B/symbol
     # traced at k 8; at k 12 the table beside its int32 codes and counts,
     # 1.54, and the k 12 sign test 1.85, its masks, squares and deviations
@@ -261,6 +283,7 @@ class TestKernelMemory:
     @pytest.mark.parametrize("call,bound", [
         (lambda z: complexity_profile(z, 20), 1.49),
         (lambda z: complexity_profile(z, 60), 8.8),  # distinct at 39: one int64 level
+        (lambda z: complexity_profile(z, 8), 0.42),
         (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 1.12),
         (lambda z: positive_frequency_blocks(z, 20, 1e-6), 2.17),
         (lambda z: bernoulli_prefix((-1, 0, 1), BernoulliParams((0.25, 0.5, 0.25), 1), len(z)),
@@ -268,13 +291,13 @@ class TestKernelMemory:
         (lambda z: block_frequencies(z, 8), 0.12),
         (lambda z: block_frequencies(z, 12), 1.61),
         (lambda z: sign_extension_test(z, 12, 0.001), 1.94),
-        (lambda z: block_frequencies(z, 16), 40),
+        (lambda z: block_frequencies(z, 16), 20.28),
         (lambda z: block_frequencies(z, 24), 40),
-        (lambda z: block_frequencies(z, 16)._table(15), 46),
-        (lambda z: sign_extension_test(z, 16, 0.001), 55),
+        (lambda z: block_frequencies(z, 16)._table(15), 22.64),
+        (lambda z: sign_extension_test(z, 16, 0.001), 25.62),
         (square_map, 1.05),
-    ], ids=["complexity-profile", "complexity-profile-60", "determinize-n20",
-            "positive-frequency-n20", "bernoulli", "block-frequencies-k8",
+    ], ids=["complexity-profile", "complexity-profile-60", "complexity-profile-8",
+            "determinize-n20", "positive-frequency-n20", "bernoulli", "block-frequencies-k8",
             "block-frequencies-k12",
             "sign-test-k12", "block-frequencies-k16", "block-frequencies-k24", "table-k16-15",
             "sign-test-k16", "square-map"])
@@ -282,14 +305,15 @@ class TestKernelMemory:
         N = 2**22
         assert traced_peak(call, uniform_prefix(N)) < bound * N
 
-    # an opened file is walked: the profile's buffer of one code range
-    # fills beside a read chunk, 1.74 B/symbol traced (4.56 with one buffer
-    # of every code), and the recoding holds the output beside a group of
-    # blocks, 1.54, where the whole prefix read first and its codes made at
-    # once took 5 B/symbol more (bounds: traced + 5 %)
+    # an opened file is walked, every chunk read into one buffer: the
+    # profile's buffer of one code range fills beside it, 1.52 B/symbol
+    # traced (4.56 with one buffer of every code), and the recoding holds the
+    # output beside a group of blocks, 1.32, where the whole prefix read first
+    # and its codes made at once took 5 B/symbol more, and a fresh array per
+    # read 1.53 (bounds: traced + 5 %)
     @pytest.mark.parametrize("call,bound", [
-        (lambda z: complexity_profile(z, 20), 1.83),
-        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 1.62),
+        (lambda z: complexity_profile(z, 20), 1.60),
+        (lambda z: determinize_step(z, DeterminizeParams(0.1, 20, 100)), 1.39),
     ], ids=["complexity-profile", "determinize-n20"])
     def test_opened_file_peak_per_symbol(self, tmp_path, call, bound):
         N = 2**22
@@ -298,8 +322,9 @@ class TestKernelMemory:
 
     # the sorted k = 16 table is filled as an opened file is walked, so on a
     # file the table and the sign test trace at most one read chunk beside
-    # the same call on a SignSeq (26.68 B/symbol against 26.68, where a copy
-    # of the whole prefix first read 27.68); each call is made once before,
+    # the same call on a SignSeq (19.31 B/symbol against 19.31, and 24.39
+    # against 24.39, where a copy of the whole prefix first read 1 B/symbol
+    # more); each call is made once before,
     # so neither side counts the modules it imports on first use
     @pytest.mark.parametrize("call", [
         lambda z: block_frequencies(z, 16),
@@ -579,11 +604,12 @@ class TestComplexityProfile:
     @settings(max_examples=50, deadline=None)
     def test_code_ranges_match_distinct_windows(self, values, budget_chunk, n_max):
         # a budget of 1, 7 or 64 codes cuts each level into many code ranges,
-        # some empty (their bins hold only windows past the level's); each
-        # range carries its last code across the seam to the next and looks
-        # up the last windows; n_max on both sides of 20 and 39, and past 39.
-        # A range walks every window, so a budget of 1 is not paired with
-        # chunks of one window
+        # the last one empty when the top spans hold no code; each range
+        # carries its last code across the seam to the next and looks up the
+        # last windows; n_max up to 8 (a span is one code: the ranges are
+        # filled from the histogram) and on both sides of 20 and 39, and past
+        # 39.  A range walks every window, so a budget of 1 is not paired
+        # with chunks of one window
         (budget, chunk), n_max = budget_chunk, min(n_max, len(values))
         want = [len(window_counts(values, n)) for n in range(1, n_max + 1)]
         with pytest.MonkeyPatch.context() as mp:
@@ -595,10 +621,11 @@ class TestComplexityProfile:
     @pytest.mark.parametrize("budget", [1, 7, 64])
     @pytest.mark.parametrize("kind", ["constant", "written-twice"])
     def test_code_range_edges(self, tmp_path, monkeypatch, budget, kind):
-        # a constant word puts every window in one bin, so one range holds
+        # a constant word puts every window in one span, so one range holds
         # them whatever the budget; a random 2,500-letter block written twice
-        # has p_39 > 3**7, so the second level groups two ranks to a bin and
-        # its ranges split inside the quotient spans of every length
+        # has p_39 > 3**7, so a span of the second level holds the codes of
+        # several ranks, and its ranges split inside the quotient spans of
+        # every length
         monkeypatch.setattr(empirics, "_range_budget", lambda total, itemsize: budget)
         if kind == "constant":
             values = [1] * 300

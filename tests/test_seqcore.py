@@ -20,6 +20,7 @@ from chowla_lab.seqcore import (
 
 import chowla_lab as cl
 from factorize_oracle import factorize
+from traced_memory import traced_peak
 
 
 signseqs = st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=200).map(SignSeq)
@@ -258,6 +259,19 @@ class TestWindows:
                 assert buf.size <= max(chunk, 2 * k - 2)
                 got += [buf[i : i + k].tolist() for i in range(buf.size - k + 1)]
             assert got == want
+
+    @pytest.mark.parametrize("k", [1, 20])
+    def test_opened_file_walk_holds_one_read_chunk(self, tmp_path, k):
+        # every chunk of an opened file is read into one buffer, so a walk
+        # traces that buffer and its seams: 1.00 chunks, where a fresh array
+        # per read traced 2.00, as the last chunk is held while the next is read
+        N = 4 * seqcore._CHUNK + 5
+        write_sqz(tmp_path / "z.sqz", SignSeq(np.resize(np.int8([1, 0, -1, 0]), N)))
+        source = seqcore._SqzFile(tmp_path / "z.sqz")
+        def walk(source):
+            for _ in seqcore._windows(source, k, (N - k + 1,)):
+                pass
+        assert traced_peak(walk, source) < 1.01 * seqcore._CHUNK
 
     def test_opened_file_is_read_after_its_path_is_removed(self, tmp_path, monkeypatch):
         # hat-test hands its opened input to the sign test, and a caller may
