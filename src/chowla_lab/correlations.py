@@ -11,7 +11,9 @@ lengths, so decay is visible, not just the final value.  The Chowla-type
 sums and the Davenport scan are exact integer sums over the chunks that
 ``seqcore._windows`` walks, split at the checkpoints, of a SignSeq or of a
 .sqz read as it goes: beside the grid, or the battery's int64 table of
-running totals (checkpoints x specs), they hold O(_CHUNK) memory.
+running totals (checkpoints x specs), they hold O(_CHUNK) memory.  The
+scan's magnitudes round as numpy's FMA kernels do, from + and * alone, so
+its report has the same bits on every CPU.
 
 Lag products are evaluated on packed bitplanes of each chunk, support
 (z != 0) and sign (z < 0), one pair per shift: the product is nonzero on
@@ -356,6 +358,28 @@ class DavenportResult:
     grid: int
 
 
+def _magnitudes(z: np.ndarray) -> np.ndarray:
+    """|z| with the bits of numpy's FMA kernels on every CPU: big * sqrt(1 + d*d),
+    d = small / big of the parts' sizes, 1 + d*d rounded once, from + and * alone.
+    Veltkamp's split of d gives Dekker's exact square p + e, a two-sum the exact
+    s + t = 1 + p, and t + e is rounded to odd, so the last rounding sees which
+    side of a tie 1 + d*d lies on (Boldo and Melquiond, IEEE Trans. Comput., 2008)."""
+    re, im = np.abs(z.real), np.abs(z.imag)
+    big, d = np.maximum(re, im), np.minimum(re, im)
+    d /= np.where(big == 0, 1.0, big)
+    hi = 134217729.0 * d  # 2**27 + 1
+    hi -= hi - d  # d = hi + (d - hi), 26 bits each
+    p = d * d
+    e = (hi * hi - p) + 2 * hi * (d - hi) + (d - hi) * (d - hi)
+    s = 1.0 + p
+    t = p - (s - 1.0)  # exact, as p <= 1
+    u = t + e
+    v = (t - (u - (u - t))) + (e - (u - t))  # t + e - u, exactly
+    odd = (v != 0) & (u.view(np.int64) & 1 == 0)
+    u[odd] = np.nextafter(u[odd], np.copysign(np.inf, v[odd]))
+    return big * np.sqrt(s + u)
+
+
 def davenport_scan(z, N: int, grid: int) -> DavenportResult:
     """max over theta = j/grid of |(1/N') sum_{n<=N'} e^(2 pi i n theta) z(n)|
     at each checkpoint N', for a SignSeq or an opened .sqz (``seqcore._SqzFile``).
@@ -379,7 +403,7 @@ def davenport_scan(z, N: int, grid: int) -> DavenportResult:
         rows = np.pad(part, (start, -(start + part.size) % grid))
         bucket += rows.reshape(-1, grid).sum(axis=0, dtype=np.int64)
         if hi == checkpoints[len(curve)]:
-            mags = np.abs(np.fft.ifft(bucket) * grid) / hi
+            mags = _magnitudes(np.fft.ifft(bucket) * grid) / hi
             j = int(np.argmax(mags))
             curve.append((hi, float(mags[j])))
     return DavenportResult(

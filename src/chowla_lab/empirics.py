@@ -11,18 +11,18 @@ denominator N - ell + 1.  ``_window_codes`` alone builds window codes, by
 prefix doubling, also for ``symbolicgen``: big-endian base-3 codes
 (letter + 1, the first letter most significant) that sort like the blocks and
 are exact up to length 39, in the dtype ``_code_dtype`` picks: int32, uint32
-at length 20, or int64.  ``block_frequencies`` walks a SignSeq or a .sqz
-and counts its 3**k <= min(N, 2**23) codes in a dense int32 table; it sorts
-more codes once, and then only reads them: the codes d letters shorter are
-their quotients by 3**d, still sorted, so a shorter code c spans the
-entries in [c, c + 1) * 3**d.  ``complexity_profile`` sorts its codes one
-code range at a time and counts every length from them, the ranges cut from
-a histogram of the codes in equal spans of the code space; past 39 letters a
-profile code starts with the dense rank of the window's first letters.  The
-profile and the heavy-window kernel ``positive_frequency_blocks`` walk a
-SignSeq or a .sqz too, and the latter sorts one piece of the codes at a
-time.  Every pass over an N-sized array, here and in ``symbolicgen``, runs
-in chunks of ``_CHUNK``.
+at length 20, or int64.  ``_code_walk`` alone walks them on a SignSeq or a
+.sqz, for ``block_frequencies``, ``positive_frequency_blocks`` and each
+``complexity_profile`` level.  ``block_frequencies`` counts 3**k <= min(N,
+2**23) codes in a dense int32 table; it sorts more codes once, then only
+reads them: the codes d letters shorter are their quotients by 3**d, still
+sorted, so a shorter code c spans the entries in [c, c + 1) * 3**d.  The
+profile sorts its codes one code range at a time and counts every length
+from them, the ranges cut from a histogram of the codes in equal spans of
+the code space; past 39 letters a profile code starts with the dense rank of
+the window's first letters.  ``positive_frequency_blocks`` sorts one piece
+of the codes at a time.  Every pass over an N-sized array, here and in
+``symbolicgen``, runs in chunks of ``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ def _window_codes(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _code_walk(source, k: int, stops):
-    """(start, codes) pairs: the codes of at most ``_CHUNK`` consecutive
-    length-k windows, the first at 0-based term start, as
-    ``seqcore._windows`` walks a SignSeq or an _SqzFile up to the last stop."""
+    """The one window-code walk: (start, codes) pairs, the codes of at most
+    ``_CHUNK`` consecutive length-k windows, the first at 0-based term start,
+    as ``seqcore._windows`` walks a SignSeq or an _SqzFile to the last stop."""
     for end, buf in _windows(source, k, stops):
         first = end - 1 - (buf.size - k)
         for lo in range(0, buf.size - k + 1, _CHUNK):
@@ -262,8 +262,8 @@ def _range_budget(total: int, itemsize: int) -> int:
 def complexity_profile(w, n_max: int) -> ComplexityProfile:
     """Exact distinct-window counts for n = 1..n_max of a SignSeq or an
     _SqzFile, in levels: a level codes a window of length done + J as the
-    dense rank (one of p) of its first done letters * 3**J + the base-3 code
-    of the rest, J the most letters (39 at done = 0) with p * 3**J <= 2**63.
+    dense rank (one of p) of its first done letters * 3**J + the ``_code_walk``
+    code of the rest, J the most letters (39 at done = 0) with p*3**J <= 2**63.
 
     A first walk of the level's windows counts their codes in at most
     ``_BINS`` equal spans of [0, p * 3**J); consecutive spans are cut into
@@ -274,26 +274,24 @@ def complexity_profile(w, n_max: int) -> ComplexityProfile:
     When a span is one code, its nonzero spans already are the sorted
     distinct codes: a range is filled from them, with no walk, and the
     ranges are planned on the distinct codes.  The last J - j windows of
-    length done + j start no level window: their codes are looked up in each
-    range.  A last walk ranks the windows among the distinct codes for the
-    next level; once every window is distinct, p_n = N - n + 1."""
+    length done + j start no level window: their codes, from the letters in
+    the first walk's last code, are looked up in each range.  A last walk
+    ranks the windows among the distinct codes for the next level; once
+    every window is distinct, p_n = N - n + 1."""
     if not 1 <= n_max <= MAX_COMPLEXITY_ORDER:
         raise ValueError(f"n_max must be in 1..{MAX_COMPLEXITY_ORDER}, got {n_max}")
     N = len(w)
     if n_max > N:
         raise ValueError(f"n_max {n_max} exceeds prefix length {N}")
-    def compose(letters, start, j):  # codes of the length done + j windows from start on
-        codes = _window_codes(letters, j).astype(dtype, copy=False)
+    def compose(codes, start, j):  # last-j-letter codes -> those of the length done + j windows from start on
+        codes = codes.astype(dtype, copy=False)
         if done:
             codes += rank[start : start + codes.size].astype(dtype) * dtype(3**j)
         return codes
-    def walk():  # (start, codes) of the level's windows, then their last J - 1 letters in tail
-        nonlocal tail
-        for end, buf in _windows(w, done + J, (size,)):
-            first = end - 1 - (buf.size - done - J)
-            for lo in range(0, end - first, _CHUNK):
-                yield first + lo, compose(buf[done + lo : done + lo + _CHUNK + J - 1], first + lo, J)
-        tail = buf[buf.size - J + 1 :].copy()
+    def walk():  # (start, codes) of the level's windows: the J-letter windows from letter done on
+        for start, codes in _code_walk(w, J, (N - J + 1,)):
+            if (cut := max(done - start, 0)) < codes.size:
+                yield start + cut - done, compose(codes[cut:], start + cut - done, J)
     def tally(srt):  # runs of srt // 3**(J - j) add to p_(done + j)
         for lo in range(0, srt.size - 1, _CHUNK):  # each chunk overlaps the last by one entry
             chunk = srt[lo : lo + _CHUNK + 1].copy()
@@ -320,7 +318,7 @@ def complexity_profile(w, n_max: int) -> ComplexityProfile:
         buf[1:n].sort()
         return n
     counts = N + 1 - np.arange(1, n_max + 1, dtype=np.int64)  # p_n once all are distinct
-    done, p, rank, tail = 0, 1, None, None
+    done, p, rank = 0, 1, None
     while True:
         J = min(n_max - done, max(j for j in range(1, 40) if p * 3**j <= 2**63))
         top, size = p * 3**J, N - done - J + 1
@@ -328,8 +326,9 @@ def complexity_profile(w, n_max: int) -> ComplexityProfile:
         hist = np.zeros(-(-top // span), np.int64)
         for _, codes in walk():
             hist += np.bincount(codes // span, minlength=hist.size)
-        keys = (np.unique(compose(tail, size, j)) for j in range(1, J))  # of the last windows, by length
-        last = [(key, np.zeros(key.size, bool)) for key in keys]  # and which are seen
+        tail = (int(codes[-1]) // 3 ** np.arange(J - 2, -1, -1) % 3 - 1).astype(np.int8)  # last J - 1 letters
+        keys = (np.unique(compose(_window_codes(tail, j), size, j)) for j in range(1, J))  # by length
+        last = [(key, np.zeros(key.size, bool)) for key in keys]  # the last windows, and which are seen
         planned = np.minimum(hist, 1) if span == 1 else hist
         before = np.cumsum(planned) - planned
         budget = _range_budget(int(planned.sum()), np.dtype(dtype).itemsize)

@@ -218,18 +218,45 @@ class TestSarnak:
         assert len(lines) == 11
 
 
+def dispatched_features():
+    """The SIMD targets above numpy's baseline that it dispatches to on this CPU."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+def simd_level_reports(args):
+    """The stdout of the command in a child at numpy's default SIMD level and
+    in one with every dispatched target above its baseline disabled; a skip
+    where numpy dispatches to none, as the two children would then match."""
+    features = dispatched_features()
+    if not features:
+        pytest.skip("numpy dispatches to no SIMD target above its baseline on this CPU")
+    reports = []
+    for disabled in (None, " ".join(features)):
+        env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        proc = subprocess.run([sys.executable, "-m", "chowla_lab.cli", *map(str, args)],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    return reports
+
+
 class TestDavenport:
     def test_runs(self, mobius_file, capsys):
         assert run(["davenport", "--in", mobius_file, "--grid", 200]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"]["max_value"] < 0.05
 
-
-def dispatched_features():
-    """The SIMD targets above numpy's baseline that it dispatches to on this CPU."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    def test_same_bytes_at_every_simd_level(self, mobius_file):
+        # complex np.abs rounds 1 + d*d once in numpy's FMA kernels and twice in
+        # its baseline one, which moves this report's bytes
+        default, baseline = simd_level_reports(["davenport", "--in", mobius_file, "--grid", 1000])
+        assert json.loads(default)["results"]["argmax_theta"] == 0.207
+        assert default == baseline
 
 
 class TestEntropy:
@@ -243,25 +270,11 @@ class TestEntropy:
         # a period-1621 word has p_n = 1621 from n = 14 on, where np.log2's
         # AVX-512 and baseline kernels differ in the last bit; each child
         # must write the bytes of the other
-        features = dispatched_features()
-        if not features:
-            pytest.skip("numpy dispatches to no SIMD target above its baseline on this CPU")
         period = np.random.default_rng(1621).integers(-1, 2, size=1621, dtype=np.int8)
         write_sqz(tmp_path / "w.sqz", SignSeq(np.resize(period, 20_000)))
-        reports = []
-        for disabled in (None, " ".join(features)):
-            env = dict(os.environ, PYTHONPATH=str(Path(chowla_lab.__file__).parents[1]))
-            env.pop("NPY_DISABLE_CPU_FEATURES", None)
-            if disabled:
-                env["NPY_DISABLE_CPU_FEATURES"] = disabled
-            proc = subprocess.run(
-                [sys.executable, "-m", "chowla_lab.cli", "entropy", "--in", str(tmp_path / "w.sqz"),
-                 "--n-max", "20"], env=env, capture_output=True, timeout=60,
-            )
-            assert proc.returncode == 0, proc.stderr
-            reports.append(proc.stdout)
-        assert json.loads(reports[0])["results"]["counts"][13:] == [1621] * 7
-        assert reports[0] == reports[1]
+        default, baseline = simd_level_reports(["entropy", "--in", tmp_path / "w.sqz", "--n-max", 20])
+        assert json.loads(default)["results"]["counts"][13:] == [1621] * 7
+        assert default == baseline
 
 
 class TestHatTest:

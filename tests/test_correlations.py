@@ -1,6 +1,7 @@
 """Correlation sums, the battery, orbit samplers, the grid scan."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -529,3 +530,27 @@ class TestDavenport:
         m = mobius_prefix(10**5)
         res = davenport_scan(m, 10**5, 100)
         assert res.max_value < 0.05
+
+    def test_magnitudes_round_one_plus_d_squared_once(self):
+        def oracle(x: complex) -> float:  # big * sqrt(1 + d*d), 1 + d*d rounded from its exact value
+            big, small = max(abs(x.real), abs(x.imag)), min(abs(x.real), abs(x.imag))
+            return big * math.sqrt(float(1 + Fraction(small / big) ** 2)) if big else 0.0
+
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal(2000) * np.exp(rng.uniform(-30, 30, 2000)) + 1j * rng.standard_normal(2000)
+        # here t + e rounds onto a tie of the last addition: two roundings are an ulp off
+        hard = 1 + 1j * float.fromhex("0x1.da57bcb44839bp-4")
+        z = np.r_[z, 0j, 3 + 0j, -2j, 2.5 - 2.5j, 7 + 7j, hard, 2.0**40 * hard, -3 * hard]
+        assert correlations._magnitudes(z).tolist() == [oracle(x) for x in z.tolist()]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CorrelationSpec(lags=(1,), exponents=(1, 3)), "exponents must be in {1,2}: (1, 3)"),
+    (lambda: RotationSampler(alpha=0.5, observable="tan"), "observable must be cos or sin, got tan"),
+    (lambda: PeriodicSampler(()), "pattern must be nonempty"),
+    (lambda: ch_battery(random_seq(1, 100), 0, 1, 50, 0.1),
+     "need max_lag >= 1 and max_r >= 0, got 0, 1"),
+], ids=["spec-exponent-3", "rotation-tan", "periodic-empty", "battery-max-lag-0"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

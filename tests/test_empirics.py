@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import re
 import signal
 import tracemalloc
 from collections import Counter
@@ -876,3 +877,15 @@ class TestPositiveFrequencyBlocks:
     def test_coin_all_blocks(self):
         z = bernoulli_prefix((-1, 1), BernoulliParams((0.5, 0.5), seed=8), 10**6)
         assert len(positive_frequency_blocks(z, 4, 0.01)) == 16
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: complexity_profile(SignSeq([1, 0, -1]), 0), "n_max must be in 1..512, got 0"),
+    (lambda: complexity_profile(SignSeq([1, 0, -1]), 513), "n_max must be in 1..512, got 513"),
+    (lambda: complexity_profile(SignSeq([1, 0, -1]), 4), "n_max 4 exceeds prefix length 3"),
+    (lambda: positive_frequency_blocks(SignSeq([1, 0, -1]), 4, 0.1), "prefix length 3 < n = 4"),
+], ids=["profile-n-max-0", "profile-n-max-513", "profile-n-max-past-prefix",
+        "heavy-blocks-short-prefix"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,3 +298,12 @@ class TestAdmissibleCount:
         ]
         for a, b in zip(slopes, slopes[1:]):
             assert b <= a + 0.02
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BSet.from_squares([]), "BSet must be nonempty"),
+    (lambda: BSet.from_squares([1]), "b values must be >= 2, got 1"),
+], ids=["bset-empty", "bset-b-1"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Core types: prefixes, blocks, the square and product maps, the file format."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -311,3 +312,24 @@ class TestTrustedWrap:
             "build_toeplitz", "square_map", "pointwise_product", "prefix", "read_sqz"])
     def test_values_are_int8(self, make, tmp_path):
         assert make(tmp_path).values.dtype == np.int8
+
+
+def _read_shrunk(path):
+    """Opens a 10**5-term .sqz, cuts it to 40,000 terms, then reads it; the
+    terms pass the read buffer's size, so the read meets the new end."""
+    write_sqz(path, SignSeq(np.ones(10**5, dtype=np.int8)))
+    source = seqcore._SqzFile(path)
+    os.truncate(path, seqcore.SQZ_HEADER.size + 40_000)
+    list(source.chunks())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: (path.write_bytes(b"SQZ1\0"), read_sqz(path)), "{path}: truncated header"),
+    (_read_shrunk, "{path}: expected 100000 symbols, found 40000 bytes"),
+    (lambda path: SignSeq(np.zeros((2, 2))), "expected a 1-d sequence of symbols, got shape (2, 2)"),
+    (lambda path: Block(()), "a Block must have length >= 1"),
+], ids=["read-sqz-short-header", "sqz-file-shrunk-after-open", "signseq-2d", "empty-block"])
+def test_refusals_name_their_cause(tmp_path, call, message):
+    path = tmp_path / "z.sqz"
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        call(path)

@@ -3,6 +3,7 @@ asserted tolerances are deterministic once verified."""
 
 import math
 import os
+import re
 import tempfile
 from collections import Counter
 from unittest import mock
@@ -542,3 +543,12 @@ class TestDeterminize:
         res = determinize_step(u, params)
         assert res.distinct_block_count < res.distinct_block_bound(params)
         assert res.changed_fraction < eps + res.unacceptable_fraction + 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sparse_embed(SignSeq([1, 0, -1, 1]), 100, 1), "gap_growth must be >= 2"),
+    (lambda: DeterminizeParams(epsilon=0.5, n_block=8, big_n=4), "big_n 4 < n_block 8"),
+], ids=["sparse-embed-gap-growth-1", "determinize-big-n-below-n-block"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 """Progression partition, Toeplitz building, interval analytics, entropy bound."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from chowla_lab.numbergen import mobius_prefix
 from chowla_lab.seqcore import SignSeq
 from chowla_lab.toeplitz import (
+    CLASSIFY_LIMIT,
     build_toeplitz,
     classify_initials,
     interval_analytics,
@@ -300,3 +302,9 @@ class TestEntropyLowerBound:
     def test_reference_length_guard(self):
         with pytest.raises(ValueError, match="reference length"):
             toeplitz_entropy_lower_bound(SignSeq([1]), 5, 4, 2, 10)
+
+
+def test_classify_initials_refuses_past_its_limit():
+    message = f"N = {CLASSIFY_LIMIT + 1} exceeds classification bound {CLASSIFY_LIMIT}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        classify_initials(2, CLASSIFY_LIMIT + 1)
