@@ -30,13 +30,13 @@ from .seqcore import _SqzFile, _atomic_write, _write_sqz_chunks, read_sqz, write
 from .symbolicgen import (
     _bernoulli_chunks,
     _pair_code_chunks,
+    _sturmian_chunks,
     BernoulliParams,
     DeterminizeParams,
     SturmianParams,
     determinize_step,
     doubling_word_prefix,
     masked_coin_prefix,
-    sturmian_prefix,
 )
 from .toeplitz import (
     _toeplitz_chunks,
@@ -113,15 +113,15 @@ def _bernoulli(args):
 # Each --kind and --system: the option it needs, or None, and what it makes.
 # An entry names its generator at call time, so a rebound module attribute
 # (perfbench --trace 1 wraps them) is the one called.  A kind makes the int8
-# chunks that are written: a SignSeq's, or the sieve's segments, the Bernoulli
-# draws and the coded chunks as they are made.
+# chunks that are written: a SignSeq's, or the sieve's segments, the Sturmian
+# letters, the Bernoulli draws and the coded chunks as they are made.
 _KINDS = {
     "mobius": (None, lambda a: _sign_sieve(a.n, squarefree=True)),
     "liouville": (None, lambda a: _sign_sieve(a.n, squarefree=False)),
     # mu_b over every prime square is mu
     "mu-b": ("bset", lambda a: _sign_sieve(a.n, squarefree=True) if a.bset == "prime-squares"
              else mu_b_prefix(BSet.from_squares(_csv(a.bset, int)), a.n).chunks()),
-    "sturmian": ("alpha", lambda a: sturmian_prefix(SturmianParams(a.alpha, a.beta), a.n).chunks()),
+    "sturmian": ("alpha", lambda a: _sturmian_chunks(SturmianParams(a.alpha, a.beta), a.n)),
     "bernoulli": ("probs", _bernoulli),
     "coded": (None, lambda a: _pair_code_chunks(a.k0, a.seed, a.n)),
     "squares-needed": (None, lambda a: masked_coin_prefix(a.seed, a.n).chunks()),

@@ -87,10 +87,10 @@ class SignSeq:
     def __reversed__(self):
         return map(int, self._values[::-1])
 
-    def chunks(self):
-        """The terms in read-only int8 views of at most ``_CHUNK``, as from a .sqz."""
-        for lo in range(0, self._values.size, _CHUNK):
-            yield self._values[lo : lo + _CHUNK]
+    def chunks(self, overlap: int = 0):
+        """Read-only int8 views of the terms at the ``_spans``, as from a .sqz."""
+        for lo, hi in _spans(self._values.size, overlap):
+            yield self._values[lo:hi]
 
     def prefix(self, n: int) -> "SignSeq":
         if not 1 <= n <= len(self):
@@ -196,14 +196,23 @@ def write_sqz(path, seq: SignSeq) -> None:
 _CHUNK = 1 << 20  # terms per chunk of a streamed .sqz or SignSeq
 
 
+def _spans(n: int, overlap: int):
+    """The 0-based (lo, hi) that cut n terms: every span but the last holds
+    max(_CHUNK, 2 overlap) terms, and each starts ``overlap`` terms before the
+    last ended, so any overlap + 1 consecutive terms lie in one span."""
+    step = max(_CHUNK, 2 * overlap) - overlap
+    for lo in range(0, max(n - overlap, 1) if n else 0, step):
+        yield lo, min(lo + step + overlap, n)
+
+
 class _SqzFile:
     """A .sqz file whose magic, and header length against its size, are
-    checked on opening; ``len()`` is its length, and ``chunks()`` reads its
-    terms in validated int8 chunks of at most ``_CHUNK``, also once its path
-    is removed: the file stays open until the object is collected."""
+    checked on opening; ``len()`` is its length.  Its terms are read
+    unbuffered, as the file is then, also once its path is removed: the file
+    stays open until the object is collected."""
 
     def __init__(self, path):
-        self._fh = fh = open(path, "rb")
+        self._fh = fh = open(path, "rb", buffering=0)
         weakref.finalize(self, fh.close)
         header = fh.read(SQZ_HEADER.size)
         if len(header) != SQZ_HEADER.size:
@@ -219,50 +228,43 @@ class _SqzFile:
     def __len__(self) -> int:
         return self.length
 
-    def chunks(self, out=None):
-        """Each chunk is read into the matching slice of ``out`` when it is
-        given (``len()`` bytes), else into one buffer that the call reuses:
-        such a chunk is valid until the next one is read."""
-        buf = np.empty(min(_CHUNK, self.length), np.int8) if out is None else out
-        for lo in range(0, self.length, _CHUNK):
-            count = min(_CHUNK, self.length - lo)
-            chunk = buf[:count] if out is None else out[lo : lo + count]
-            self._fh.seek(SQZ_HEADER.size + lo)  # per chunk: iterations may interleave
-            found = self._fh.readinto(chunk)
-            if found != count:  # the file shrank after it was opened
-                raise ValueError(f"{self.path}: expected {self.length} symbols, "
-                                 f"found {lo + found} bytes")
-            # min and max allocate nothing
-            if chunk.min() < -1 or chunk.max() > 1:
-                raise _alphabet_error(chunk, (chunk >= -1) & (chunk <= 1), lo)
-            yield chunk
+    def _read(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """``out`` filled with the terms from 0-based lo on; a file that
+        shrank after it was opened, or a byte outside {-1,0,1}, is refused."""
+        self._fh.seek(SQZ_HEADER.size + lo)  # per read: walks may interleave
+        found = 0  # one read stops short of 2 GiB, so read until out is full or the file ends
+        while found < out.size and (got := self._fh.readinto(out[found:])):
+            found += got
+        if found != out.size:
+            raise ValueError(f"{self.path}: expected {self.length} symbols, "
+                             f"found {lo + found} bytes")
+        if out.min(initial=0) < -1 or out.max(initial=0) > 1:  # these allocate nothing
+            raise _alphabet_error(out, (out >= -1) & (out <= 1), lo)
+        return out
+
+    def chunks(self, overlap: int = 0):
+        """Validated int8 chunks of the terms at the ``_spans``, read into one
+        buffer that the call reuses: a chunk is valid until the next is read."""
+        buf = np.empty(min(max(_CHUNK, 2 * overlap), self.length), np.int8)
+        for lo, hi in _spans(self.length, overlap):
+            yield self._read(lo, buf[: hi - lo])
 
 
 def _windows(source, k: int, stops):
     """(end, buf) pairs that walk the length-k windows of a SignSeq or an
     _SqzFile up to the last of the ascending ``stops``: buf holds the terms of
     the at most ``_CHUNK`` windows that start at terms end - (buf.size - k)
-    through end, and every stop is some end.  The k - 1 letters left at a
-    chunk's end carry over: the windows that start in them come in a seam
-    buffer of at most 2k - 2 letters, and the next chunk is read in place.
-    A file is read to its end, so a bad byte past the stops is refused."""
-    left, j, end, carry = stops[-1] + k - 1, 0, 0, np.empty(0, dtype=np.int8)
-    for chunk in source.chunks():
-        chunk, left = chunk[: max(left, 0)], left - chunk.size
-        if not carry.size:
-            parts = (chunk,)
-        elif chunk.size >= k - 1:  # the seam ends where the chunk's first window starts
-            parts = (np.concatenate((carry, chunk[: k - 1])), chunk)
-        else:
-            parts = (np.concatenate((carry, chunk)),)
-        for buf in parts:
-            while buf.size >= k:
-                count = min(buf.size - k + 1, stops[j] - end)
-                end += count
-                j += end == stops[j]
-                yield end, buf[: count + k - 1]
-                buf = buf[count:]
-        carry = buf.copy()  # a copy: the next chunk is read into the same buffer
+    through end, and every stop is some end.  A buf is a view of one chunk:
+    the chunks overlap by k - 1 terms, so each window lies whole in one.  A
+    file is read to its end, so a bad byte past the stops is refused."""
+    j, end = 0, 0
+    for buf in source.chunks(k - 1):  # its windows start at term end + 1
+        while j < len(stops) and buf.size >= k:
+            count = min(buf.size - k + 1, stops[j] - end, _CHUNK)
+            end += count
+            j += end == stops[j]
+            yield end, buf[: count + k - 1]
+            buf = buf[count:]
 
 
 def _fill(n: int, chunks) -> SignSeq:
@@ -276,10 +278,7 @@ def _fill(n: int, chunks) -> SignSeq:
 
 
 def read_sqz(path) -> SignSeq:
-    """Read a prefix written by :func:`write_sqz`, validating magic and length."""
+    """Read a prefix written by :func:`write_sqz`, validating magic and length,
+    in one read into the result."""
     source = _SqzFile(path)
-    # into the result: fresh chunks and a copy raised later peaks by a chunk
-    out = np.empty(len(source), dtype=np.int8)
-    for _ in source.chunks(out):
-        pass
-    return SignSeq._wrap(out)
+    return SignSeq._wrap(source._read(0, np.empty(len(source), dtype=np.int8)))

@@ -60,13 +60,21 @@ def sturmian_prefix(params: SturmianParams, N: int) -> SignSeq:
     a time; its absolute error is below 1e-8 for N <= 1e7, far inside the
     separation of the orbit from the cut point for non-pathological alpha.
     """
+    return _fill(N, _sturmian_chunks(params, N))
+
+
+def _sturmian_chunks(params: SturmianParams, N: int):
+    """The int8 chunks of ``sturmian_prefix``, _CHUNK letters each but the
+    last, as an iterator; N is checked at the call."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    out = np.empty(N, dtype=np.int8)
-    for lo in range(0, N, _CHUNK):
-        n = np.arange(lo + 1, min(lo + _CHUNK, N) + 1, dtype=np.float64)
-        out[lo : lo + n.size] = np.mod(n * params.alpha + params.beta, 1.0) >= 1.0 - params.alpha
-    return SignSeq._wrap(out)
+
+    def chunks():
+        for lo in range(0, N, _CHUNK):
+            n = np.arange(lo + 1, min(lo + _CHUNK, N) + 1, dtype=np.float64)
+            yield (np.mod(n * params.alpha + params.beta, 1.0) >= 1.0 - params.alpha).view(np.int8)
+
+    return chunks()
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,16 @@ class TestToeplitzAnalyze:
         assert "entropy_lower_bound" in report["results"]
         assert report["results"]["correlation"] >= report["results"]["correlation_lower_bound"]
 
+    def test_zero_term_reference_is_too_short(self, tmp_path, capsys):
+        # a 12-byte .sqz has no chunk, so reading it to its end reduces over
+        # no empty one: it is only too short for the bounds
+        ref = tmp_path / "empty.sqz"
+        ref.write_bytes(seqcore.SQZ_HEADER.pack(seqcore.SQZ_MAGIC, 0))
+        assert run(["toeplitz", "analyze", "--q", 5, "--m", 4, "--ell", 2, "--k", 10,
+                    "--ref", ref]) == 0
+        note = json.loads(capsys.readouterr().out)["results"]["note"]
+        assert note == "reference too short for entropy bound (need 6250)"
+
 
 class TestBounds:
     def test_pass(self):
@@ -874,18 +884,21 @@ class TestStreaming:
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--kind", "mobius", "--n", 1 << 24, "--out", "{tmp}/g.sqz"],
+        ["generate", "--kind", "sturmian", "--alpha", 0.6180339887498949, "--n", 1 << 24,
+         "--out", "{tmp}/s.sqz"],
         ["davenport", "--in", "{m}", "--grid", 1000],
         ["toeplitz", "build", "--q", 5, "--ref", "{m}", "--out", "{tmp}/t.sqz"],
         ["chowla", "--in", "{m}", "--max-lag", 6, "--max-r", 3],
         ["hat-test", "--in", "{m}", "--k", 12, "--tol", 0.001],
         ["sarnak", "--in", "{m}", "--system", "rotation", "--alpha", 0.41421356],
         ["toeplitz", "analyze", "--q", 5, "--m", 4, "--ell", 2, "--k", 10000, "--ref", "{m}"],
-    ], ids=["generate", "davenport", "toeplitz-build", "chowla", "hat-test", "sarnak",
-            "toeplitz-analyze"])
+    ], ids=["generate", "generate-sturmian", "davenport", "toeplitz-build", "chowla",
+            "hat-test", "sarnak", "toeplitz-analyze"])
     def test_traced_peak_does_not_grow_with_n(self, mobius_2_24, tmp_path, capsys, argv):
         # one bound fixed in advance, 0.5 B/symbol at N = 2^24, where holding
         # the whole prefix traced 1.1-1.2 B/symbol (toeplitz build: 2.0,
-        # chowla 1.6, hat-test --k 12 5.1); a dense k = 12 table is 4.25 MB
+        # chowla 1.6, hat-test --k 12 5.1, generate --kind sturmian 1.11);
+        # a dense k = 12 table is 4.25 MB
         N = 1 << 24
         argv = [str(a).format(m=mobius_2_24, tmp=tmp_path) for a in argv]
         assert traced_peak(main, argv) < N // 2

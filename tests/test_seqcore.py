@@ -204,6 +204,14 @@ class TestSqzFormat:
         with pytest.raises(ValueError, match="expected 4 symbols"):
             read_sqz(path)
 
+    def test_zero_term_file_has_no_chunk(self, tmp_path):
+        # no span, not one empty one: a reduction over an empty chunk fails
+        path = tmp_path / "empty.sqz"
+        path.write_bytes(seqcore.SQZ_HEADER.pack(seqcore.SQZ_MAGIC, 0))
+        source = seqcore._SqzFile(path)
+        assert len(source) == 0
+        assert list(source.chunks()) == [] and list(source.chunks(19)) == []
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         # the rename onto a directory fails after the temp file is written
         target = tmp_path / "existing-dir"
@@ -218,6 +226,34 @@ class TestSqzFormat:
 def _sqz_round_trip(tmp_path):
     write_sqz(tmp_path / "z.sqz", SignSeq([1, 0, -1]))
     return read_sqz(tmp_path / "z.sqz")
+
+
+class TestSpans:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_chunks_follow_the_span_rule(self, data):
+        # every chunk but the last holds max(_CHUNK, 2 overlap) terms, the
+        # next starts overlap terms before it ends, and so every run of
+        # overlap + 1 terms lies whole in one chunk, of a SignSeq or a file
+        n = data.draw(st.integers(1, 300), label="n")
+        overlap = data.draw(st.integers(0, 40), label="overlap")
+        chunk = data.draw(st.sampled_from([1, 2, 7, 64]), label="chunk")
+        values = np.int8(data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+        size = max(chunk, 2 * overlap)
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(seqcore, "_CHUNK", chunk)
+            write_sqz(os.path.join(tmp, "z.sqz"), SignSeq(values))
+            spans = list(seqcore._spans(n, overlap))
+            for source in (SignSeq(values), seqcore._SqzFile(os.path.join(tmp, "z.sqz"))):
+                # tobytes: a file's chunks reuse one buffer
+                parts = [part.tobytes() for part in source.chunks(overlap)]
+                assert parts == [values[lo:hi].tobytes() for lo, hi in spans]
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(hi - lo == size for lo, hi in spans[:-1])
+        assert 0 < spans[-1][1] - spans[-1][0] <= size
+        assert all(b[0] == a[1] - overlap for a, b in zip(spans, spans[1:]))
+        for start in range(n - overlap):
+            assert any(lo <= start and start + overlap + 1 <= hi for lo, hi in spans)
 
 
 class TestWindows:
@@ -247,9 +283,9 @@ class TestWindows:
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 20])
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_windows_match_a_brute_force_list(self, tmp_path, monkeypatch, chunk, k):
-        # a buffer is a chunk read in place, or the seam of at most 2k - 2
-        # letters around a chunk edge; k 8 and 20 carry letters over chunks
-        # shorter than k - 1
+        # a buffer is a view of one chunk, of at most max(_CHUNK, 2k - 2)
+        # letters: the chunks overlap by k - 1, so at k 8 and 20 each chunk
+        # holds more letters than a _CHUNK shorter than k - 1
         values = np.random.default_rng(k).integers(-1, 2, size=60).tolist()
         monkeypatch.setattr(seqcore, "_CHUNK", chunk)
         write_sqz(tmp_path / "z.sqz", SignSeq(values))
@@ -264,8 +300,8 @@ class TestWindows:
     @pytest.mark.parametrize("k", [1, 20])
     def test_opened_file_walk_holds_one_read_chunk(self, tmp_path, k):
         # every chunk of an opened file is read into one buffer, so a walk
-        # traces that buffer and its seams: 1.00 chunks, where a fresh array
-        # per read traced 2.00, as the last chunk is held while the next is read
+        # traces that buffer alone: 1.00 chunks, where a fresh array per read
+        # traced 2.00, as the last chunk is held while the next is read
         N = 4 * seqcore._CHUNK + 5
         write_sqz(tmp_path / "z.sqz", SignSeq(np.resize(np.int8([1, 0, -1, 0]), N)))
         source = seqcore._SqzFile(tmp_path / "z.sqz")
@@ -314,21 +350,24 @@ class TestTrustedWrap:
         assert make(tmp_path).values.dtype == np.int8
 
 
-def _read_shrunk(path):
-    """Opens a 10**5-term .sqz, cuts it to 40,000 terms, then reads it; the
-    terms pass the read buffer's size, so the read meets the new end."""
-    write_sqz(path, SignSeq(np.ones(10**5, dtype=np.int8)))
+def _read_shrunk(path, n=10**5):
+    """Opens an n-term .sqz, cuts it to 2n/5 terms, then reads it.  A small
+    file lies whole in a buffered reader's first read, of the header, so only
+    an unbuffered read meets its new end."""
+    write_sqz(path, SignSeq(np.ones(n, dtype=np.int8)))
     source = seqcore._SqzFile(path)
-    os.truncate(path, seqcore.SQZ_HEADER.size + 40_000)
+    os.truncate(path, seqcore.SQZ_HEADER.size + 2 * n // 5)
     list(source.chunks())
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda path: (path.write_bytes(b"SQZ1\0"), read_sqz(path)), "{path}: truncated header"),
     (_read_shrunk, "{path}: expected 100000 symbols, found 40000 bytes"),
+    (lambda path: _read_shrunk(path, 100), "{path}: expected 100 symbols, found 40 bytes"),
     (lambda path: SignSeq(np.zeros((2, 2))), "expected a 1-d sequence of symbols, got shape (2, 2)"),
     (lambda path: Block(()), "a Block must have length >= 1"),
-], ids=["read-sqz-short-header", "sqz-file-shrunk-after-open", "signseq-2d", "empty-block"])
+], ids=["read-sqz-short-header", "sqz-file-shrunk-after-open",
+        "small-sqz-file-shrunk-after-open", "signseq-2d", "empty-block"])
 def test_refusals_name_their_cause(tmp_path, call, message):
     path = tmp_path / "z.sqz"
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
