@@ -256,7 +256,8 @@ def _windows(source, k: int, stops):
     the at most ``_CHUNK`` windows that start at terms end - (buf.size - k)
     through end, and every stop is some end.  A buf is a view of one chunk:
     the chunks overlap by k - 1 terms, so each window lies whole in one.  A
-    file is read to its end, so a bad byte past the stops is refused."""
+    stop is where a caller must see a running total, and costs one Python
+    iteration.  A file is read to its end, so a bad byte past the stops is refused."""
     j, end = 0, 0
     for buf in source.chunks(k - 1):  # its windows start at term end + 1
         while j < len(stops) and buf.size >= k:

@@ -15,8 +15,8 @@ A term of t depends only on its own reference term and on z(j) for those
 j, so t is made one chunk at a time: ``toeplitz build`` streams the
 reference file to the output file in O(_CHUNK) memory, build_toeplitz
 fills its N-byte result from the same chunks, and toeplitz_correlation
-sums t*z over them.  The entropy bound reads only the good tails of z, so
-``toeplitz analyze --ref`` holds no prefix either.
+sums t*z over them.  The entropy bound gathers the good tails of z from one
+walk of its length-L windows, so ``toeplitz analyze --ref`` holds no prefix.
 
 A function takes the reference z first, then q, as every kernel takes its
 prefix; q >= 2 is checked in _progressions only, 1 <= ell < m in _tail_classes.
@@ -219,9 +219,9 @@ class EntropyLowerBound:
 
 
 def toeplitz_entropy_lower_bound(z_ref, q: int, m: int, ell: int, K: int) -> EntropyLowerBound:
-    """A good tail of t is z at its positions, read from a SignSeq or an opened
-    .sqz z_ref by a walk that stops at either end of each tail, with z(j) on
-    the offsets A_j owns (j <= m); np.unique tells the rows apart as L-byte values."""
+    """A good tail of t is z at its positions, with z(j) on the offsets A_j owns
+    (j <= m): one walk of a SignSeq or an opened .sqz z_ref gathers the tails
+    from its length-L windows; np.unique tells the rows apart as L-byte values."""
     pattern, good = _tail_classes(q, m, ell, K)
     L = pattern.size
     if L > MAX_ENTROPY_BLOCK:
@@ -229,14 +229,12 @@ def toeplitz_entropy_lower_bound(z_ref, q: int, m: int, ell: int, K: int) -> Ent
     needed = K * q**m
     if len(z_ref) < needed:
         raise ValueError(f"reference length {len(z_ref)} < K*q^m = {needed}")
-    starts = ((np.flatnonzero(good) + 1) * q**m - L + 1).tolist()
-    tails, filled = np.empty((len(starts), L), dtype=np.int8), 0
-    stops = [stop for start in starts for stop in (start - 1, start + L - 1)]
-    for end, buf in _windows(z_ref, 1, stops) if starts else ():
-        if end >= starts[filled // L]:  # a piece of the tail, not of the gap before it
-            tails.reshape(-1)[filled : filled + buf.size] = buf
-            filled += buf.size
+    starts = (np.flatnonzero(good) + 1) * q**m - L  # 0-based, ascending
+    tails = np.empty((starts.size, L), dtype=np.int8)
+    for end, buf in _windows(z_ref, L, (needed - L + 1,)):  # its windows start at 0-based first..end - 1
+        lo, hi = np.searchsorted(starts, (first := end - buf.size + L - 1, end))
+        tails[lo:hi] = np.lib.stride_tricks.sliding_window_view(buf, L)[starts[lo:hi] - first]
     tails[:, pattern > 0] = next(_windows(z_ref, m, (1,)))[1][pattern[pattern > 0] - 1]  # z(1..m)
     distinct = int(np.unique(tails.view(np.dtype((np.void, L))).ravel()).size)
     return EntropyLowerBound(estimate=math.log2(distinct) / L if distinct else 0.0,
-                             distinct_blocks=distinct, good_count=len(starts), L=L, m=m, K=K)
+                             distinct_blocks=distinct, good_count=starts.size, L=L, m=m, K=K)

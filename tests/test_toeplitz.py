@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chowla_lab import seqcore
 from chowla_lab.numbergen import mobius_prefix
 from chowla_lab.seqcore import SignSeq
 from chowla_lab.toeplitz import (
@@ -228,20 +229,26 @@ class TestIntervalAnalytics:
             assert np.unique(intervals).size == intervals.size
 
     def test_no_owner_table(self):
-        # an owner table over K*q^m = 19,683,000 positions would be 158 MB
-        q, m, ell, K = 3, 8, 2, 3000
-        ref = random_ref(4, K * q**m)
-        tracemalloc.start()
-        try:
-            interval_analytics(q, m, ell, K)
-            analytics_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            toeplitz_entropy_lower_bound(ref, q, m, ell, K)
-            entropy_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert analytics_peak < 2**20
-        assert entropy_peak < 2**20
+        # an owner table over K*q^m = 19,683,000 positions would be 158 MB.
+        # The second input has 193,727 good 4-letter tails: the good x L
+        # table, the int64 tail starts and the sort of np.unique traced
+        # 4.05 MB (bound: + 5 %), where a walk with a stop at either end of
+        # each tail traced 25.6 MB.  np.unique imports numpy.ma on its first
+        # call, so one small call comes first, or a lone run counts the import
+        toeplitz_entropy_lower_bound(random_ref(4, 8), 2, 3, 2, 1)
+        for q, m, ell, K, bound in ((3, 8, 2, 3000, 2**20), (2, 3, 2, 200_000, 4.26e6)):
+            ref = random_ref(4, K * q**m)
+            tracemalloc.start()
+            try:
+                interval_analytics(q, m, ell, K)
+                analytics_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                toeplitz_entropy_lower_bound(ref, q, m, ell, K)
+                entropy_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert analytics_peak < 2**20, (q, m, ell, K)
+            assert entropy_peak < bound, (q, m, ell, K)
 
     @pytest.mark.parametrize("q, m, ell", TAIL_PARAMS)
     @given(st.integers(1, 50), st.integers(0, 2**31))
@@ -258,10 +265,13 @@ class TestIntervalAnalytics:
         assert all(mask == rep.type1_mask for mask, _ in good)
         if good:
             assert rep.type1_count_expected == rep.type1_count_observed
-        bound = toeplitz_entropy_lower_bound(ref, q, m, ell, K)
-        assert bound.good_count == len(good)
         blocks = {tuple(ref[owner[n]] for n in tail) for _, tail in good}
-        assert bound.distinct_blocks == len(blocks)
+        # at _CHUNK 1 and 64 the tails straddle the seams of the read chunks
+        for chunk in (1, 64, seqcore._CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(seqcore, "_CHUNK", chunk)
+                bound = toeplitz_entropy_lower_bound(ref, q, m, ell, K)
+            assert (bound.good_count, bound.distinct_blocks) == (len(good), len(blocks)), chunk
 
 
 class TestEntropyLowerBound:
@@ -295,9 +305,12 @@ class TestEntropyLowerBound:
         ref = SignSeq(np.concatenate([blocks[i] for i in rng.permutation(np.resize(range(4), K))]))
         owner, tails = brute_tails(q, m, ell, K)
         rows = {tuple(ref[owner[n]] for n in tail) for is_good, _, tail in tails if is_good}
-        rep = toeplitz_entropy_lower_bound(ref, q, m, ell, K)
-        assert rep.L == 40 and rep.good_count == K
-        assert rep.distinct_blocks == len(rows) == 4
+        for chunk in (1, 64, seqcore._CHUNK):  # tails across the read chunks' seams at 1 and 64
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(seqcore, "_CHUNK", chunk)
+                rep = toeplitz_entropy_lower_bound(ref, q, m, ell, K)
+            assert rep.L == 40 and rep.good_count == K, chunk
+            assert rep.distinct_blocks == len(rows) == 4, chunk
 
     def test_reference_length_guard(self):
         with pytest.raises(ValueError, match="reference length"):
